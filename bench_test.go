@@ -462,18 +462,6 @@ func BenchmarkAblationDirectionOptimizing(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationProbeBatch sweeps the software-pipelined probe
-// block size — the in-code analogue of the paper's _mm_prefetch
-// strategy for keeping multiple bitmap reads in flight.
-func BenchmarkAblationProbeBatch(b *testing.B) {
-	g := benchUniform(b, 1<<21, 8) // 2M vertices: bitmap spills the L2
-	for _, pb := range []int{0, 4, 16, 64} {
-		b.Run(fmt.Sprintf("probeBatch=%d", pb), func(b *testing.B) {
-			runBFS(b, g, core.Options{Algorithm: core.AlgSingleSocket, Threads: 1, ProbeBatch: pb})
-		})
-	}
-}
-
 // BenchmarkSearchThroughput measures the amortized-session repeated-
 // search path: one Searcher, a search per iteration. -benchmem (or the
 // ReportAllocs below) is the acceptance gauge — warm searches must not

@@ -228,10 +228,16 @@ func TestSearcherCloseJoinsWorkers(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Close joins: every worker goroutine (and its deferred unpin)
-		// has finished before the next, equally pinned session starts.
-		if n := runtime.NumGoroutine(); n > base {
-			t.Fatalf("iteration %d: %d goroutines alive after Close, started with %d", i, n, base)
+		// Close joins: every worker has run its deferred unpin before
+		// the next, equally pinned session starts. A worker past its
+		// deferred wg.Done is still counted until it exits, so wait for
+		// the count to return to baseline; one that never exits fails.
+		deadline := time.Now().Add(5 * time.Second)
+		for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				t.Fatalf("iteration %d: %d goroutines alive 5s after Close, started with %d", i, n, base)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -130,9 +130,6 @@ type Options struct {
 	// Larger values make the respective switch happen sooner.
 	HybridAlpha int
 	HybridBeta  int
-	// LocalBatch is the number of vertices buffered before a batched
-	// push to the local next queue. 0 means 64.
-	LocalBatch int
 	// DisableDoubleCheck forces the atomic read-and-set on every
 	// neighbour, skipping the plain bitmap probe. Ablation knob for the
 	// paper's Fig. 5 "impact of optimizations".
@@ -156,13 +153,6 @@ type Options struct {
 	// the paper's Table I placement on typical hosts. Pinning failures
 	// are ignored (the run proceeds unpinned).
 	PinThreads bool
-	// ProbeBatch enables software pipelining of the bitmap probes in
-	// the single-socket tier: neighbours are processed in blocks of
-	// this size, with all of a block's independent probe loads issued
-	// before any claim logic runs — the Go analogue of the paper's
-	// carefully placed _mm_prefetch intrinsics that keep multiple
-	// memory requests in flight (Fig. 2). 0 disables batching.
-	ProbeBatch int
 	// Tracer receives observability callbacks (level start/end, remote
 	// batch flushes, barrier waits). Implementations must be safe for
 	// concurrent use: OnRemoteBatch and OnBarrierWait fire from worker
@@ -215,9 +205,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 128
-	}
-	if o.LocalBatch <= 0 {
-		o.LocalBatch = 64
 	}
 	if o.HybridAlpha == 0 {
 		o.HybridAlpha = defaultHybridAlpha

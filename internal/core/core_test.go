@@ -190,27 +190,37 @@ func TestMoreThreadsThanVertices(t *testing.T) {
 func TestDisableDoubleCheck(t *testing.T) {
 	g := must(gen.Uniform(1000, 8, 5))
 	for _, alg := range []Algorithm{AlgSingleSocket, AlgMultiSocket} {
-		res := run(t, g, 0, Options{
-			Algorithm:          alg,
-			Threads:            4,
-			Machine:            topology.NehalemEP,
-			DisableDoubleCheck: true,
-			Instrument:         true,
-		})
-		validate(t, g, res)
-		// Without the double check every scanned neighbour costs an
-		// atomic op and no plain probes happen.
-		var atomics, probes, edges int64
-		for _, ls := range res.PerLevel {
-			atomics += ls.AtomicOps
-			probes += ls.BitmapReads
-			edges += ls.Edges
-		}
-		if probes != 0 {
-			t.Errorf("%v: %d bitmap probes with double-check disabled", alg, probes)
-		}
-		if atomics != edges {
-			t.Errorf("%v: atomics = %d, want one per scanned edge %d", alg, atomics, edges)
+		for _, disable := range []bool{false, true} {
+			res := run(t, g, 0, Options{
+				Algorithm:          alg,
+				Threads:            4,
+				Machine:            topology.NehalemEP,
+				DisableDoubleCheck: disable,
+				Instrument:         true,
+			})
+			validate(t, g, res)
+			var atomics, probes, edges int64
+			for _, ls := range res.PerLevel {
+				atomics += ls.AtomicOps
+				probes += ls.BitmapReads
+				edges += ls.Edges
+			}
+			if !disable {
+				// Every scanned neighbour gets exactly one plain probe,
+				// on its owner's socket.
+				if probes != edges {
+					t.Errorf("%v: probes = %d, want one per scanned edge %d", alg, probes, edges)
+				}
+				continue
+			}
+			// Without the double check every scanned neighbour costs an
+			// atomic op and no plain probes happen.
+			if probes != 0 {
+				t.Errorf("%v: %d bitmap probes with double-check disabled", alg, probes)
+			}
+			if atomics != edges {
+				t.Errorf("%v: atomics = %d, want one per scanned edge %d", alg, atomics, edges)
+			}
 		}
 	}
 }
@@ -540,52 +550,6 @@ func TestRemoteSendsOnlyAcrossSockets(t *testing.T) {
 	frac := float64(sends2) / float64(res2.EdgesTraversed)
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("remote fraction = %.2f, want ~0.5 for a uniform graph over 2 sockets", frac)
-	}
-}
-
-func TestProbeBatchMatchesDirect(t *testing.T) {
-	g := must(gen.Uniform(10000, 12, 23))
-	ref := run(t, g, 0, Options{Algorithm: AlgSequential})
-	for _, pb := range []int{1, 4, 16, 64} {
-		res := run(t, g, 0, Options{
-			Algorithm:  AlgSingleSocket,
-			Threads:    4,
-			ProbeBatch: pb,
-			Instrument: true,
-		})
-		validate(t, g, res)
-		if res.Reached != ref.Reached || res.EdgesTraversed != ref.EdgesTraversed {
-			t.Errorf("probeBatch=%d: Reached=%d/%d Edges=%d/%d", pb,
-				res.Reached, ref.Reached, res.EdgesTraversed, ref.EdgesTraversed)
-		}
-		// Every neighbour still gets exactly one probe.
-		var probes, edges int64
-		for _, ls := range res.PerLevel {
-			probes += ls.BitmapReads
-			edges += ls.Edges
-		}
-		if probes != edges {
-			t.Errorf("probeBatch=%d: probes=%d, want one per edge %d", pb, probes, edges)
-		}
-	}
-}
-
-func TestProbeBatchIgnoredWithDoubleCheckDisabled(t *testing.T) {
-	g := must(gen.Uniform(2000, 8, 24))
-	res := run(t, g, 0, Options{
-		Algorithm:          AlgSingleSocket,
-		Threads:            2,
-		ProbeBatch:         16,
-		DisableDoubleCheck: true,
-		Instrument:         true,
-	})
-	validate(t, g, res)
-	var probes int64
-	for _, ls := range res.PerLevel {
-		probes += ls.BitmapReads
-	}
-	if probes != 0 {
-		t.Errorf("probes = %d with double check disabled", probes)
 	}
 }
 

@@ -3,12 +3,11 @@ package core
 import (
 	"time"
 
-	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 	"mcbfs/internal/queue"
 )
 
-// multiSocketWorker is the paper's Algorithm 3, the multi-socket tier.
+// The multi-socket tier is the paper's Algorithm 3.
 //
 // The graph's vertex range, the parent array and the visited bitmap are
 // partitioned into contiguous per-socket blocks (Algorithm 3 line 2).
@@ -22,216 +21,95 @@ import (
 //
 // Each level runs in two phases separated by barriers:
 //
-//	phase 1: expand the local current queue; local discoveries are
-//	         claimed immediately, remote ones batched into channels;
-//	phase 2: drain the socket's own channel, claiming the delivered
-//	         tuples exactly as local ones.
+//	phase 1: the shared top-down scan in claimOwned mode over the
+//	         socket's own queue; local discoveries are claimed
+//	         immediately, remote ones batched into channels;
+//	phase 2: exchange drains the socket's own channel, claiming the
+//	         delivered tuples exactly as local ones.
 //
 // On the logical machine of this reproduction the "sockets" are
 // goroutine groups; the data partitioning, channel wiring and two-phase
 // schedule are identical to the paper's. Each socket's queue is
-// monotone — its level window advanced by the coordinator — so the
-// union of the per-socket queues is the reached list the session's
-// O(touched) reset walks.
-func (s *Searcher) multiSocketWorker(w int) {
-	ws := &s.ws[w]
-	wr := s.coll.Worker(w)
-	o := &s.o
-	g := s.g
-	offs := g.Offsets()
-	tgts := g.Targets()
-	budget := s.edgeBudget
-	hubs := s.hubs
-	var myEdges, myReached int64
-	this := o.Machine.SocketOfThread(w, s.workers)
-	myQ := s.qs[this]
-	local := ws.local[:0]
-	remote := ws.remote
-	recvBuf := ws.recvBuf
-	limit := s.sockLimit[this]
+// monotone, so the union of the per-socket queues is the reached list
+// the session's O(touched) reset walks.
 
-	// claim runs the double-checked visitation protocol for a vertex
-	// owned by this socket and appends winners to the local batch.
-	claim := func(v, parent uint32, stats *LevelStats) {
-		if !o.DisableDoubleCheck {
-			stats.BitmapReads++
-			if s.visited.Get(int(v)) {
-				return
-			}
+// exchange ends phase 1 — the scan begun at tp — and runs phase 2:
+// flush the partial remote batches, wait until every worker's sends are
+// complete, then drain this socket's channel and flush the local batch.
+func (s *Searcher) exchange(ws *searchWorker, tp time.Time) {
+	// Empty batches are skipped: in late levels most destinations have
+	// nothing pending, and an empty flush is pure overhead. On abort the
+	// batches are dropped rather than sent: their tuples were never
+	// claimed anywhere, and phase 2 discards in-flight ones.
+	cancelled := s.cancel.Load()
+	for sck := range ws.remote {
+		if len(ws.remote[sck]) == 0 {
+			continue
 		}
-		stats.AtomicOps++
-		if !s.visited.TestAndSet(int(v)) {
-			s.parents[v] = parent
-			myReached++
-			local = append(local, v)
-			if len(local) == cap(local) {
-				myQ.PushBatch(local)
-				local = local[:0]
-			}
+		if cancelled {
+			ws.remote[sck] = ws.remote[sck][:0]
+			continue
 		}
+		ws.send(sck)
 	}
+	ws.wr.PhaseEnd(obs.PhaseLocalScan, tp)
 
-	checkpoints := 0
-	for {
-		var stats LevelStats
+	tp = ws.wr.PhaseStart()
+	s.bar.wait()
+	ws.wr.PhaseEnd(obs.PhaseBarrierWait, tp)
 
-		// Phase 1: expand the local frontier.
-		tp := wr.PhaseStart()
+	// The drain must run even on abort — a tuple left in a channel would
+	// be claimed by the *next* search and corrupt its tree — but an
+	// aborting worker discards instead of claiming, keeping the unwind
+	// bounded by what was already sent. Workers of one socket may mix
+	// the two modes during an abort race; both leave the channel empty
+	// and every claim on the touched list.
+	tp = ws.wr.PhaseStart()
+	if s.cancel.Load() {
+		s.channels[ws.this].DiscardAll()
+	} else {
 		for {
-			// Cancellation checkpoint. Locally claimed vertices are in
-			// local/myQ and survive into the touched list; remote tuples
-			// are unclaimed by construction (the receiving socket claims
-			// them), so the abort path may drop them.
-			if s.aborted(&checkpoints) {
+			got := s.channels[ws.this].ReceiveBatch(ws.recvBuf)
+			if got == 0 {
 				break
 			}
-			var chunk []uint32
-			if budget > 0 {
-				chunk = myQ.PopChunkEdges(o.ChunkSize, budget, limit, offs)
-				if chunk == nil {
-					// Own window drained: steal a budgeted chunk from
-					// the busiest sibling socket's window instead of
-					// idling at the phase barrier. The expansion below
-					// is symmetric in the expander's own socket —
-					// local targets are claimed, remote ones travel
-					// through the owner's channel — so a stolen chunk
-					// needs no special handling.
-					chunk = s.stealChunk(this)
-					if chunk != nil {
-						stats.Steals++
-					}
-				}
-			} else {
-				chunk = myQ.PopChunkBounded(o.ChunkSize, limit)
-			}
-			posted := false
-			for _, u := range chunk {
-				if hubs != nil && offs[u+1]-offs[u] > budget {
-					hubs.post(u, offs[u], offs[u+1])
-					stats.Frontier++
-					posted = true
-					continue
-				}
-				nbrs := g.Neighbors(graph.Vertex(u))
-				stats.Frontier++
-				stats.Edges += int64(len(nbrs))
-				for _, v := range nbrs {
-					sck := s.part.DetermineSocket(v)
-					if sck == this {
-						claim(v, u, &stats)
-						continue
-					}
-					stats.RemoteSends++
-					remote[sck] = append(remote[sck], queue.Tuple{V: v, Parent: u})
-					if len(remote[sck]) == cap(remote[sck]) {
-						s.channels[sck].SendBatch(remote[sck])
-						wr.RemoteBatch(sck, len(remote[sck]))
-						remote[sck] = remote[sck][:0]
-					}
-				}
-			}
-			if hubs != nil && (posted || chunk == nil) {
-				// Drain the hub board with the claim-or-send expansion.
-				did := false
-				for {
-					u, elo, ehi, ok := hubs.claim(budget)
-					if !ok {
-						break
-					}
-					did = true
-					stats.Edges += ehi - elo
-					for _, v := range tgts[elo:ehi] {
-						sck := s.part.DetermineSocket(v)
-						if sck == this {
-							claim(v, u, &stats)
-							continue
-						}
-						stats.RemoteSends++
-						remote[sck] = append(remote[sck], queue.Tuple{V: v, Parent: u})
-						if len(remote[sck]) == cap(remote[sck]) {
-							s.channels[sck].SendBatch(remote[sck])
-							wr.RemoteBatch(sck, len(remote[sck]))
-							remote[sck] = remote[sck][:0]
-						}
-					}
-				}
-				if chunk == nil && !did {
-					break
-				}
-			} else if chunk == nil {
-				break
-			}
+			ws.claimTuples(ws.recvBuf[:got])
 		}
-		// End-of-phase flush of the partial batches, skipping empty
-		// ones: in late levels most destinations have nothing pending,
-		// and an empty flush is pure overhead — a per-socket call per
-		// worker per level and zero-length tracer-hook noise. On abort
-		// the batches are dropped rather than sent: their tuples were
-		// never claimed anywhere, and phase 2 discards in-flight ones.
-		cancelled := s.cancel.Load()
-		for sck := range remote {
-			if len(remote[sck]) == 0 {
-				continue
-			}
-			if cancelled {
-				remote[sck] = remote[sck][:0]
-				continue
-			}
-			s.channels[sck].SendBatch(remote[sck])
-			wr.RemoteBatch(sck, len(remote[sck]))
-			remote[sck] = remote[sck][:0]
-		}
-		wr.PhaseEnd(obs.PhaseLocalScan, tp)
-
-		// All sends for this level are complete once every worker
-		// reaches the barrier; only then may anyone drain.
-		tp = wr.PhaseStart()
-		s.bar.wait()
-		wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-
-		// Phase 2: drain this socket's channel. The drain must run even
-		// on abort — a tuple left in a channel would be claimed by the
-		// *next* search and corrupt its tree — but an aborting worker
-		// discards instead of claiming, keeping the unwind bounded by
-		// what was already sent. Workers of one socket may mix the two
-		// modes during an abort race; both leave the channel empty and
-		// every claim on the touched list.
-		tp = wr.PhaseStart()
-		if s.cancel.Load() {
-			s.channels[this].DiscardAll()
-		} else {
-			for {
-				got := s.channels[this].ReceiveBatch(recvBuf)
-				if got == 0 {
-					break
-				}
-				for _, t := range recvBuf[:got] {
-					claim(t.V, t.Parent, &stats)
-				}
-			}
-		}
-		myQ.PushBatch(local)
-		local = local[:0]
-		wr.PhaseEnd(obs.PhaseQueueDrain, tp)
-		myEdges += stats.Edges
-		s.stats.add(w, stats)
-
-		tp = wr.PhaseStart()
-		if s.bar.wait() {
-			s.advanceMulti()
-		}
-		wr.PhaseEnd(obs.PhaseBarrierWait, tp)
-		if s.bar.wait() {
-			s.stats.foldPhases(!s.done.Load())
-		}
-		wr.NextLevel()
-		if s.done.Load() {
-			ws.edges = myEdges
-			ws.reached = myReached
-			return
-		}
-		limit = s.sockLimit[this]
 	}
+	ws.flush()
+	ws.wr.PhaseEnd(obs.PhaseQueueDrain, tp)
+}
+
+// send ships the worker's batch for socket sck through that socket's
+// channel.
+func (ws *searchWorker) send(sck int) {
+	ws.s.channels[sck].SendBatch(ws.remote[sck])
+	ws.wr.RemoteBatch(sck, len(ws.remote[sck]))
+	ws.remote[sck] = ws.remote[sck][:0]
+}
+
+// claimTuples claims a received batch of (vertex, parent) tuples, all
+// owned by this worker's socket, with the bitmap claim expand uses for
+// local targets.
+func (ws *searchWorker) claimTuples(ts []queue.Tuple) {
+	parents, visited := ws.s.parents, ws.s.visited
+	check := !ws.s.o.DisableDoubleCheck
+	var reads, atomics int64
+	for _, t := range ts {
+		if check {
+			reads++
+			if visited.Get(int(t.V)) {
+				continue
+			}
+		}
+		atomics++
+		if !visited.TestAndSet(int(t.V)) {
+			parents[t.V] = t.Parent
+			ws.push(t.V)
+		}
+	}
+	ws.st.BitmapReads += reads
+	ws.st.AtomicOps += atomics
 }
 
 // stealChunk claims one edge-budgeted chunk from the current-level
@@ -267,34 +145,18 @@ func (s *Searcher) stealChunk(this int) []uint32 {
 	}
 }
 
-// advanceMulti is the multi-socket level transition, run by the
-// coordinator elected at the closing barrier: sample the channels (no
-// sends are in flight between the barriers, so the per-level deltas are
-// exact), advance every socket's queue window, decide termination.
-func (s *Searcher) advanceMulti() {
-	s.checkCancelAtBarrier() // only ever sets done; bookkeeping proceeds
-	if s.hubs != nil {
-		s.hubs.reset()
+// sampleChannels records each channel's per-level traffic when the
+// session traces. The level coordinator calls it between the closing
+// barriers, when no sends are in flight, so the deltas are exact.
+func (s *Searcher) sampleChannels() {
+	if !s.chanStats || s.coll == nil {
+		return
 	}
-	s.stats.fold(&s.perLevel, time.Since(s.levelStart))
-	s.levelStart = time.Now()
-	if s.chanStats && s.coll != nil {
-		for sck, c := range s.channels {
-			cs := c.Stats()
-			s.coll.AddChannelSample(sck, cs.Tuples-s.prevChan[sck].Tuples,
-				cs.Batches-s.prevChan[sck].Batches, cs.MaxLen, cs.MaxBatch)
-			s.prevChan[sck] = cs
-			c.ResetHighWater()
-		}
-	}
-	var total int64
-	for sck, q := range s.qs {
-		sz := int64(q.Size())
-		total += sz - s.sockLimit[sck]
-		s.sockLimit[sck] = sz
-	}
-	s.levels++
-	if total == 0 || (s.maxLevels > 0 && s.levels >= s.maxLevels) {
-		s.done.Store(true)
+	for sck, c := range s.channels {
+		cs := c.Stats()
+		s.coll.AddChannelSample(sck, cs.Tuples-s.prevChan[sck].Tuples,
+			cs.Batches-s.prevChan[sck].Batches, cs.MaxLen, cs.MaxBatch)
+		s.prevChan[sck] = cs
+		c.ResetHighWater()
 	}
 }

@@ -10,21 +10,29 @@ import (
 )
 
 // schedTiers are the parallel tiers affected by edge-budgeted
-// scheduling, each with the machine shape it needs.
+// scheduling, each with the machine shape it needs. Together they cover
+// every claim mode of the shared top-down scan: CAS-parent, the
+// double-checked bitmap, the always-atomic bitmap (noDC) and
+// owner-or-send with either bitmap claim.
 func schedTiers() []struct {
 	name    string
 	alg     Algorithm
 	machine topology.Machine
+	noDC    bool
 } {
 	return []struct {
 		name    string
 		alg     Algorithm
 		machine topology.Machine
+		noDC    bool
 	}{
-		{"simple", AlgParallelSimple, topology.Machine{}},
-		{"singlesocket", AlgSingleSocket, topology.Machine{}},
-		{"multisocket", AlgMultiSocket, topology.Generic(2, 4, 1)},
-		{"hybrid", AlgDirectionOptimizing, topology.Machine{}},
+		{"simple", AlgParallelSimple, topology.Machine{}, false},
+		{"singlesocket", AlgSingleSocket, topology.Machine{}, false},
+		{"singlesocket-nodc", AlgSingleSocket, topology.Machine{}, true},
+		{"multisocket", AlgMultiSocket, topology.Generic(2, 4, 1), false},
+		{"multisocket-nodc", AlgMultiSocket, topology.Generic(2, 4, 1), true},
+		{"hybrid", AlgDirectionOptimizing, topology.Machine{}, false},
+		{"hybrid-nodc", AlgDirectionOptimizing, topology.Machine{}, true},
 	}
 }
 
@@ -69,10 +77,11 @@ func TestSchedulingEquivalence(t *testing.T) {
 				for _, workers := range workerCounts {
 					name := fmt.Sprintf("%s/%s/%s/w%d", f.name, tier.name, b.name, workers)
 					res := run(t, f.g, f.root, Options{
-						Algorithm:  tier.alg,
-						Threads:    workers,
-						Machine:    tier.machine,
-						EdgeBudget: b.budget,
+						Algorithm:          tier.alg,
+						Threads:            workers,
+						Machine:            tier.machine,
+						EdgeBudget:         b.budget,
+						DisableDoubleCheck: tier.noDC,
 					})
 					validate(t, f.g, res)
 					if res.Reached != ref.Reached {
@@ -106,10 +115,11 @@ func TestSchedulingWarmSession(t *testing.T) {
 	}
 	for _, tier := range schedTiers() {
 		s, err := NewSearcher(g, Options{
-			Algorithm:  tier.alg,
-			Threads:    4,
-			Machine:    tier.machine,
-			EdgeBudget: 4,
+			Algorithm:          tier.alg,
+			Threads:            4,
+			Machine:            tier.machine,
+			EdgeBudget:         4,
+			DisableDoubleCheck: tier.noDC,
 		})
 		if err != nil {
 			t.Fatalf("%s: NewSearcher: %v", tier.name, err)
@@ -178,10 +188,11 @@ func TestSchedulingImbalanceReported(t *testing.T) {
 	g := must(gen.Uniform(4000, 8, 55))
 	for _, tier := range schedTiers() {
 		res := run(t, g, 0, Options{
-			Algorithm:  tier.alg,
-			Threads:    4,
-			Machine:    tier.machine,
-			Instrument: true,
+			Algorithm:          tier.alg,
+			Threads:            4,
+			Machine:            tier.machine,
+			Instrument:         true,
+			DisableDoubleCheck: tier.noDC,
 		})
 		validate(t, g, res)
 		sawWork := false

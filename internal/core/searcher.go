@@ -35,26 +35,34 @@ const (
 	jobClear
 )
 
-// searchWorker is one pool worker's pooled per-search scratch. The
-// slice fields are sized once (NewSearcher / ensureTier) and reused
-// every search, so a warm search allocates none of them. The trailing
-// pad keeps the end-of-search counter writes of adjacent workers off a
+// searchWorker is one pool worker's per-search state: the level scan's
+// claim mode, queue and counters (set by begin at the start of every
+// search) and pooled scratch sized once (NewSearcher / ensureTier), so a
+// warm search allocates none of it. Only its own worker writes it during
+// a search, and the trailing pad keeps adjacent workers' fields off a
 // shared cache line.
 type searchWorker struct {
-	// local is the claimed-vertex batch (cap Options.LocalBatch),
-	// flushed into the next-level window of the tier's queue when full.
+	s    *Searcher
+	wr   *obs.WorkerRec
+	mode claimMode
+	// this is the worker's socket in the multi-socket tier; q is the
+	// queue it pops frontier chunks from and pushes claims to.
+	this int
+	q    *queue.ChunkQueue
+	// local is the claimed-vertex batch (cap localBatch), flushed into
+	// the next-level window of q when full.
 	local []uint32
-	// probeHit backs the software-pipelined probe block
-	// (cap Options.ProbeBatch; nil when disabled).
-	probeHit []bool
 	// remote and recvBuf are the multi-socket tier's per-destination
 	// send batches and channel receive buffer (nil until that tier is
 	// first used).
 	remote  [][]queue.Tuple
 	recvBuf []queue.Tuple
-	// edges and reached are the worker's run totals, written once as the
-	// worker finishes a search and read by the caller after the finish
-	// gate.
+	// st holds the counts of the level in progress; checkpoints counts
+	// the worker's cancellation checkpoints.
+	st          LevelStats
+	checkpoints int
+	// edges and reached are the worker's run totals, read by the caller
+	// after the finish gate.
 	edges, reached int64
 	_              [64]byte
 }
@@ -252,10 +260,8 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 		s.hubs = newHubBoard(workGraph, s.edgeBudget)
 	}
 	for w := range s.ws {
-		s.ws[w].local = make([]uint32, 0, o.LocalBatch)
-		if o.ProbeBatch > 0 {
-			s.ws[w].probeHit = make([]bool, o.ProbeBatch)
-		}
+		s.ws[w].s = s
+		s.ws[w].local = make([]uint32, 0, localBatch)
 	}
 	s.runTracer = o.Tracer
 	if o.Telemetry != nil {
@@ -363,7 +369,7 @@ func (s *Searcher) ensureTier(alg Algorithm) error {
 // between jobs.
 func (s *Searcher) workerLoop(w int) {
 	// Registered first so it runs last: the deferred unpin below must
-	// have restored the OS thread before Close's join observes the exit.
+	// have restored the OS thread before Close's join returns.
 	defer s.wg.Done()
 	if s.o.PinThreads {
 		if unpin, err := affinity.PinToCPU(w); err == nil {
@@ -377,16 +383,7 @@ func (s *Searcher) workerLoop(w int) {
 		}
 		switch s.job {
 		case jobSearch:
-			switch s.alg {
-			case AlgParallelSimple:
-				s.simpleWorker(w)
-			case AlgSingleSocket:
-				s.singleSocketWorker(w)
-			case AlgMultiSocket:
-				s.multiSocketWorker(w)
-			case AlgDirectionOptimizing:
-				s.hybridWorker(w)
-			}
+			s.levelWorker(w)
 		case jobClear:
 			s.clearShard(w)
 		}
@@ -610,6 +607,7 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 	s.maxLevels = maxLevels
 	s.levels = 0
 	s.done.Store(false)
+	s.bottomUp.Store(false) // every tier's first level is top-down
 	if s.o.Instrument {
 		s.perLevel = s.perLevel[:0]
 	} else {
@@ -651,7 +649,6 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 			s.q.Push(uint32(iroot))
 			s.prevLimit = 0
 			s.limit = 1
-			s.bottomUp.Store(false)
 		}
 		s.parents[iroot] = uint32(iroot)
 		switch alg {
@@ -776,9 +773,10 @@ func (c levelCapture) OnRemoteBatch(level, worker, toSocket, tuples int) {}
 func (c levelCapture) OnBarrierWait(level, worker int, wait time.Duration) {}
 
 // Close shuts down the worker pool and joins it: when Close returns,
-// every pool goroutine has exited and (under PinThreads) restored its
-// OS thread's affinity, so a successor Searcher's workers cannot race
-// the unpinning. Results returned earlier (and their Parents) remain
+// every pool worker has finished and run its deferred unpin (under
+// PinThreads, restoring its OS thread's affinity), so a successor
+// Searcher's workers cannot race the unpinning. The goroutines may
+// still be exiting. Results returned earlier (and their Parents) remain
 // readable; further Search calls fail. Close is idempotent but must not
 // run concurrently with Search.
 func (s *Searcher) Close() error {

@@ -116,6 +116,31 @@ func TestSearcherQueryOverrides(t *testing.T) {
 	}
 }
 
+// TestSearcherTierSwitchAfterBottomUp runs a multi-socket query on a
+// session whose previous direction-optimizing search ended in a
+// bottom-up level (on a star, level 1 is bottom-up and finds nothing),
+// so the next search must start top-down whatever its tier.
+func TestSearcherTierSwitchAfterBottomUp(t *testing.T) {
+	g := must(gen.Star(2000)).Undirected()
+	s, err := NewSearcher(g, Options{
+		Algorithm: AlgDirectionOptimizing,
+		Threads:   4,
+		Machine:   topology.Generic(2, 2, 1),
+		Transpose: g,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, alg := range []Algorithm{AlgDirectionOptimizing, AlgMultiSocket, AlgDirectionOptimizing, AlgSingleSocket} {
+		res, err := s.Search(1, Query{Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		expectSameTree(t, g, res, false)
+	}
+}
+
 // TestSearcherResetCompleteness is the reset property test: after a
 // search that touches the giant component, a search from a tiny
 // component must see pristine state — exactly its own vertices claimed,

@@ -162,13 +162,15 @@ func TestPoolBatchingShed(t *testing.T) {
 	// The two probes race for the one remaining reply channel. The
 	// winner is admitted (it resolves with DeadlineExceeded once the
 	// runner resumes and sees its dead lane context); the loser sheds.
+	// They share one deadline, so the winner's context is dead by the
+	// time the loser's shed lets the test release the runner.
 	errCh := make(chan error, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(root mcbfs.Vertex) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
 			_, err := pool.Query(ctx, root)
 			errCh <- err
 		}(mcbfs.Vertex(1 + i))
