@@ -239,7 +239,7 @@ func runClientSearches(w io.Writer, cfg harnessConfig, searches, clients, poolSi
 	var serving obs.Metrics
 	setupStart := time.Now()
 	popt := mcbfs.PoolOptions{
-		Size:      poolSize,
+		Size: poolSize,
 		Search: mcbfs.Options{Threads: threads, Tracer: cfg.Tracer, Ordering: cfg.Order, Reordered: rd,
 			EdgeBudget: cfg.EdgeBudget},
 		Metrics:   &serving,

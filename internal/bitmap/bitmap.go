@@ -14,6 +14,11 @@
 // Atomic additionally exposes Get, the cheap non-atomic probe that
 // enables the paper's double-checked pattern (plain read first, atomic
 // read-and-set only when the bit looks unset).
+//
+// The clears (Atomic.Reset, ResetWords and ClearWordOf; Lanes.Clear and
+// ResetWords) are plain stores, not locked ones: they must not race
+// with any other access to the words they clear. The caller's barrier
+// orders them against the concurrent phases before and after.
 package bitmap
 
 import (
@@ -92,7 +97,8 @@ func (b *Bitmap) Count() int {
 func (b *Bitmap) Bytes() int { return len(b.words) * 8 }
 
 // Atomic is a fixed-size bit vector safe for concurrent use. All methods
-// except Reset may be called from multiple goroutines simultaneously.
+// except the quiescent clears Reset, ResetWords and ClearWordOf may be
+// called from multiple goroutines simultaneously.
 type Atomic struct {
 	words []atomic.Uint64
 	n     int
@@ -172,30 +178,28 @@ func (a *Atomic) Clear(i int) {
 	}
 }
 
-// Reset clears every bit. It must not race with other methods; callers
-// reset between BFS runs, not during one.
+// Reset clears every bit with plain stores. It must not race with other
+// methods; callers reset between BFS runs, not during one.
 func (a *Atomic) Reset() {
-	for i := range a.words {
-		a.words[i].Store(0)
-	}
+	clear(a.words)
 }
 
 // ClearWordOf zeroes the whole 64-bit word containing bit i. It is the
 // O(touched) reset primitive of a pooled search session: walking the
 // reached list and zeroing each vertex's word clears every set bit as
 // long as set bits only ever belong to reached vertices. Like Reset it
-// is quiescent-only — it must not race with concurrent mutation.
+// is a quiescent-only plain store: an atomic store would be a locked,
+// fully fenced XCHG per touched vertex.
 func (a *Atomic) ClearWordOf(i int) {
-	a.words[i/wordBits].Store(0)
+	w := i / wordBits
+	clear(a.words[w : w+1])
 }
 
 // ResetWords zeroes words [lo, hi) — the shard primitive of a parallel
 // full clear (each worker resets a disjoint word range). Quiescent-only
 // in the same sense as Reset.
 func (a *Atomic) ResetWords(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		a.words[i].Store(0)
-	}
+	clear(a.words[lo:hi])
 }
 
 // Words returns the number of 64-bit words backing the bitmap.
@@ -254,19 +258,18 @@ func (l *Lanes) Or(i int, mask uint64) uint64 {
 	}
 }
 
-// Store sets element i to mask, unconditionally. Quiescent-only in the
-// same sense as Reset: session resets use it between traversals, never
-// during one.
-func (l *Lanes) Store(i int, mask uint64) {
-	l.words[i].Store(mask)
+// Clear zeroes element i with a plain store. It must not race with any
+// other access to element i: session resets use it between traversals,
+// and a worker may use it during one only on elements no other worker
+// touches until the next barrier.
+func (l *Lanes) Clear(i int) {
+	clear(l.words[i : i+1])
 }
 
 // ResetWords zeroes elements [lo, hi) — the shard primitive of a
-// parallel full clear. Quiescent-only.
+// parallel full clear. Quiescent-only, like Clear.
 func (l *Lanes) ResetWords(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		l.words[i].Store(0)
-	}
+	clear(l.words[lo:hi])
 }
 
 // Bytes returns the size of the backing storage in bytes (8 per

@@ -207,6 +207,42 @@ func TestAtomicReset(t *testing.T) {
 	}
 }
 
+// TestAtomicClearWordOf checks the O(touched) reset primitive: it zeroes
+// exactly the 64-bit word holding the given bit, set bits it shares the
+// word with included, and no other word.
+func TestAtomicClearWordOf(t *testing.T) {
+	a := NewAtomic(200)
+	for _, i := range []int{0, 63, 64, 70, 127, 128, 199} {
+		a.Set(i)
+	}
+	a.ClearWordOf(100) // word 1: bits 64..127, 100 itself was clear
+	for i := 0; i < 200; i++ {
+		want := i == 0 || i == 63 || i == 128 || i == 199
+		if a.Get(i) != want {
+			t.Errorf("bit %d = %v after ClearWordOf(100), want %v", i, a.Get(i), want)
+		}
+	}
+	for _, i := range []int{0, 150, 199} { // 199 lies in the partial last word
+		a.ClearWordOf(i)
+	}
+	if a.Count() != 0 {
+		t.Errorf("Count = %d after clearing every set word, want 0", a.Count())
+	}
+}
+
+func TestLanesClear(t *testing.T) {
+	l := NewLanes(3)
+	for i := 0; i < 3; i++ {
+		l.Or(i, ^uint64(0))
+	}
+	l.Clear(1)
+	for i, want := range []uint64{^uint64(0), 0, ^uint64(0)} {
+		if got := l.Load(i); got != want {
+			t.Errorf("word %d = %#x after Clear(1), want %#x", i, got, want)
+		}
+	}
+}
+
 // TestAtomicTestAndSetExactlyOneWinner is the invariant the BFS relies on:
 // when many goroutines race to claim the same vertex, exactly one observes
 // "previously unset".
@@ -400,7 +436,7 @@ func TestLanesOrReturnsPrevious(t *testing.T) {
 func TestLanesStoreAndResetWords(t *testing.T) {
 	l := NewLanes(10)
 	for i := 0; i < 10; i++ {
-		l.Store(i, uint64(i)+1)
+		l.Or(i, uint64(i)+1)
 	}
 	l.ResetWords(2, 5)
 	for i := 0; i < 10; i++ {

@@ -305,8 +305,9 @@ type Result struct {
 	// Levels is the number of BFS levels, i.e. the eccentricity of the
 	// root within its component plus one.
 	Levels int
-	// Duration is the wall-clock time of the search proper (excluding
-	// allocation of the result arrays).
+	// Duration is the wall-clock time of the search proper. It excludes
+	// the reset of the session's pooled state before the search and the
+	// translation of Parents into caller ids after it.
 	Duration time.Duration
 	// Algorithm is the tier that actually ran.
 	Algorithm Algorithm

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -429,6 +430,28 @@ func TestValidateTreeCatchesCorruption(t *testing.T) {
 	}
 	if err := ValidateTree(g, 0, bad2); err == nil {
 		t.Error("missing reached vertex not caught")
+	}
+
+	// Corrupt: a parent without an edge, and nothing else. v keeps a
+	// parent one level above it, so the depth rule still holds and only
+	// the tree-edge rule can catch it.
+	depth := TreeDepths(res.Parents, 0)
+	noEdge := append([]uint32(nil), res.Parents...)
+	found := false
+	for v := 1; v < len(noEdge) && !found; v++ {
+		for p := range noEdge {
+			if depth[v] > 0 && depth[p] == depth[v]-1 && !g.HasEdge(graph.Vertex(p), graph.Vertex(v)) {
+				noEdge[v] = uint32(p)
+				found = true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no reached vertex has a non-adjacent vertex one level above it")
+	}
+	if err := ValidateTree(g, 0, noEdge); err == nil || !strings.Contains(err.Error(), "not in graph") {
+		t.Errorf("parent without an edge: got %v, want the tree-edge error", err)
 	}
 
 	// Corrupt: wrong root parent.

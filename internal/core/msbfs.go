@@ -201,7 +201,7 @@ type BatchSearcher struct {
 // toolchain-portability reason.
 type laneCancel struct{ v atomic.Uint64 }
 
-func (c *laneCancel) Load() uint64  { return c.v.Load() }
+func (c *laneCancel) Load() uint64   { return c.v.Load() }
 func (c *laneCancel) Store(m uint64) { c.v.Store(m) }
 
 func (c *laneCancel) Or(m uint64) {
@@ -248,21 +248,21 @@ func NewBatchSearcher(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) 
 		perm, inv = rd.Perm, rd.Inv
 	}
 	b := &BatchSearcher{
-		g:       workGraph,
-		perm:    perm,
-		inv:     inv,
-		o:       o,
-		n:       n,
-		width:   o.Width,
-		workers: o.Threads,
-		seen:    bitmap.NewLanes(n),
-		visit:   bitmap.NewLanes(n),
+		g:         workGraph,
+		perm:      perm,
+		inv:       inv,
+		o:         o,
+		n:         n,
+		width:     o.Width,
+		workers:   o.Threads,
+		seen:      bitmap.NewLanes(n),
+		visit:     bitmap.NewLanes(n),
 		visitNext: bitmap.NewLanes(n),
-		parents: make([]uint32, n*o.Width),
-		touched: queue.NewChunkQueue(n),
-		ws:      make([]batchWorker, o.Threads),
-		bar:     newBarrier(o.Threads),
-		gate:    newBarrier(o.Threads + 1),
+		parents:   make([]uint32, n*o.Width),
+		touched:   queue.NewChunkQueue(n),
+		ws:        make([]batchWorker, o.Threads),
+		bar:       newBarrier(o.Threads),
+		gate:      newBarrier(o.Threads + 1),
 	}
 	for w := range b.ws {
 		b.ws[w].tbuf = make([]uint32, 0, 64)
@@ -343,8 +343,9 @@ func (b *BatchSearcher) clearShard(w int) {
 // O(touched): every vertex with any lane bit set — in seen, and
 // therefore in visit/visitNext, which only ever hold subsets of seen —
 // is on the touched queue, so walking it and zeroing the three words
-// restores pristine state. The parent array needs no reset: entries
-// are only ever read under a set seen bit.
+// (plain stores; the pool is parked) restores pristine state. The
+// parent array needs no reset: entries are only ever read under a set
+// seen bit.
 func (b *BatchSearcher) resetState() {
 	if !b.hasTouched {
 		return
@@ -357,9 +358,9 @@ func (b *BatchSearcher) resetState() {
 		b.clearShard(0)
 	default:
 		for _, v := range b.touched.Slice() {
-			b.seen.Store(int(v), 0)
-			b.visit.Store(int(v), 0)
-			b.visitNext.Store(int(v), 0)
+			b.seen.Clear(int(v))
+			b.visit.Clear(int(v))
+			b.visitNext.Clear(int(v))
 		}
 	}
 	b.touched.Reset()
@@ -581,7 +582,11 @@ func (b *BatchSearcher) batchWorker(w int) {
 			if m == 0 {
 				continue
 			}
-			visit.Store(v, 0)
+			// Plain store: during a level only the owner of [lo, hi)
+			// reads or writes these visit words (the other workers OR
+			// into visitNext), and the level barrier orders this clear
+			// before the swap hands the vector back as visitNext.
+			visit.Clear(v)
 			m &= am
 			if m == 0 {
 				continue

@@ -81,8 +81,11 @@ type searchWorker struct {
 // [prevLimit, limit) advanced by the level coordinator, and when the
 // search finishes the queue's contents are exactly the set of reached
 // vertices — a free "touched list" that the next Search walks to clear
-// only the parent entries and visited-bitmap words the last search
-// wrote (falling back to a parallel full clear when touched ≳ n/4).
+// the parent entries the last search wrote (falling back to a parallel
+// full clear when touched ≳ n/4). The visited-bitmap words and the
+// caller-id parent array are cleared only when a search since the last
+// reset wrote them, and every clear is a plain store: the worker pool
+// is parked on its gate while the reset runs.
 //
 // A Searcher serves one search at a time: Search, BFS and Close must
 // not be called concurrently. For concurrent query streams, create one
@@ -113,10 +116,11 @@ type Searcher struct {
 	// the session searches a relabeled copy of the caller's graph, so s.g
 	// is the relabeled CSR, perm maps caller ids into it, inv maps back,
 	// and extParents is the pooled caller-id parent array that results
-	// expose. A query translates its root in (one array read) and its
-	// parent tree out (one O(touched) walk of the monotone queues); the
-	// reset clears extParents alongside parents, so warm queries stay
-	// allocation-free. All nil when the session runs in natural order.
+	// expose. A query translates its root in (one array read) and, when
+	// its caller reads parents, its parent tree out (one O(touched) walk
+	// of the monotone queues); the reset clears extParents only after
+	// such a translation, so warm queries stay allocation-free. All nil
+	// when the session runs in natural order.
 	perm, inv  []graph.Vertex
 	extParents []uint32
 
@@ -188,8 +192,21 @@ type Searcher struct {
 	stats    statsCollector
 	perLevel []LevelStats
 
-	hasTouched bool
-	res        Result
+	// Dirty flags: what the last search wrote, and so what the next
+	// resetState must restore. Each is set before the first write it
+	// covers and cleared only by the reset, so a search that is
+	// cancelled or panics midway stays covered, and the reset follows
+	// what was written, not what the next query's tier or caller will
+	// use. hasTouched covers the parent array and the queues (every
+	// search), visitedDirty the visited bitmap (the single-socket,
+	// multi-socket and direction-optimizing tiers; sequential and
+	// parallel-simple claim through parents alone), and extDirty the
+	// caller-id parent array (a translated result).
+	hasTouched   bool
+	visitedDirty bool
+	extDirty     bool
+
+	res Result
 }
 
 // NewSearcher builds a search session over g. The algorithm tier, its
@@ -400,8 +417,9 @@ func (s *Searcher) runJob(kind jobKind) {
 }
 
 // clearShard is worker w's share of the parallel full-reset fallback:
-// restore a word-aligned shard of the parent array and visited bitmap.
-// Word alignment keeps two workers' bitmap stores off the same word.
+// restore a word-aligned shard of the parent array and of whichever of
+// the visited bitmap and the caller-id parent array are dirty. Word
+// alignment keeps two workers' bitmap stores off the same word.
 func (s *Searcher) clearShard(w int) {
 	words := (s.n + 63) / 64
 	wlo := words * w / s.workers
@@ -415,7 +433,7 @@ func (s *Searcher) clearShard(w int) {
 	for i := range p {
 		p[i] = NoParent
 	}
-	if s.extParents != nil {
+	if s.extDirty {
 		// The full clear restores all of [0, n) across workers, so the
 		// same contiguous shard of the caller-id array covers it too.
 		e := s.extParents[lo:hi]
@@ -423,17 +441,39 @@ func (s *Searcher) clearShard(w int) {
 			e[i] = NoParent
 		}
 	}
-	s.visited.ResetWords(wlo, whi)
+	if s.visitedDirty {
+		s.visited.ResetWords(wlo, whi)
+	}
 }
 
-// resetState restores parents, visited and the queues after the
-// previous search, in O(touched) rather than O(n): the monotone queues
-// hold exactly the vertices the search reached, and every set visited
-// bit belongs to a reached vertex, so walking the queue contents and
-// zeroing each vertex's parent entry and containing bitmap word
-// restores the pristine state. When the previous search touched a large
-// fraction of the graph, a parallel full clear beats the walk's random
-// stores.
+// clearTouched restores the entries of the touched vertices vs: their
+// parent entries, and their visited words and caller-id parent entries
+// when those arrays are dirty. Every set visited bit belongs to a
+// touched vertex, and a translation writes extParents[inv[v]] for
+// exactly the touched v, so this restores all three arrays.
+func (s *Searcher) clearTouched(vs []uint32) {
+	for _, v := range vs {
+		s.parents[v] = NoParent
+	}
+	if s.visitedDirty {
+		for _, v := range vs {
+			s.visited.ClearWordOf(int(v))
+		}
+	}
+	if s.extDirty {
+		for _, v := range vs {
+			s.extParents[s.inv[v]] = NoParent
+		}
+	}
+}
+
+// resetState restores what the previous search dirtied, in O(touched)
+// rather than O(n): the monotone queues hold exactly the vertices it
+// reached, a cancelled search's partial set included, and every entry
+// it or its translation wrote belongs to one of them. When the search
+// touched a large fraction of the graph, a parallel full clear beats
+// the walk's random stores. The pool is parked while this runs, so
+// every clear is a plain store.
 func (s *Searcher) resetState() {
 	if !s.hasTouched {
 		return
@@ -451,29 +491,11 @@ func (s *Searcher) resetState() {
 	case touched >= s.n/4:
 		s.clearShard(0)
 	default:
-		// With an active ordering, a cell of the caller-id parent array
-		// is dirty only if the last *translated* search wrote it — and
-		// that search's touched list is still the queue contents being
-		// walked here (a cancelled search in between translates nothing
-		// and its reset walk just re-clears clean cells), so clearing
-		// extParents[inv[v]] alongside parents[v] restores both arrays.
 		if s.q != nil {
-			for _, v := range s.q.Slice() {
-				s.parents[v] = NoParent
-				s.visited.ClearWordOf(int(v))
-				if s.extParents != nil {
-					s.extParents[s.inv[v]] = NoParent
-				}
-			}
+			s.clearTouched(s.q.Slice())
 		}
 		for _, q := range s.qs {
-			for _, v := range q.Slice() {
-				s.parents[v] = NoParent
-				s.visited.ClearWordOf(int(v))
-				if s.extParents != nil {
-					s.extParents[s.inv[v]] = NoParent
-				}
-			}
+			s.clearTouched(q.Slice())
 		}
 	}
 	if s.q != nil {
@@ -487,7 +509,7 @@ func (s *Searcher) resetState() {
 		// still posted; clear them so the next search starts clean.
 		s.hubs.reset()
 	}
-	s.hasTouched = false
+	s.hasTouched, s.visitedDirty, s.extDirty = false, false, false
 }
 
 // BFS runs one search from root with the session's configuration — the
@@ -556,6 +578,23 @@ func (s *Searcher) Search(root graph.Vertex, q Query) (*Result, error) {
 // context adds no per-search allocation or synchronization beyond
 // Search.
 func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query) (*Result, error) {
+	return s.search(ctx, root, q, true)
+}
+
+// SearchWithoutParents is s.SearchContext for a caller that reads no
+// parent tree: the Result's Parents is nil, and a session with an
+// active ordering skips translating the tree into caller ids (and so
+// the next reset skips clearing that translation). Every other field
+// of the Result is as SearchContext returns it. It is a function, not a
+// method, because mcbfs.Searcher aliases Searcher, whose methods are
+// public API.
+func SearchWithoutParents(ctx context.Context, s *Searcher, root graph.Vertex, q Query) (*Result, error) {
+	return s.search(ctx, root, q, false)
+}
+
+// search runs one query for SearchContext (withParents true) or
+// SearchWithoutParents (false).
+func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withParents bool) (*Result, error) {
 	if s.closed {
 		return nil, errors.New("core: Search on a closed Searcher")
 	}
@@ -590,6 +629,10 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 	// including the root's seeded parent entry, which is why the queue
 	// push below precedes the s.parents[root] write.
 	s.hasTouched = true
+	usesVisited := alg == AlgSingleSocket || alg == AlgMultiSocket || alg == AlgDirectionOptimizing
+	if usesVisited {
+		s.visitedDirty = true
+	}
 	s.ctx = ctx
 	s.cancel.Store(false)
 
@@ -651,8 +694,7 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 			s.limit = 1
 		}
 		s.parents[iroot] = uint32(iroot)
-		switch alg {
-		case AlgSingleSocket, AlgMultiSocket, AlgDirectionOptimizing:
+		if usesVisited {
 			s.visited.Set(int(iroot))
 		}
 		s.runJob(jobSearch)
@@ -670,10 +712,15 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 		return nil, ctx.Err()
 	}
 
-	resultParents := s.parents
-	if s.perm != nil {
+	var resultParents []uint32
+	switch {
+	case !withParents:
+	case s.perm != nil:
+		s.extDirty = true
 		s.translateParents()
 		resultParents = s.extParents
+	default:
+		resultParents = s.parents
 	}
 	s.res = Result{
 		Parents:        resultParents,
@@ -687,7 +734,6 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 		PerLevel:       s.perLevel,
 		Trace:          s.coll.Finish(),
 	}
-	s.hasTouched = true
 	s.recordQuery(root, start, dur, reached, edges, obs.OutcomeOK, alg)
 	return &s.res, nil
 }
@@ -696,7 +742,8 @@ func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query
 // finished from the session's relabeled id space back into caller ids,
 // walking the monotone queues — exactly the reached set — so the cost
 // is O(touched), not O(n). The entries written here are cleared by the
-// next resetState, which walks the same queues.
+// next resetState, which walks the same queues (the caller sets
+// extDirty first).
 func (s *Searcher) translateParents() {
 	inv, parents, ext := s.inv, s.parents, s.extParents
 	if s.q != nil {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -141,64 +144,152 @@ func TestSearcherTierSwitchAfterBottomUp(t *testing.T) {
 	}
 }
 
+// resetCall is how one query of TestSearcherResetCompleteness reaches
+// the session.
+type resetCall int
+
+const (
+	callSearch     resetCall = iota // SearchContext; the parents are checked
+	callNoParents                   // SearchWithoutParents; counts only
+	callCancelling                  // SearchContext cancelled partway through
+)
+
+func (c resetCall) String() string {
+	return [...]string{"SearchContext", "SearchWithoutParents", "cancelled SearchContext"}[c]
+}
+
 // TestSearcherResetCompleteness is the reset property test: after a
 // search that touches the giant component, a search from a tiny
-// component must see pristine state — exactly its own vertices claimed,
-// every other parent back to NoParent. A stale visited bit or parent
-// entry from the previous search shows up directly here.
+// component must see pristine state — exactly its own two vertices
+// claimed, every other parent back to NoParent, in caller ids — and the
+// next giant search must reach its whole component again. A stale
+// visited bit, parent entry or caller-id parent entry from an earlier
+// search shows up directly here. Each input is one session running its
+// query sequence three times:
+//
+//   - one input per tier, alternating giant and tiny searches; the
+//     giant one takes the O(touched)-walk or full-clear path depending
+//     on tier and threshold, the tiny one always the walk;
+//   - mixed-tier sessions where a tier that never writes the visited
+//     bitmap runs between two that do, so the visited clear must follow
+//     what the last searches wrote, not the incoming query's tier;
+//   - a reordered session interleaving translated searches, the
+//     SearchWithoutParents entry point and a cancelled search, so the
+//     caller-id parent clear must follow the last translation, not
+//     whether the incoming query translates.
 func TestSearcherResetCompleteness(t *testing.T) {
-	// Chain 0..999 (giant component) plus edge 1000-1001 (tiny
-	// component) in one 1002-vertex graph.
-	edges := make([]graph.Edge, 0, 1000)
-	for i := 0; i < 999; i++ {
-		edges = append(edges, graph.Edge{Src: graph.Vertex(i), Dst: graph.Vertex(i + 1)})
+	g := chainPlusIsland(t) // chain 0..999 plus the edge 1000-1001
+	const giant, tiny = graph.Vertex(0), graph.Vertex(1000)
+	type step struct {
+		root graph.Vertex
+		alg  Algorithm
+		call resetCall
 	}
-	edges = append(edges, graph.Edge{Src: 1000, Dst: 1001})
-	directed, err := graph.FromEdges(1002, edges)
-	if err != nil {
-		t.Fatal(err)
+	type input struct {
+		name  string
+		opt   Options
+		steps []step
 	}
-	g := directed.Undirected()
-
+	var inputs []input
 	for _, v := range sessionVariants {
-		t.Run(v.name, func(t *testing.T) {
-			s, err := NewSearcher(g, v.opt(g))
+		inputs = append(inputs, input{v.name, v.opt(g), []step{{root: giant}, {root: tiny}}})
+	}
+	mixed := Options{Threads: 4, Transpose: g, Machine: topology.Generic(2, 2, 1)}
+	inputs = append(inputs,
+		input{"mixed/single-socket,sequential", mixed, []step{
+			{giant, AlgSingleSocket, callSearch},
+			{tiny, AlgSequential, callSearch},
+			{tiny, AlgSingleSocket, callSearch},
+		}},
+		input{"mixed/direction-optimizing,parallel-simple,multi-socket", mixed, []step{
+			{giant, AlgDirectionOptimizing, callSearch},
+			{tiny, AlgParallelSimple, callSearch},
+			{tiny, AlgMultiSocket, callSearch},
+		}},
+		input{"reordered", Options{Threads: 4, Ordering: graph.OrderDegree}, []step{
+			{giant, AlgAuto, callSearch},
+			{tiny, AlgAuto, callNoParents},
+			{tiny, AlgAuto, callSearch},
+			{giant, AlgAuto, callCancelling},
+			{tiny, AlgAuto, callSearch},
+			{giant, AlgSequential, callNoParents},
+			{tiny, AlgAuto, callSearch},
+			{giant, AlgSequential, callSearch},
+			{giant, AlgAuto, callCancelling},
+			{tiny, AlgSequential, callNoParents},
+		}},
+	)
+
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			s, err := NewSearcher(g, in.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			// Alternate giant / tiny a few times: the giant search takes
-			// the O(touched)-walk or full-clear path depending on tier
-			// and threshold, the tiny one always the walk.
 			for round := 0; round < 3; round++ {
-				if _, err := s.BFS(0); err != nil {
-					t.Fatal(err)
-				}
-				res, err := s.BFS(1000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Reached != 2 {
-					t.Fatalf("round %d: tiny component reached %d vertices, want 2", round, res.Reached)
-				}
-				for v, p := range res.Parents {
-					switch v {
-					case 1000:
-						if p != 1000 {
-							t.Fatalf("round %d: root parent %d", round, p)
+				for i, st := range in.steps {
+					at := fmt.Sprintf("round %d step %d (%v from %d, %v)", round, i, st.call, st.root, st.alg)
+					q := Query{Algorithm: st.alg}
+					var res *Result
+					switch st.call {
+					case callSearch:
+						res, err = s.SearchContext(context.Background(), st.root, q)
+					case callNoParents:
+						res, err = SearchWithoutParents(context.Background(), s, st.root, q)
+					case callCancelling:
+						res, err = s.SearchContext(&countdownCtx{after: 3}, st.root, q)
+						if res != nil || !errors.Is(err, context.Canceled) {
+							t.Fatalf("%s: res=%v err=%v, want nil, context.Canceled", at, res, err)
 						}
-					case 1001:
-						if p != 1000 {
-							t.Fatalf("round %d: vertex 1001 parent %d, want 1000", round, p)
-						}
-					default:
-						if p != NoParent {
-							t.Fatalf("round %d: stale parent %d for vertex %d after reset", round, p, v)
-						}
+						continue
 					}
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					expectResetResult(t, g, res, st.call == callSearch, at)
 				}
 			}
 		})
+	}
+}
+
+// expectResetResult checks one completed TestSearcherResetCompleteness
+// query: the giant search reaches the whole chain and the tiny one
+// exactly its edge; with parents, the tiny tree holds only its own two
+// entries and the giant tree validates, both in caller ids.
+func expectResetResult(t *testing.T, g *graph.Graph, res *Result, withParents bool, at string) {
+	t.Helper()
+	want := int64(1000)
+	if res.Root == 1000 {
+		want = 2
+	}
+	if res.Reached != want {
+		t.Fatalf("%s: reached %d vertices, want %d", at, res.Reached, want)
+	}
+	if !withParents {
+		if res.Parents != nil {
+			t.Fatalf("%s: SearchWithoutParents returned %d parents, want nil", at, len(res.Parents))
+		}
+		return
+	}
+	if res.Root != 1000 {
+		if err := ValidateTree(g, res.Root, res.Parents); err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		return
+	}
+	for v, p := range res.Parents {
+		switch v {
+		case 1000, 1001:
+			if p != 1000 {
+				t.Fatalf("%s: vertex %d parent %d, want 1000", at, v, p)
+			}
+		default:
+			if p != NoParent {
+				t.Fatalf("%s: stale parent %d for vertex %d after reset", at, p, v)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mcbfs/internal/bitmap"
 	"mcbfs/internal/graph"
 )
 
@@ -17,8 +18,9 @@ import (
 //     reached v — the property that separates breadth-first trees from
 //     arbitrary spanning trees.
 //
-// It recomputes distances with an independent serial BFS, so it is
-// O(n + m) and usable on every graph the tests generate.
+// It recomputes distances with an independent serial BFS and checks
+// every parent edge in one sweep over the CSR, so it is O(n + m)
+// whatever the degrees, and usable on every graph the tests generate.
 func ValidateTree(g *graph.Graph, root graph.Vertex, parents []uint32) error {
 	n := g.NumVertices()
 	if len(parents) != n {
@@ -49,6 +51,19 @@ func ValidateTree(g *graph.Graph, root graph.Vertex, parents []uint32) error {
 		frontier = next
 	}
 
+	// One sweep over the CSR marks every vertex whose parent edge
+	// parents[v] -> v is present: v appears in its parent's row. A
+	// HasEdge per child would scan the parent's whole row for each of
+	// its children, which is quadratic in a hub's degree.
+	parentEdge := bitmap.New(n)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(graph.Vertex(u)) {
+			if parents[v] == uint32(u) {
+				parentEdge.Set(int(v))
+			}
+		}
+	}
+
 	// Check reachability agreement and parent-edge validity.
 	for v := 0; v < n; v++ {
 		p := parents[v]
@@ -67,7 +82,7 @@ func ValidateTree(g *graph.Graph, root graph.Vertex, parents []uint32) error {
 		if int(p) >= n {
 			return fmt.Errorf("core: vertex %d has out-of-range parent %d", v, p)
 		}
-		if !g.HasEdge(graph.Vertex(p), graph.Vertex(v)) {
+		if !parentEdge.Get(v) {
 			return fmt.Errorf("core: tree edge %d->%d not in graph", p, v)
 		}
 		if dist[v] != dist[p]+1 {

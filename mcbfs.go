@@ -305,8 +305,9 @@ const NoDepth = core.NoDepth
 // (parents, visited bitmap) during traversal. Set Options.Ordering (or
 // PoolOptions.Search.Ordering) and the session relabels the graph once
 // at construction; queries keep speaking original vertex ids — roots
-// are translated in and parent arrays translated back out in
-// O(touched) per query, with warm queries still allocation-free.
+// are translated in and, for callers that read them, parent arrays
+// translated back out in O(touched) per query, with warm queries still
+// allocation-free.
 type Ordering = graph.Ordering
 
 // Vertex orderings.

@@ -402,8 +402,10 @@ func (p *Pool) Query(ctx context.Context, root Vertex) (Result, error) {
 // Search is Query with per-query overrides (algorithm tier, depth
 // bound), exactly as for Searcher.Search. The Result is copied out of
 // the Searcher before it returns to the pool, with the pooled slices
-// (Parents, PerLevel, Trace) detached; a warm deadline-free query
-// performs no heap allocation.
+// (Parents, PerLevel, Trace) detached; since Parents is dropped, a pool
+// with an active ordering does not translate the parent tree into
+// caller ids either (use QueryFunc to read it). A warm deadline-free
+// query performs no heap allocation.
 //
 // With Batching enabled, default-configuration queries (zero Query) are
 // coalesced into shared MS-BFS traversals; overridden queries still
@@ -765,7 +767,9 @@ func (p *Pool) rebuildBatch(old *core.BatchSearcher, runner int) (*core.BatchSea
 }
 
 // searchOn executes one borrowed search under a recover scope, so a
-// panic is contained to this query and reported as an error.
+// panic is contained to this query and reported as an error. Search
+// drops the parent tree, so the session skips translating it into
+// caller ids.
 func (p *Pool) searchOn(s *core.Searcher, ctx context.Context, root Vertex, q Query) (res *Result, err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -774,7 +778,7 @@ func (p *Pool) searchOn(s *core.Searcher, ctx context.Context, root Vertex, q Qu
 			err = fmt.Errorf("mcbfs: query from root %d panicked: %v", root, r)
 		}
 	}()
-	res, err = s.SearchContext(ctx, root, q)
+	res, err = core.SearchWithoutParents(ctx, s, root, q)
 	return res, err, false
 }
 

@@ -35,7 +35,10 @@ func TestPoolBatchingConcurrentAdmission(t *testing.T) {
 	const clients = 16
 	const perClient = 8
 	// Precompute the reference scalars for every root the clients use.
-	type ref struct{ reached, edges int64; levels int }
+	type ref struct {
+		reached, edges int64
+		levels         int
+	}
 	refs := make(map[mcbfs.Vertex]ref)
 	for c := 0; c < clients; c++ {
 		for i := 0; i < perClient; i++ {

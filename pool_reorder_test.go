@@ -50,16 +50,28 @@ func TestPoolOrderingEquivalence(t *testing.T) {
 		}
 
 		// Concurrent clients: every pooled Searcher translates
-		// independently (run with -race).
+		// independently (run with -race). Four clients share two
+		// Searchers and interleave Search, which skips the parent
+		// translation, with QueryFunc, which must still see a clean
+		// caller-id parent array afterwards.
 		var wg sync.WaitGroup
 		for c := 0; c < 4; c++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i, root := range roots {
+					res, err := pool.Search(context.Background(), root, mcbfs.Query{})
+					if err != nil {
+						t.Errorf("%s root %d: Search: %v", o, root, err)
+						return
+					}
+					if res.Reached != base[i].Reached || res.Levels != base[i].Levels || res.Parents != nil {
+						t.Errorf("%s root %d: Search reached/levels %d/%d with %d parents, want %d/%d with none",
+							o, root, res.Reached, res.Levels, len(res.Parents), base[i].Reached, base[i].Levels)
+					}
 					// QueryFunc holds the Searcher while fn runs, so the
 					// translated parent array is safe to validate in place.
-					err := pool.QueryFunc(context.Background(), root, mcbfs.Query{}, func(res *mcbfs.Result) error {
+					err = pool.QueryFunc(context.Background(), root, mcbfs.Query{}, func(res *mcbfs.Result) error {
 						if res.Reached != base[i].Reached || res.Levels != base[i].Levels {
 							t.Errorf("%s root %d: reached/levels %d/%d, want %d/%d",
 								o, root, res.Reached, res.Levels, base[i].Reached, base[i].Levels)
