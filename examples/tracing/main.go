@@ -28,11 +28,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Sink 1: live Tracer hooks. OnLevelStart/OnLevelEnd fire from the
-	// level coordinator, one at a time; OnRemoteBatch and OnBarrierWait
-	// fire concurrently from every worker, so this example routes those
-	// into an atomic Metrics collector via MultiTracer instead of
-	// counting them by hand.
+	// Sink 1: live Tracer hooks. OnLevelStart and OnLevelEnd fire at the
+	// level barrier, one at a time, and OnLevelEnd carries the level's
+	// folded record — counters, phase times and the remote flushes the
+	// workers recorded. MultiTracer also feeds that record into a
+	// Metrics set, whose running totals a monitoring endpoint could
+	// publish while searches continue.
 	var metrics mcbfs.Metrics
 	hook := mcbfs.TracerFuncs{
 		LevelEnd: func(level int, b mcbfs.LevelBreakdown) {

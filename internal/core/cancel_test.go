@@ -10,6 +10,7 @@ import (
 
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
+	"mcbfs/internal/obs"
 )
 
 // countdownCtx is a deterministic cancellation source: Err reports
@@ -137,6 +138,37 @@ func TestSearchContextCancelMidSearch(t *testing.T) {
 					t.Fatal(err)
 				}
 				expectSameTree(t, g, full, v.name != "hybrid")
+			}
+		})
+	}
+}
+
+// TestCancelAtLevelBoundaryFoldsLevel checks that a search cancelled
+// at a level boundary folds every level it counts before it unwinds:
+// the flight record of the cancelled query carries one per-level record
+// per level, on every tier.
+func TestCancelAtLevelBoundaryFoldsLevel(t *testing.T) {
+	g := chainPlusIsland(t)
+	for _, v := range sessionVariants {
+		t.Run(v.name, func(t *testing.T) {
+			tel := obs.NewTelemetry(obs.TelemetryOptions{}) // cold: captures every query
+			opt := v.opt(g)
+			opt.Telemetry = tel
+			s, err := NewSearcher(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// after=3 admits the entry poll and the polls at the first two
+			// level boundaries, and cancels at the third. The chain's
+			// one-vertex levels never reach a worker's context poll.
+			if _, err := s.SearchContext(&countdownCtx{after: 3}, 0, Query{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			rec := tel.Flight().Records()[0]
+			if rec.Outcome != obs.OutcomeCancelled || rec.Levels != 3 || len(rec.PerLevel) != rec.Levels {
+				t.Errorf("cancelled query: outcome %v, %d levels, %d per-level records; want cancelled, 3, 3",
+					rec.Outcome, rec.Levels, len(rec.PerLevel))
 			}
 		})
 	}

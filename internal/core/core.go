@@ -134,9 +134,12 @@ type Options struct {
 	// neighbour, skipping the plain bitmap probe. Ablation knob for the
 	// paper's Fig. 5 "impact of optimizations".
 	DisableDoubleCheck bool
-	// Instrument enables per-level counters (bitmap probes, atomic
-	// operations, frontier sizes, remote sends), the data behind the
-	// paper's Fig. 4. It costs a few percent of throughput.
+	// Instrument returns each level's folded record in
+	// Result.PerLevel: counters (bitmap probes, atomic operations,
+	// frontier sizes, remote sends), the data behind the paper's Fig. 4,
+	// plus per-phase worker times. It arms the obs collector, which
+	// costs a few time.Now calls per worker per level and a few percent
+	// of throughput.
 	Instrument bool
 	// Transpose supplies the in-edge graph for AlgDirectionOptimizing.
 	// Pass the graph itself when it is symmetric. When nil, the
@@ -153,17 +156,19 @@ type Options struct {
 	// the paper's Table I placement on typical hosts. Pinning failures
 	// are ignored (the run proceeds unpinned).
 	PinThreads bool
-	// Tracer receives observability callbacks (level start/end, remote
-	// batch flushes, barrier waits). Implementations must be safe for
-	// concurrent use: OnRemoteBatch and OnBarrierWait fire from worker
-	// goroutines. nil disables the hooks at zero cost.
+	// Tracer receives each level's start and its folded record, as the
+	// search starts and at each level barrier, from one goroutine at a
+	// time per search; workers never call it. A Tracer shared by
+	// concurrent searches must be safe for concurrent use. nil disables
+	// the hooks at zero cost.
 	Tracer obs.Tracer
 	// Trace retains the full structured trace — per-worker phase
 	// timelines, per-level breakdowns, inter-socket channel samples —
 	// in Result.Trace, exportable with Trace.WriteChromeTrace. Costs a
-	// few time.Now calls per worker per level plus the span memory;
-	// when false (and Tracer is nil) the hot path executes no extra
-	// atomic operations and only per-level nil-checks.
+	// few time.Now calls per worker per level plus the span memory.
+	// With no observer set (Instrument, Trace, Tracer, Telemetry) the
+	// hot path carries only per-level nil-checks; with any of them the
+	// workers still execute no atomic operation for observation.
 	Trace bool
 	// Telemetry, when non-nil, receives one obs.QuerySample per
 	// Search/SearchContext on a session: latency into the histogram and
@@ -261,33 +266,6 @@ func resolveEdgeBudget(o Options, g *graph.Graph) int64 {
 	return b
 }
 
-// LevelStats records one BFS level's instrumentation.
-type LevelStats struct {
-	// Frontier is the number of vertices expanded in this level.
-	Frontier int64
-	// Edges is the number of adjacency entries scanned.
-	Edges int64
-	// BitmapReads counts plain (non-atomic) bitmap probes.
-	BitmapReads int64
-	// AtomicOps counts atomic read-and-set operations attempted.
-	AtomicOps int64
-	// RemoteSends counts tuples sent over inter-socket channels.
-	RemoteSends int64
-	// MaxWorkerEdges is the largest per-worker share of Edges in the
-	// level — the load-imbalance numerator. A perfectly balanced level
-	// has MaxWorkerEdges ≈ Edges/threads; the ratio of the two is the
-	// imbalance factor reported by bfsbench -breakdown and /debug/bfs.
-	MaxWorkerEdges int64
-	// Steals counts frontier chunks claimed from a sibling socket's
-	// queue by an early-finishing worker (multi-socket tier with edge
-	// budgeting only).
-	Steals int64
-	// Duration is the wall-clock time of the level, stamped by the
-	// level coordinator (and therefore inclusive of both phases and the
-	// barriers).
-	Duration time.Duration
-}
-
 // Result holds the output of a BFS run.
 type Result struct {
 	// Parents[v] is the BFS-tree parent of v, the root's parent is the
@@ -313,8 +291,10 @@ type Result struct {
 	Algorithm Algorithm
 	// Threads is the worker count that actually ran.
 	Threads int
-	// PerLevel holds instrumentation when Options.Instrument was set.
-	PerLevel []LevelStats
+	// PerLevel holds one folded record per level when
+	// Options.Instrument was set — the same records the trace, the
+	// Tracer and the flight recorder receive.
+	PerLevel []obs.LevelBreakdown
 	// Trace holds the structured trace when Options.Trace was set.
 	Trace *obs.Trace
 }

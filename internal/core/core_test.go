@@ -7,6 +7,7 @@ import (
 
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
+	"mcbfs/internal/obs"
 	"mcbfs/internal/topology"
 )
 
@@ -312,6 +313,17 @@ func TestNoInstrumentationByDefault(t *testing.T) {
 	res := run(t, g, 0, Options{Algorithm: AlgSingleSocket, Threads: 2})
 	if res.PerLevel != nil {
 		t.Error("PerLevel populated without Instrument")
+	}
+	// The other observers arm the same collector: their records carry
+	// the folded counts, but PerLevel stays Instrument's alone.
+	var edges int64
+	res = run(t, g, 0, Options{Algorithm: AlgSingleSocket, Threads: 2, Trace: true,
+		Tracer: obs.TracerFuncs{LevelEnd: func(level int, b obs.LevelBreakdown) { edges += b.Edges }}})
+	if res.PerLevel != nil {
+		t.Error("PerLevel populated by Trace and Tracer without Instrument")
+	}
+	if edges != res.EdgesTraversed {
+		t.Errorf("Tracer records carry %d edges, search traversed %d", edges, res.EdgesTraversed)
 	}
 }
 

@@ -2,105 +2,82 @@ package core
 
 import (
 	"testing"
-	"time"
-	"unsafe"
 
 	"mcbfs/internal/obs"
 )
 
-func TestStatSlotPadding(t *testing.T) {
-	if s := unsafe.Sizeof(statSlot{}); s%64 != 0 {
-		t.Errorf("statSlot size %d is not a multiple of the cache line", s)
+// armedCollector readies a bare session's collector the way Search does
+// for an instrumented run of the given width.
+func armedCollector(t *testing.T, workers int) *obs.Collector {
+	t.Helper()
+	var s Searcher
+	s.o.Instrument = true
+	c := s.obsCollector(workers, 1, AlgSingleSocket)
+	if c == nil {
+		t.Fatal("Instrument did not arm the session collector")
+	}
+	return c
+}
+
+// endLevel closes a level the way the search's barrier does: the
+// elected coordinator folds, then every worker advances.
+func endLevel(c *obs.Collector, workers int, more bool) {
+	c.EndLevel(more)
+	for w := 0; w < workers; w++ {
+		c.Worker(w).NextLevel()
 	}
 }
 
 func TestStatsCollectorFoldMultiWorker(t *testing.T) {
-	var c statsCollector
-	c.arm(true, nil, make([]statSlot, 3))
-	c.add(0, LevelStats{Frontier: 1, Edges: 10, BitmapReads: 8, AtomicOps: 2, RemoteSends: 1})
-	c.add(1, LevelStats{Frontier: 2, Edges: 20, BitmapReads: 16, AtomicOps: 4, RemoteSends: 2})
-	c.add(2, LevelStats{Frontier: 4, Edges: 40, BitmapReads: 32, AtomicOps: 8, RemoteSends: 4})
+	c := armedCollector(t, 3)
+	c.Worker(0).AddCounters(obs.Counters{Frontier: 1, Edges: 10, BitmapReads: 8, AtomicOps: 2, RemoteSends: 1})
+	c.Worker(1).AddCounters(obs.Counters{Frontier: 2, Edges: 20, BitmapReads: 16, AtomicOps: 4, RemoteSends: 2})
+	c.Worker(2).AddCounters(obs.Counters{Frontier: 4, Edges: 40, BitmapReads: 32, AtomicOps: 8, RemoteSends: 4})
 	// A worker may deposit more than once per level (e.g. per chunk).
-	c.add(1, LevelStats{Edges: 5})
+	c.Worker(1).AddCounters(obs.Counters{Edges: 5})
+	endLevel(c, 3, false)
 
-	var dst []LevelStats
-	c.fold(&dst, 7*time.Millisecond)
-	if len(dst) != 1 {
-		t.Fatalf("fold appended %d entries, want 1", len(dst))
+	levels := c.Levels()
+	if len(levels) != 1 {
+		t.Fatalf("fold recorded %d levels, want 1", len(levels))
 	}
-	got := dst[0]
+	got := levels[0]
 	// Worker 2's 40 edges are the level's straggler share.
-	want := LevelStats{Frontier: 7, Edges: 75, BitmapReads: 56, AtomicOps: 14, RemoteSends: 7,
-		MaxWorkerEdges: 40, Duration: 7 * time.Millisecond}
-	if got != want {
-		t.Errorf("fold = %+v, want %+v", got, want)
+	want := obs.Counters{Frontier: 7, Edges: 75, BitmapReads: 56, AtomicOps: 14, RemoteSends: 7,
+		MaxWorkerEdges: 40}
+	if got.Counters != want {
+		t.Errorf("fold = %+v, want %+v", got.Counters, want)
+	}
+	if got.Level != 0 || got.Workers != 3 {
+		t.Errorf("fold level %d workers %d, want level 0 workers 3", got.Level, got.Workers)
+	}
+	if got.Duration < 0 {
+		t.Errorf("negative level duration %v", got.Duration)
 	}
 }
 
 func TestStatsCollectorSlotsClearedBetweenLevels(t *testing.T) {
-	var c statsCollector
-	c.arm(true, nil, make([]statSlot, 2))
-	c.add(0, LevelStats{Frontier: 5, Edges: 50})
-	c.add(1, LevelStats{AtomicOps: 3})
-	var dst []LevelStats
-	c.fold(&dst, time.Millisecond)
+	c := armedCollector(t, 2)
+	c.Worker(0).AddCounters(obs.Counters{Frontier: 5, Edges: 50})
+	c.Worker(1).AddCounters(obs.Counters{AtomicOps: 3})
+	endLevel(c, 2, true)
 
-	// Second level: only worker 1 deposits; worker 0's slot must have
-	// been cleared by the first fold.
-	c.add(1, LevelStats{Frontier: 1, Edges: 2, BitmapReads: 3})
-	c.fold(&dst, 2*time.Millisecond)
-	if len(dst) != 2 {
-		t.Fatalf("fold appended %d entries, want 2", len(dst))
-	}
-	want := LevelStats{Frontier: 1, Edges: 2, BitmapReads: 3, MaxWorkerEdges: 2, Duration: 2 * time.Millisecond}
-	if dst[1] != want {
-		t.Errorf("level 1 fold = %+v, want %+v (stale slot data?)", dst[1], want)
-	}
-}
+	// Levels 1 and 2: only worker 1 deposits. Level 2 writes the slots
+	// level 0 used, so worker 0's level-0 counts must have been cleared
+	// by the first fold.
+	c.Worker(1).AddCounters(obs.Counters{Frontier: 1, Edges: 2, BitmapReads: 3})
+	endLevel(c, 2, true)
+	c.Worker(1).AddCounters(obs.Counters{Frontier: 1, Edges: 2, BitmapReads: 3})
+	endLevel(c, 2, false)
 
-func TestStatsCollectorDisabledNoOp(t *testing.T) {
-	var c statsCollector
-	c.arm(false, nil, make([]statSlot, 4))
-	if c.active() {
-		t.Error("disabled collector reports active")
+	levels := c.Levels()
+	if len(levels) != 3 {
+		t.Fatalf("fold recorded %d levels, want 3", len(levels))
 	}
-	// add and fold must be cheap no-ops that never touch dst.
-	c.add(0, LevelStats{Frontier: 100})
-	c.foldPhases(true)
-	var dst []LevelStats
-	c.fold(&dst, time.Second)
-	if dst != nil {
-		t.Errorf("disabled fold appended %v", dst)
-	}
-}
-
-func TestStatsCollectorTracerOnlyFeedsObs(t *testing.T) {
-	// Instrument off, but an obs collector attached: counts must fold
-	// into the obs layer without appearing in Result.PerLevel.
-	var got []obs.LevelBreakdown
-	rec := obs.NewCollector(obs.Config{Workers: 2, Tracer: obs.TracerFuncs{
-		LevelEnd: func(level int, b obs.LevelBreakdown) { got = append(got, b) },
-	}})
-	var c statsCollector
-	c.arm(false, rec, make([]statSlot, 2))
-	if !c.active() {
-		t.Fatal("collector with obs recorder should be active")
-	}
-	c.add(0, LevelStats{Frontier: 3, Edges: 30})
-	c.add(1, LevelStats{Frontier: 1, Edges: 10, RemoteSends: 4})
-	var dst []LevelStats
-	c.fold(&dst, time.Millisecond)
-	c.foldPhases(false)
-	if dst != nil {
-		t.Errorf("Instrument off but PerLevel appended: %v", dst)
-	}
-	if len(got) != 1 {
-		t.Fatalf("obs saw %d level ends, want 1", len(got))
-	}
-	if got[0].Frontier != 4 || got[0].Edges != 40 || got[0].RemoteSends != 4 {
-		t.Errorf("obs breakdown = %+v", got[0].Counters)
-	}
-	if got[0].Duration != time.Millisecond {
-		t.Errorf("obs duration = %v", got[0].Duration)
+	want := obs.Counters{Frontier: 1, Edges: 2, BitmapReads: 3, MaxWorkerEdges: 2}
+	for l := 1; l < 3; l++ {
+		if levels[l].Counters != want {
+			t.Errorf("level %d fold = %+v, want %+v (stale slot data?)", l, levels[l].Counters, want)
+		}
 	}
 }

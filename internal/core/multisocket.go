@@ -84,7 +84,7 @@ func (s *Searcher) exchange(ws *searchWorker, tp time.Time) {
 // channel.
 func (ws *searchWorker) send(sck int) {
 	ws.s.channels[sck].SendBatch(ws.remote[sck])
-	ws.wr.RemoteBatch(sck, len(ws.remote[sck]))
+	ws.wr.RemoteBatch(len(ws.remote[sck]))
 	ws.remote[sck] = ws.remote[sck][:0]
 }
 

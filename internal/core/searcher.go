@@ -59,7 +59,7 @@ type searchWorker struct {
 	recvBuf []queue.Tuple
 	// st holds the counts of the level in progress; checkpoints counts
 	// the worker's cancellation checkpoints.
-	st          LevelStats
+	st          obs.Counters
 	checkpoints int
 	// edges and reached are the worker's run totals, read by the caller
 	// after the finish gate.
@@ -134,8 +134,7 @@ type Searcher struct {
 	chanStats bool
 	prevChan  []queue.ChannelStats
 
-	ws    []searchWorker
-	slots []statSlot // statsCollector backing, reused across searches
+	ws []searchWorker
 
 	// bar synchronizes the workers inside a search (workers parties);
 	// gate hands jobs between the caller and the pool (workers+1
@@ -150,22 +149,19 @@ type Searcher struct {
 	closed bool
 
 	// Per-search job description: written by Search before the launch
-	// gate, read by workers after it.
+	// gate, read by workers after it. coll is nil when nothing observes
+	// the search, else it points at collector.
 	job       jobKind
 	alg       Algorithm
 	maxLevels int
 	coll      *obs.Collector
 
-	// collCache is the pooled obs collector, reused across searches via
-	// Collector.Reset whenever the tier's worker count is unchanged, so
-	// a warm observed search allocates no collector state. runTracer is
-	// the session's effective tracer — Options.Tracer plus the
-	// telemetry level capture when Options.Telemetry is set — and
-	// levelRecs is the capture's pooled destination: the current
-	// search's per-level breakdowns, handed to the flight recorder.
-	collCache *obs.Collector
-	runTracer obs.Tracer
-	levelRecs []obs.LevelBreakdown
+	// collector is the session's obs collector, re-armed per observed
+	// search by Collector.Reset, which reuses its worker slots and level
+	// records, so a warm observed search allocates no collector state.
+	// Its folded levels are what Result.PerLevel, the trace and the
+	// flight recorder all read.
+	collector obs.Collector
 
 	// ctx is the current search's context; cancel is the cross-worker
 	// abort flag, set by whichever party first observes ctx.Err() != nil
@@ -181,16 +177,12 @@ type Searcher struct {
 	// the first level barrier, read by workers after the second (done
 	// and bottomUp are atomic because workers also poll them at level
 	// boundaries).
-	done       atomic.Bool
-	bottomUp   atomic.Bool
-	limit      int64
-	prevLimit  int64
-	sockLimit  []int64
-	levels     int
-	levelStart time.Time
-
-	stats    statsCollector
-	perLevel []LevelStats
+	done      atomic.Bool
+	bottomUp  atomic.Bool
+	limit     int64
+	prevLimit int64
+	sockLimit []int64
+	levels    int
 
 	// Dirty flags: what the last search wrote, and so what the next
 	// resetState must restore. Each is set before the first write it
@@ -263,7 +255,6 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 		parents: newParents(n),
 		visited: bitmap.NewAtomic(n),
 		ws:      make([]searchWorker, o.Threads),
-		slots:   make([]statSlot, o.Threads),
 		bar:     newBarrier(o.Threads),
 		gate:    newBarrier(o.Threads + 1),
 	}
@@ -279,16 +270,6 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 	for w := range s.ws {
 		s.ws[w].s = s
 		s.ws[w].local = make([]uint32, 0, localBatch)
-	}
-	s.runTracer = o.Tracer
-	if o.Telemetry != nil {
-		lc := levelCapture{s}
-		if o.Tracer != nil {
-			s.runTracer = obs.MultiTracer(o.Tracer, lc)
-		} else {
-			s.runTracer = lc
-		}
-		s.levelRecs = make([]obs.LevelBreakdown, 0, 64)
 	}
 	if err := s.ensureTier(o.Algorithm); err != nil {
 		return nil, err
@@ -604,12 +585,18 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err // dead on arrival: no state dirtied
-	}
 	alg := q.Algorithm
 	if alg == AlgAuto {
 		alg = s.o.Algorithm
+	}
+	if err := ctx.Err(); err != nil {
+		// Dead on arrival: nothing searched and no state dirtied. The
+		// query still counts as cancelled, with no levels, no reached
+		// vertices and no per-level record.
+		s.o.Telemetry.RecordQuery(s.o.TelemetryShard, obs.QuerySample{
+			Root: uint32(root), Start: time.Now(), Outcome: obs.OutcomeCancelled, Algorithm: alg.String(),
+		})
+		return nil, err
 	}
 	if err := s.ensureTier(alg); err != nil {
 		return nil, err
@@ -645,17 +632,11 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 		tierSockets = s.sockets
 	}
 	s.coll = s.obsCollector(tierWorkers, tierSockets, alg)
-	s.levelRecs = s.levelRecs[:0]
 	s.alg = alg
 	s.maxLevels = maxLevels
 	s.levels = 0
 	s.done.Store(false)
 	s.bottomUp.Store(false) // every tier's first level is top-down
-	if s.o.Instrument {
-		s.perLevel = s.perLevel[:0]
-	} else {
-		s.perLevel = nil
-	}
 
 	// The search itself runs in the session's id space: with an active
 	// ordering the root is translated in here and the parent tree
@@ -666,7 +647,6 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	}
 
 	start := time.Now()
-	s.levelStart = start
 	var edges, reached int64
 	if alg == AlgSequential {
 		// The serial baseline runs inline on the caller's goroutine.
@@ -674,7 +654,6 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 		s.parents[iroot] = uint32(iroot)
 		edges, reached = s.sequentialSearch()
 	} else {
-		s.stats.arm(s.o.Instrument, s.coll, s.slots)
 		if alg == AlgMultiSocket {
 			s.qs[s.part.DetermineSocket(uint32(iroot))].Push(uint32(iroot))
 			for i := range s.sockLimit {
@@ -713,6 +692,10 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	}
 
 	var resultParents []uint32
+	var perLevel []obs.LevelBreakdown
+	if s.o.Instrument {
+		perLevel = s.coll.Levels()
+	}
 	switch {
 	case !withParents:
 	case s.perm != nil:
@@ -731,7 +714,7 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 		Duration:       dur,
 		Algorithm:      alg,
 		Threads:        tierWorkers,
-		PerLevel:       s.perLevel,
+		PerLevel:       perLevel,
 		Trace:          s.coll.Finish(),
 	}
 	s.recordQuery(root, start, dur, reached, edges, obs.OutcomeOK, alg)
@@ -759,8 +742,8 @@ func (s *Searcher) translateParents() {
 }
 
 // recordQuery hands one finished (or cancelled) search to the session's
-// telemetry hub. The per-level slice is borrowed: the hub copies it only
-// when the query is slow enough to capture.
+// telemetry hub. The per-level records are the collector's, borrowed:
+// the hub copies them only when the query is slow enough to capture.
 func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Duration, reached, edges int64, outcome obs.Outcome, alg Algorithm) {
 	if s.o.Telemetry == nil {
 		return
@@ -774,50 +757,27 @@ func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Dura
 		Edges:     edges,
 		Outcome:   outcome,
 		Algorithm: alg.String(),
-		PerLevel:  s.levelRecs,
+		PerLevel:  s.coll.Levels(),
 	})
 }
 
-// obsCollector readies the observability collector for one search: the
-// pooled collector is Reset in place when the tier's worker count is
-// unchanged, rebuilt otherwise, and nil when nothing observes the run —
-// the nil pointer is what keeps the hot path at a handful of
-// predictable nil-checks per level.
+// obsCollector readies the session's collector for one search, or
+// returns nil when nothing observes the run — the nil pointer is what
+// keeps the hot path at a handful of predictable nil-checks per level.
 func (s *Searcher) obsCollector(workers, sockets int, alg Algorithm) *obs.Collector {
-	if !s.o.Trace && s.runTracer == nil {
+	o := &s.o
+	if !o.Instrument && !o.Trace && o.Tracer == nil && o.Telemetry == nil {
 		return nil
 	}
-	cfg := obs.Config{
+	s.collector.Reset(obs.Config{
 		Workers:   workers,
 		Sockets:   sockets,
 		Algorithm: alg.String(),
-		Trace:     s.o.Trace,
-		Tracer:    s.runTracer,
-	}
-	if s.collCache.Reset(cfg) {
-		return s.collCache
-	}
-	s.collCache = obs.NewCollector(cfg)
-	return s.collCache
+		Trace:     o.Trace,
+		Tracer:    o.Tracer,
+	})
+	return &s.collector
 }
-
-// levelCapture is the telemetry hook: a Tracer that accumulates each
-// level's folded breakdown into the session's pooled levelRecs slice,
-// from which recordQuery hands the per-level view to the flight
-// recorder. Callbacks fire only from the elected level coordinator (one
-// goroutine at a time, sequenced by the level barrier), so plain
-// appends are safe.
-type levelCapture struct{ s *Searcher }
-
-func (c levelCapture) OnLevelStart(level int) {}
-
-func (c levelCapture) OnLevelEnd(level int, b obs.LevelBreakdown) {
-	c.s.levelRecs = append(c.s.levelRecs, b)
-}
-
-func (c levelCapture) OnRemoteBatch(level, worker, toSocket, tuples int) {}
-
-func (c levelCapture) OnBarrierWait(level, worker int, wait time.Duration) {}
 
 // Close shuts down the worker pool and joins it: when Close returns,
 // every pool worker has finished and run its deferred unpin (under

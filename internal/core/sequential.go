@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 )
@@ -18,7 +16,7 @@ import (
 func (s *Searcher) sequentialSearch() (edges, reached int64) {
 	g, q := s.g, s.q
 	wr := s.coll.Worker(0)
-	observe := s.o.Instrument || s.coll != nil
+	observe := wr != nil
 
 	// The root is already on the queue, seeded by SearchContext before
 	// its parent entry was written so an abort cannot strand it.
@@ -26,8 +24,7 @@ func (s *Searcher) sequentialSearch() (edges, reached int64) {
 	checkpoints := 0
 	prev, limit := int64(0), int64(1)
 	for limit > prev && (s.maxLevels == 0 || s.levels < s.maxLevels) {
-		var stats LevelStats
-		levelStart := time.Now()
+		var st obs.Counters
 		tp := wr.PhaseStart()
 		for _, u := range q.Window(prev, limit) {
 			// Every claim is pushed before the next checkpoint, so an
@@ -38,9 +35,9 @@ func (s *Searcher) sequentialSearch() (edges, reached int64) {
 			nbrs := g.Neighbors(graph.Vertex(u))
 			edges += int64(len(nbrs))
 			if observe {
-				stats.Frontier++
-				stats.Edges += int64(len(nbrs))
-				stats.BitmapReads += int64(len(nbrs))
+				st.Frontier++
+				st.Edges += int64(len(nbrs))
+				st.BitmapReads += int64(len(nbrs))
 			}
 			for _, v := range nbrs {
 				if s.parents[v] == NoParent {
@@ -48,35 +45,25 @@ func (s *Searcher) sequentialSearch() (edges, reached int64) {
 					q.Push(v)
 					reached++
 					if observe {
-						stats.AtomicOps++ // the claim a parallel run would make atomic
+						st.AtomicOps++ // the claim a parallel run would make atomic
 					}
 				}
 			}
 		}
 		wr.PhaseEnd(obs.PhaseLocalScan, tp)
 		s.levels++
-		stats.Duration = time.Since(levelStart)
-		stats.MaxWorkerEdges = stats.Edges // one worker holds every edge
-		if s.o.Instrument {
-			s.perLevel = append(s.perLevel, stats)
-		}
 		prev, limit = limit, int64(q.Size())
 		// Level boundary: same cancellation point as the parallel
 		// tiers' coordinator, so levels too small to trip a vertex
-		// checkpoint still observe the context once per level.
-		if s.checkCancelAtBarrier() {
+		// checkpoint still observe the context once per level. Like
+		// that coordinator, fold the level before unwinding, so a
+		// cancelled search has one record per counted level.
+		cancelled := s.checkCancelAtBarrier()
+		wr.AddCounters(st)
+		s.coll.EndLevel(!cancelled && limit > prev && (s.maxLevels == 0 || s.levels < s.maxLevels))
+		wr.NextLevel()
+		if cancelled {
 			return edges, reached
-		}
-		if s.coll != nil {
-			more := limit > prev && (s.maxLevels == 0 || s.levels < s.maxLevels)
-			s.coll.EndLevel(levelStart.Sub(s.coll.Origin()), stats.Duration, obs.Counters{
-				Frontier:       stats.Frontier,
-				Edges:          stats.Edges,
-				BitmapReads:    stats.BitmapReads,
-				AtomicOps:      stats.AtomicOps,
-				MaxWorkerEdges: stats.MaxWorkerEdges,
-			}, more)
-			wr.NextLevel()
 		}
 	}
 	return edges, reached

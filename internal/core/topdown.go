@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"mcbfs/internal/obs"
 	"mcbfs/internal/queue"
@@ -74,7 +73,7 @@ func (s *Searcher) levelWorker(w int) {
 				ws.wr.PhaseEnd(obs.PhaseLocalScan, tp)
 			}
 		}
-		if s.endLevel(w, ws) {
+		if s.endLevel(ws) {
 			return
 		}
 	}
@@ -257,30 +256,30 @@ func (ws *searchWorker) flush() {
 // endLevel is the barrier sequence closing every level of every
 // parallel tier: deposit the worker's counts, let the coordinator
 // elected at the first barrier advance the search, and publish its
-// decision with the second. It reports whether the search is over.
-func (s *Searcher) endLevel(w int, ws *searchWorker) bool {
+// decision with the second, whose coordinator folds the level's record.
+// It reports whether the search is over.
+func (s *Searcher) endLevel(ws *searchWorker) bool {
 	ws.edges += ws.st.Edges
-	s.stats.add(w, ws.st)
-	ws.st = LevelStats{}
+	ws.wr.AddCounters(ws.st)
+	ws.st = obs.Counters{}
 	tp := ws.wr.PhaseStart()
 	if s.bar.wait() {
 		s.advanceLevel()
 	}
 	ws.wr.PhaseEnd(obs.PhaseBarrierWait, tp)
 	if s.bar.wait() {
-		s.stats.foldPhases(!s.done.Load())
+		s.coll.EndLevel(!s.done.Load())
 	}
 	ws.wr.NextLevel()
 	return s.done.Load()
 }
 
 // advanceLevel is the level transition of the parallel tiers, run by
-// the coordinator elected at the first closing barrier: fold the
-// level's counts, advance the monotone queue windows, decide
-// termination and, in the direction-optimizing tier, apply the
-// alpha/beta direction switch.
+// the coordinator elected at the first closing barrier: advance the
+// monotone queue windows, decide termination and, in the
+// direction-optimizing tier, apply the alpha/beta direction switch.
 func (s *Searcher) advanceLevel() {
-	// A cancelled search folds and advances normally — the bookkeeping
+	// A cancelled search advances and folds normally — the bookkeeping
 	// below only ever sets done, so the abort decision stands and the
 	// obs layer still sees a coherent final level.
 	s.checkCancelAtBarrier()
@@ -290,10 +289,8 @@ func (s *Searcher) advanceLevel() {
 	if s.bottomUp.Load() {
 		// Bottom-up levels expand the window without popping it, so the
 		// workers' frontier counts miss it.
-		s.stats.creditFrontier(s.limit - s.prevLimit)
+		s.coll.CreditFrontier(s.limit - s.prevLimit)
 	}
-	s.stats.fold(&s.perLevel, time.Since(s.levelStart))
-	s.levelStart = time.Now()
 	s.levels++
 	var next int64 // size of the next frontier
 	if s.alg == AlgMultiSocket {

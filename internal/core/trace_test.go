@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"mcbfs/internal/gen"
+	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 	"mcbfs/internal/topology"
 )
@@ -78,49 +78,90 @@ func TestTraceAcrossAlgorithms(t *testing.T) {
 	}
 }
 
+// TestTraceMatchesInstrument checks that every sink carries the one
+// folded per-level record, on every tier: Result.PerLevel, Trace.Levels,
+// the Tracer's OnLevelEnd records and the flight recorder's PerLevel are
+// equal level by level as whole structs, and the Metrics totals fed
+// through Metrics.Tracer are sums over PerLevel. Each session runs two
+// searches, so the second reads records folded on a re-armed collector.
 func TestTraceMatchesInstrument(t *testing.T) {
 	g, err := gen.RMAT(11, 1<<14, gen.GTgraphDefaults, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFS(g, 0, Options{
-		Algorithm: AlgSingleSocket, Threads: 2, Instrument: true, Trace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	second := graph.Vertex(1)
+	for len(g.Neighbors(second)) == 0 {
+		second++
 	}
-	if len(res.PerLevel) != len(res.Trace.Levels) {
-		t.Fatalf("PerLevel %d entries, Trace %d", len(res.PerLevel), len(res.Trace.Levels))
-	}
-	for i, ls := range res.PerLevel {
-		b := res.Trace.Levels[i]
-		if ls.Frontier != b.Frontier || ls.Edges != b.Edges ||
-			ls.BitmapReads != b.BitmapReads || ls.AtomicOps != b.AtomicOps {
-			t.Errorf("level %d: PerLevel %+v != Trace %+v", i, ls, b.Counters)
-		}
+	for _, opt := range traceOptions(t) {
+		t.Run(opt.Algorithm.String(), func(t *testing.T) {
+			var ends []obs.LevelBreakdown
+			var m obs.Metrics
+			tel := obs.NewTelemetry(obs.TelemetryOptions{}) // cold: captures every query
+			opt.Instrument, opt.Trace, opt.Telemetry = true, true, tel
+			opt.Tracer = obs.MultiTracer(obs.TracerFuncs{
+				LevelEnd: func(level int, b obs.LevelBreakdown) { ends = append(ends, b) },
+			}, m.Tracer())
+			s, err := NewSearcher(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var edges, batches, tuples, waitNs int64
+			for _, root := range []graph.Vertex{0, second} {
+				ends = ends[:0]
+				res, err := s.BFS(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := tel.Flight().Records()[0]
+				if len(res.PerLevel) != res.Levels || len(res.Trace.Levels) != res.Levels ||
+					len(ends) != res.Levels || !rec.Captured || len(rec.PerLevel) != res.Levels {
+					t.Fatalf("root %d, %d levels: PerLevel %d, Trace %d, OnLevelEnd %d, flight %d (captured %v)",
+						root, res.Levels, len(res.PerLevel), len(res.Trace.Levels), len(ends), len(rec.PerLevel), rec.Captured)
+				}
+				for i, b := range res.PerLevel {
+					if b != res.Trace.Levels[i] || b != ends[i] || b != rec.PerLevel[i] {
+						t.Errorf("root %d level %d: PerLevel %+v, Trace %+v, OnLevelEnd %+v, flight %+v",
+							root, i, b, res.Trace.Levels[i], ends[i], rec.PerLevel[i])
+					}
+					edges += b.Edges
+					batches += b.RemoteBatches
+					tuples += b.RemoteTuples
+					waitNs += int64(b.Phases[obs.PhaseBarrierWait])
+				}
+			}
+			if m.Edges.Load() != edges || m.RemoteBatches.Load() != batches ||
+				m.RemoteTuples.Load() != tuples || m.BarrierWaitNs.Load() != waitNs {
+				t.Errorf("Metrics edges/batches/tuples/barrier-ns %d/%d/%d/%d, PerLevel sums %d/%d/%d/%d",
+					m.Edges.Load(), m.RemoteBatches.Load(), m.RemoteTuples.Load(), m.BarrierWaitNs.Load(),
+					edges, batches, tuples, waitNs)
+			}
+			if opt.Algorithm == AlgMultiSocket && tuples == 0 {
+				t.Error("multi-socket searches flushed no remote batch; pick a bigger graph")
+			}
+		})
 	}
 }
 
+// TestTracerHooksFromBFS checks the live hooks of a multi-socket search:
+// one OnLevelStart and one OnLevelEnd per level, fired one at a time
+// (so the counters below need no lock), and the remote flushes and
+// barrier waits that workers record reach the hook in the folded record.
 func TestTracerHooksFromBFS(t *testing.T) {
 	g, err := gen.Uniform(1<<12, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
 	starts, ends := 0, 0
-	var remoteTuples, barrierWaits int64
+	var remoteTuples int64
+	var barrierWait time.Duration
 	tracer := obs.TracerFuncs{
-		LevelStart: func(level int) { mu.Lock(); starts++; mu.Unlock() },
+		LevelStart: func(level int) { starts++ },
 		LevelEnd: func(level int, b obs.LevelBreakdown) {
-			mu.Lock()
 			ends++
-			mu.Unlock()
-		},
-		RemoteBatch: func(level, worker, toSocket, tuples int) {
-			atomic.AddInt64(&remoteTuples, int64(tuples))
-		},
-		BarrierWait: func(level, worker int, wait time.Duration) {
-			atomic.AddInt64(&barrierWaits, 1)
+			remoteTuples += b.RemoteTuples
+			barrierWait += b.Phases[obs.PhaseBarrierWait]
 		},
 	}
 	res, err := BFS(g, 0, Options{
@@ -144,10 +185,10 @@ func TestTracerHooksFromBFS(t *testing.T) {
 		wantRemote += ls.RemoteSends
 	}
 	if remoteTuples != wantRemote {
-		t.Errorf("OnRemoteBatch delivered %d tuples, instrument counted %d", remoteTuples, wantRemote)
+		t.Errorf("OnLevelEnd records carry %d remote tuples, workers sent %d", remoteTuples, wantRemote)
 	}
-	if barrierWaits == 0 {
-		t.Error("OnBarrierWait never fired")
+	if barrierWait <= 0 {
+		t.Error("OnLevelEnd records carry no barrier wait")
 	}
 }
 

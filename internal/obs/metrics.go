@@ -4,7 +4,6 @@ import (
 	"expvar"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Metrics is a set of live, concurrency-safe counters fed by a Tracer
@@ -129,8 +128,10 @@ func (m *Metrics) Publish(name string) {
 }
 
 // Tracer returns a Tracer that feeds the metrics; attach it to
-// Options.Tracer. It is safe for concurrent use and may be combined
-// with other tracers via MultiTracer.
+// Options.Tracer. It reads only the folded per-level records, so its
+// atomic adds run once per level on the barrier coordinator, never on a
+// worker. It is safe for concurrent use and may be combined with other
+// tracers via MultiTracer.
 func (m *Metrics) Tracer() Tracer {
 	return metricsTracer{m}
 }
@@ -149,17 +150,11 @@ func (t metricsTracer) OnLevelEnd(level int, b LevelBreakdown) {
 	t.m.Edges.Add(b.Edges)
 	t.m.BitmapReads.Add(b.BitmapReads)
 	t.m.AtomicOps.Add(b.AtomicOps)
+	t.m.RemoteBatches.Add(b.RemoteBatches)
+	t.m.RemoteTuples.Add(b.RemoteTuples)
+	t.m.BarrierWaitNs.Add(int64(b.Phases[PhaseBarrierWait]))
 	t.m.LocalScanNs.Add(int64(b.Phases[PhaseLocalScan]))
 	t.m.QueueDrainNs.Add(int64(b.Phases[PhaseQueueDrain]))
-}
-
-func (t metricsTracer) OnRemoteBatch(level, worker, toSocket, tuples int) {
-	t.m.RemoteBatches.Add(1)
-	t.m.RemoteTuples.Add(int64(tuples))
-}
-
-func (t metricsTracer) OnBarrierWait(level, worker int, wait time.Duration) {
-	t.m.BarrierWaitNs.Add(int64(wait))
 }
 
 // MultiTracer fans callbacks out to every tracer in order.
@@ -184,17 +179,5 @@ func (m multiTracer) OnLevelStart(level int) {
 func (m multiTracer) OnLevelEnd(level int, b LevelBreakdown) {
 	for _, t := range m {
 		t.OnLevelEnd(level, b)
-	}
-}
-
-func (m multiTracer) OnRemoteBatch(level, worker, toSocket, tuples int) {
-	for _, t := range m {
-		t.OnRemoteBatch(level, worker, toSocket, tuples)
-	}
-}
-
-func (m multiTracer) OnBarrierWait(level, worker int, wait time.Duration) {
-	for _, t := range m {
-		t.OnBarrierWait(level, worker, wait)
 	}
 }

@@ -1,18 +1,19 @@
 // Package obs is the observability layer of the BFS engine: per-worker,
 // per-level phase timers and counters deposited in cache-line-padded
-// worker slots, folded at the level barrier into a structured trace, a
-// pluggable Tracer hook interface, and live metrics publishable via
-// expvar.
+// worker slots, folded once per level at the level barrier into one
+// LevelBreakdown record that feeds a structured trace, a pluggable
+// Tracer hook interface, the serving telemetry, and live metrics
+// publishable via expvar.
 //
 // The design rule is the one the hot loop lives by: workers never share
 // a cache line and never execute an atomic operation on behalf of
 // observability. Each worker writes only its own padded slot; the
-// elected barrier coordinator folds all slots in the window between the
-// two level barriers, when no worker is writing. Phase slots are
-// double-buffered by level parity so the fold of level L can overlap
-// the first writes of level L+1 without a race.
+// coordinator elected at the level's second barrier folds all slots.
+// Slots are double-buffered by level parity, counters and phases alike,
+// so the fold of level L can overlap the first writes of level L+1
+// without a race.
 //
-// When tracing is disabled the collector is a nil pointer and every
+// When nothing observes a run the collector is a nil pointer and every
 // recording method is a nil-receiver no-op, so the only cost on the hot
 // path is a handful of predictable nil-checks per level — no atomics,
 // no allocation, no time.Now calls.
@@ -75,26 +76,47 @@ type Span struct {
 	Dur   time.Duration
 }
 
-// Counters are the per-level tallies shared with core.LevelStats.
+// Counters are a level's tallies. Each worker counts its share of a
+// level in a local Counters and deposits it once, at the level's end,
+// into its WorkerRec; Collector.EndLevel sums the deposits.
 type Counters struct {
-	Frontier    int64
-	Edges       int64
+	// Frontier is the number of vertices expanded in the level.
+	Frontier int64
+	// Edges is the number of adjacency entries scanned.
+	Edges int64
+	// BitmapReads counts plain (non-atomic) bitmap probes.
 	BitmapReads int64
-	AtomicOps   int64
+	// AtomicOps counts atomic read-and-set operations attempted.
+	AtomicOps int64
+	// RemoteSends counts tuples sent over inter-socket channels.
 	RemoteSends int64
 	// MaxWorkerEdges is the largest single worker's share of Edges —
 	// the numerator of the level's load-imbalance factor
 	// (MaxWorkerEdges · workers / Edges; 1.0 is perfect balance).
+	// EndLevel sets it; workers leave it zero.
 	MaxWorkerEdges int64
 	// Steals counts chunks claimed from sibling socket queues by
 	// early-finishing workers (multi-socket tier, edge budgeting on).
 	Steals int64
 }
 
-// LevelBreakdown is one level's folded observability record: the
-// counter totals plus per-phase worker-time sums (a phase entry is the
-// sum over all workers, so it can exceed Duration on multi-worker
-// runs).
+// add sums every count of o into c.
+func (c *Counters) add(o *Counters) {
+	c.Frontier += o.Frontier
+	c.Edges += o.Edges
+	c.BitmapReads += o.BitmapReads
+	c.AtomicOps += o.AtomicOps
+	c.RemoteSends += o.RemoteSends
+	c.MaxWorkerEdges += o.MaxWorkerEdges
+	c.Steals += o.Steals
+}
+
+// LevelBreakdown is the one per-level record of a BFS run: the counter
+// totals plus per-phase worker-time sums (a phase entry is the sum over
+// all workers, so it can exceed Duration on multi-worker runs).
+// Collector.EndLevel folds it once per level, and Result.PerLevel,
+// Trace.Levels, the flight recorder and Tracer.OnLevelEnd all carry
+// that same record.
 type LevelBreakdown struct {
 	Level int
 	// Workers is the number of workers that ran the level — the
@@ -103,7 +125,8 @@ type LevelBreakdown struct {
 	// e.g. in the flight recorder, remain self-contained).
 	Workers int
 	// Start is the level's offset from the start of the run; Duration
-	// its wall-clock time as stamped by the level coordinator.
+	// its wall-clock time, from the end of the previous level's fold to
+	// the end of this one's (so it includes both level barriers).
 	Start    time.Duration
 	Duration time.Duration
 	Counters
@@ -113,6 +136,18 @@ type LevelBreakdown struct {
 	RemoteTuples  int64
 	// Phases[p] is the total worker time spent in phase p.
 	Phases [NumPhases]time.Duration
+}
+
+// add sums every tally of o into b: counters, durations, remote flushes
+// and phases.
+func (b *LevelBreakdown) add(o *LevelBreakdown) {
+	b.Duration += o.Duration
+	b.Counters.add(&o.Counters)
+	b.RemoteBatches += o.RemoteBatches
+	b.RemoteTuples += o.RemoteTuples
+	for p := range b.Phases {
+		b.Phases[p] += o.Phases[p]
+	}
 }
 
 // Imbalance returns the level's edge-load imbalance factor: the
@@ -141,32 +176,26 @@ type ChannelSample struct {
 	MaxBatch int
 }
 
-// Tracer receives observability callbacks from a BFS run. Methods are
-// invoked from worker goroutines concurrently (OnRemoteBatch,
-// OnBarrierWait) and from the level coordinator (OnLevelStart,
-// OnLevelEnd); implementations must be safe for concurrent use. A nil
-// Tracer disables the hooks at zero cost.
+// Tracer receives a BFS run's per-level records. OnLevelStart(0) fires
+// on the caller's goroutine as the run starts; every other call fires
+// at a level barrier, from the coordinator it elects (the caller's
+// goroutine in the sequential tier), so one run calls its Tracer one
+// call at a time. A Tracer shared by concurrent runs must be safe for
+// concurrent use. Workers never call a Tracer. A nil Tracer disables
+// the hooks at zero cost.
 type Tracer interface {
 	// OnLevelStart fires when a level begins (level 0 fires as the run
 	// starts).
 	OnLevelStart(level int)
 	// OnLevelEnd fires at the level barrier with the folded breakdown.
 	OnLevelEnd(level int, b LevelBreakdown)
-	// OnRemoteBatch fires when worker flushes a batch of tuples into
-	// the channel of socket toSocket.
-	OnRemoteBatch(level, worker, toSocket, tuples int)
-	// OnBarrierWait fires after worker has waited wait at a level
-	// barrier.
-	OnBarrierWait(level, worker int, wait time.Duration)
 }
 
 // TracerFuncs adapts plain functions to the Tracer interface; nil
 // fields are skipped.
 type TracerFuncs struct {
-	LevelStart  func(level int)
-	LevelEnd    func(level int, b LevelBreakdown)
-	RemoteBatch func(level, worker, toSocket, tuples int)
-	BarrierWait func(level, worker int, wait time.Duration)
+	LevelStart func(level int)
+	LevelEnd   func(level int, b LevelBreakdown)
 }
 
 func (t TracerFuncs) OnLevelStart(level int) {
@@ -181,40 +210,26 @@ func (t TracerFuncs) OnLevelEnd(level int, b LevelBreakdown) {
 	}
 }
 
-func (t TracerFuncs) OnRemoteBatch(level, worker, toSocket, tuples int) {
-	if t.RemoteBatch != nil {
-		t.RemoteBatch(level, worker, toSocket, tuples)
-	}
-}
-
-func (t TracerFuncs) OnBarrierWait(level, worker int, wait time.Duration) {
-	if t.BarrierWait != nil {
-		t.BarrierWait(level, worker, wait)
-	}
-}
-
 const cacheLine = 64
 
-// workerState is the unpadded per-worker recording state. Phase and
-// remote tallies are double-buffered by level parity: workers write
-// buffer L&1 during level L, the coordinator folds buffer L&1 at the
-// level's closing barrier while workers may already be writing buffer
-// (L+1)&1. The collector's configuration is copied in (rather than
-// held by pointer) so the pad below is not a recursive size.
+// workerState is the unpadded per-worker recording state. The level
+// slots are double-buffered by level parity: workers write slot L&1
+// during level L, the coordinator folds slot L&1 at the level's closing
+// barrier while workers may already be writing slot (L+1)&1. A slot is
+// a LevelBreakdown of which the worker fills only the tallies — its
+// counters, remote flushes and phase times. The run's trace flag and
+// origin are copied in (rather than read through a pointer to the
+// collector) so the pad below is not a recursive size.
 type workerState struct {
-	tracer        Tracer
-	traceOn       bool
-	origin        time.Time
-	w             int
-	level         int
-	phases        [2][NumPhases]time.Duration
-	remoteBatches [2]int64
-	remoteTuples  [2]int64
-	spans         []Span
+	traceOn bool
+	origin  time.Time
+	level   int
+	slots   [2]LevelBreakdown
+	spans   []Span
 }
 
-// WorkerRec records one worker's phases. All methods are no-ops on a
-// nil receiver, so the hot path carries only the nil-check.
+// WorkerRec records one worker's counters and phases. All methods are
+// no-ops on a nil receiver, so the hot path carries only the nil-check.
 type WorkerRec struct {
 	workerState
 	_ [(cacheLine - unsafe.Sizeof(workerState{})%cacheLine) % cacheLine]byte
@@ -230,35 +245,36 @@ func (r *WorkerRec) PhaseStart() time.Time {
 }
 
 // PhaseEnd closes a phase opened with PhaseStart, crediting its
-// duration to the worker's current-level slot, appending a timeline
-// span when full tracing is on, and firing the OnBarrierWait hook for
-// barrier phases.
+// duration to the worker's current-level slot and appending a timeline
+// span when full tracing is on.
 func (r *WorkerRec) PhaseEnd(p Phase, start time.Time) {
 	if r == nil {
 		return
 	}
 	d := time.Since(start)
-	r.phases[r.level&1][p] += d
+	r.slots[r.level&1].Phases[p] += d
 	if r.traceOn {
 		r.spans = append(r.spans, Span{Level: r.level, Phase: p, Start: start.Sub(r.origin), Dur: d})
 	}
-	if p == PhaseBarrierWait && r.tracer != nil {
-		r.tracer.OnBarrierWait(r.level, r.w, d)
-	}
 }
 
-// RemoteBatch records a flush of tuples into socket toSocket's channel
-// and fires the OnRemoteBatch hook.
-func (r *WorkerRec) RemoteBatch(toSocket, tuples int) {
+// RemoteBatch records a flush of tuples into an inter-socket channel.
+func (r *WorkerRec) RemoteBatch(tuples int) {
 	if r == nil || tuples == 0 {
 		return
 	}
-	par := r.level & 1
-	r.remoteBatches[par]++
-	r.remoteTuples[par] += int64(tuples)
-	if r.tracer != nil {
-		r.tracer.OnRemoteBatch(r.level, r.w, toSocket, tuples)
+	s := &r.slots[r.level&1]
+	s.RemoteBatches++
+	s.RemoteTuples += int64(tuples)
+}
+
+// AddCounters deposits the worker's counts for the level in progress.
+// Call it before the level's first closing barrier.
+func (r *WorkerRec) AddCounters(c Counters) {
+	if r == nil {
+		return
 	}
+	r.slots[r.level&1].Counters.add(&c)
 }
 
 // NextLevel advances the worker's level counter. Call it after the
@@ -285,60 +301,41 @@ type Config struct {
 	Tracer Tracer
 }
 
-// Collector coordinates per-worker recording for one BFS run. A nil
-// *Collector is valid and disables everything.
+// Collector coordinates per-worker recording for one BFS run and folds
+// each level into its one LevelBreakdown. A nil *Collector is valid and
+// disables everything.
 type Collector struct {
-	origin  time.Time
-	tracer  Tracer
-	trace   *Trace
-	workers []WorkerRec
-	level   int
+	origin     time.Time
+	levelStart time.Time
+	tracer     Tracer
+	trace      *Trace
+	workers    []WorkerRec
+	// levels holds the run's folded records, one per completed level;
+	// its backing array is reused by the next Reset.
+	levels []LevelBreakdown
 }
 
-// NewCollector builds a collector for one run and stamps the run
-// origin; construct it immediately before the search starts. It fires
-// OnLevelStart(0).
+// NewCollector builds a collector for one run; see Reset.
 func NewCollector(cfg Config) *Collector {
-	c := &Collector{
-		origin:  time.Now(),
-		tracer:  cfg.Tracer,
-		workers: make([]WorkerRec, cfg.Workers),
-	}
-	if cfg.Trace {
-		c.trace = &Trace{
-			Workers:   cfg.Workers,
-			Sockets:   cfg.Sockets,
-			Algorithm: cfg.Algorithm,
-		}
-	}
-	for i := range c.workers {
-		ws := &c.workers[i].workerState
-		ws.tracer = c.tracer
-		ws.traceOn = c.trace != nil
-		ws.origin = c.origin
-		ws.w = i
-	}
-	if c.tracer != nil {
-		c.tracer.OnLevelStart(0)
-	}
+	c := &Collector{}
+	c.Reset(cfg)
 	return c
 }
 
-// Reset re-arms a pooled collector for a new run with the same worker
-// count, reusing the per-worker padded slots (and each worker's span
-// backing array) so a warm telemetry-enabled search allocates nothing
-// here. It returns false — leaving the collector untouched — when the
-// requested shape differs, in which case the caller builds a fresh
-// collector with NewCollector. Like NewCollector it stamps the run
-// origin and fires OnLevelStart(0), so call it immediately before the
-// search starts.
-func (c *Collector) Reset(cfg Config) bool {
-	if c == nil || len(c.workers) != cfg.Workers {
-		return false
+// Reset arms the collector for a new run, reusing the per-worker padded
+// slots, each worker's span backing array and the level records, so a
+// warm observed search allocates nothing here. The zero Collector is
+// ready for Reset. It stamps the run origin and fires OnLevelStart(0),
+// so call it immediately before the search starts.
+func (c *Collector) Reset(cfg Config) {
+	if cap(c.workers) < cfg.Workers {
+		c.workers = make([]WorkerRec, cfg.Workers)
 	}
+	c.workers = c.workers[:cfg.Workers]
 	c.origin = time.Now()
+	c.levelStart = c.origin
 	c.tracer = cfg.Tracer
-	c.level = 0
+	c.levels = c.levels[:0]
 	c.trace = nil
 	if cfg.Trace {
 		c.trace = &Trace{
@@ -349,28 +346,11 @@ func (c *Collector) Reset(cfg Config) bool {
 	}
 	for i := range c.workers {
 		ws := &c.workers[i].workerState
-		spans := ws.spans[:0]
-		*ws = workerState{
-			tracer:  c.tracer,
-			traceOn: c.trace != nil,
-			origin:  c.origin,
-			w:       i,
-			spans:   spans,
-		}
+		*ws = workerState{traceOn: cfg.Trace, origin: c.origin, spans: ws.spans[:0]}
 	}
 	if c.tracer != nil {
 		c.tracer.OnLevelStart(0)
 	}
-	return true
-}
-
-// Origin returns the run's time origin (span offsets are relative to
-// it). Zero on a nil receiver.
-func (c *Collector) Origin() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return c.origin
 }
 
 // Worker returns worker w's recorder, or nil on a nil collector.
@@ -381,6 +361,18 @@ func (c *Collector) Worker(w int) *WorkerRec {
 	return &c.workers[w]
 }
 
+// CreditFrontier adds f to the frontier count of the level in progress.
+// The direction-optimizing coordinator uses it for bottom-up levels,
+// where workers expand the frontier without popping it. Call it from
+// the coordinator elected at the level's first closing barrier, after
+// every worker's AddCounters.
+func (c *Collector) CreditFrontier(f int64) {
+	if c == nil {
+		return
+	}
+	c.workers[0].slots[len(c.levels)&1].Frontier += f
+}
+
 // AddChannelSample appends one channel's per-level sample for the level
 // currently being folded. Call it from the closing-barrier coordinator,
 // before EndLevel.
@@ -389,7 +381,7 @@ func (c *Collector) AddChannelSample(socket int, tuples, batches int64, maxLen, 
 		return
 	}
 	c.trace.Channels = append(c.trace.Channels, ChannelSample{
-		Level:    c.level,
+		Level:    len(c.levels),
 		Socket:   socket,
 		Tuples:   tuples,
 		Batches:  batches,
@@ -398,53 +390,62 @@ func (c *Collector) AddChannelSample(socket int, tuples, batches int64, maxLen, 
 	})
 }
 
-// EndLevel folds every worker's current-parity phase slots into one
-// LevelBreakdown, clears them for reuse two levels later, appends the
-// breakdown to the trace, and fires OnLevelEnd (and OnLevelStart for
-// the next level when more is true).
+// EndLevel folds every worker's current-parity slot — counters, remote
+// flushes and phases, in one pass — into the level's LevelBreakdown,
+// clears the slots for reuse two levels later, stamps the level's
+// duration, appends the record to Levels, and fires OnLevelEnd (and
+// OnLevelStart for the next level when more is true).
 //
 // It must be called from the coordinator elected at the level's closing
 // barrier — the window in which every worker has finished writing the
 // level's slots and is at most writing the other parity.
-func (c *Collector) EndLevel(start, dur time.Duration, ct Counters, more bool) {
+func (c *Collector) EndLevel(more bool) {
 	if c == nil {
 		return
 	}
-	par := c.level & 1
-	b := LevelBreakdown{Level: c.level, Workers: len(c.workers), Start: start, Duration: dur, Counters: ct}
+	now := time.Now()
+	level := len(c.levels)
+	b := LevelBreakdown{Level: level, Workers: len(c.workers)}
 	for i := range c.workers {
-		ws := &c.workers[i].workerState
-		for p := Phase(0); p < NumPhases; p++ {
-			b.Phases[p] += ws.phases[par][p]
-			ws.phases[par][p] = 0
-		}
-		b.RemoteBatches += ws.remoteBatches[par]
-		b.RemoteTuples += ws.remoteTuples[par]
-		ws.remoteBatches[par] = 0
-		ws.remoteTuples[par] = 0
+		s := &c.workers[i].slots[level&1]
+		b.add(s)
+		// The straggler's edge share: the numerator of the level's
+		// load-imbalance factor (mean share is Edges over workers).
+		b.MaxWorkerEdges = max(b.MaxWorkerEdges, s.Edges)
+		*s = LevelBreakdown{}
 	}
-	if c.trace != nil {
-		c.trace.Levels = append(c.trace.Levels, b)
-	}
+	b.Start, b.Duration = c.levelStart.Sub(c.origin), now.Sub(c.levelStart)
+	c.levelStart = now
+	c.levels = append(c.levels, b)
 	if c.tracer != nil {
-		c.tracer.OnLevelEnd(c.level, b)
+		c.tracer.OnLevelEnd(level, b)
+		if more {
+			c.tracer.OnLevelStart(level + 1)
+		}
 	}
-	c.level++
-	if more && c.tracer != nil {
-		c.tracer.OnLevelStart(c.level)
+}
+
+// Levels returns the records of the levels folded so far. The slice is
+// the collector's own: it stays valid until the next Reset. Nil on a
+// nil collector.
+func (c *Collector) Levels() []LevelBreakdown {
+	if c == nil {
+		return nil
 	}
+	return c.levels
 }
 
 // Finish assembles and returns the structured trace, or nil when full
 // tracing was not requested. Call it only after every worker has
-// exited. The timelines are copied out of the per-worker span buffers,
-// so the returned Trace is self-contained: it stays valid — and safe to
-// export from another goroutine — while the collector is Reset and
-// reused by subsequent runs.
+// exited. The level records and timelines are copied out of the
+// collector, so the returned Trace is self-contained: it stays valid —
+// and safe to export from another goroutine — while the collector is
+// Reset and reused by subsequent runs.
 func (c *Collector) Finish() *Trace {
 	if c == nil || c.trace == nil {
 		return nil
 	}
+	c.trace.Levels = append([]LevelBreakdown(nil), c.levels...)
 	c.trace.Timelines = make([][]Span, len(c.workers))
 	for i := range c.workers {
 		c.trace.Timelines[i] = append([]Span(nil), c.workers[i].spans...)

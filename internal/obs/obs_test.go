@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -28,63 +27,106 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	}
 	// None of these may panic.
 	wr.PhaseEnd(PhaseLocalScan, start)
-	wr.RemoteBatch(1, 10)
+	wr.RemoteBatch(10)
+	wr.AddCounters(Counters{Edges: 1})
 	wr.NextLevel()
-	c.EndLevel(0, 0, Counters{}, true)
+	c.CreditFrontier(1)
+	c.EndLevel(true)
 	c.AddChannelSample(0, 1, 1, 1, 1)
+	if c.Levels() != nil {
+		t.Errorf("nil collector returned level records")
+	}
 	if c.Finish() != nil {
 		t.Errorf("nil collector produced a trace")
 	}
 }
 
 func TestCollectorFoldAndParity(t *testing.T) {
-	c := NewCollector(Config{Workers: 2, Sockets: 1, Algorithm: "test", Trace: true})
+	c := NewCollector(Config{Workers: 3, Sockets: 1, Algorithm: "test", Trace: true})
 
-	// Level 0: both workers record a local-scan phase.
-	for w := 0; w < 2; w++ {
+	// Level 0: every worker deposits its counts — worker 1 twice, as a
+	// worker may deposit more than once per level — a local-scan phase
+	// and one remote flush.
+	c.Worker(0).AddCounters(Counters{Frontier: 1, Edges: 10, BitmapReads: 8, AtomicOps: 2, RemoteSends: 1})
+	c.Worker(1).AddCounters(Counters{Frontier: 2, Edges: 20, BitmapReads: 16, AtomicOps: 4, RemoteSends: 2, Steals: 1})
+	c.Worker(2).AddCounters(Counters{Frontier: 4, Edges: 40, BitmapReads: 32, AtomicOps: 8, RemoteSends: 4})
+	c.Worker(1).AddCounters(Counters{Edges: 5})
+	for w := 0; w < 3; w++ {
 		wr := c.Worker(w)
-		wr.workerState.phases[0][PhaseLocalScan] = time.Duration(w+1) * time.Millisecond
-		wr.RemoteBatch(0, 5)
+		wr.slots[0].Phases[PhaseLocalScan] = time.Duration(w+1) * time.Millisecond
+		wr.RemoteBatch(5)
 	}
-	c.EndLevel(0, 3*time.Millisecond, Counters{Frontier: 7, Edges: 70}, true)
-	c.Worker(0).NextLevel()
-	c.Worker(1).NextLevel()
+	c.EndLevel(true)
+	for w := 0; w < 3; w++ {
+		c.Worker(w).NextLevel()
+	}
+	// Folding clears the slots for reuse two levels later.
+	for w := 0; w < 3; w++ {
+		if got := c.Worker(w).slots[0]; got != (LevelBreakdown{}) {
+			t.Errorf("worker %d: parity-0 slot not cleared after fold: %+v", w, got)
+		}
+	}
 
-	// Level 1 writes must land in the other parity buffer and not leak
-	// into level 0's folded record.
-	c.Worker(0).workerState.phases[1][PhaseBarrierWait] = 4 * time.Millisecond
-	c.EndLevel(3*time.Millisecond, 4*time.Millisecond, Counters{Frontier: 1}, false)
+	// Level 1, a bottom-up level: only worker 1 deposits, and the
+	// coordinator credits the frontier the workers did not pop. Worker 2
+	// has already moved on to level 2, whose writes land in the other
+	// parity and must not leak into level 1's record.
+	c.Worker(1).AddCounters(Counters{Edges: 2, BitmapReads: 3})
+	c.Worker(0).slots[1].Phases[PhaseBarrierWait] = 4 * time.Millisecond
+	c.CreditFrontier(6)
+	c.Worker(2).NextLevel()
+	c.Worker(2).AddCounters(Counters{Frontier: 100, Edges: 100})
+	c.EndLevel(false)
 
+	want := []LevelBreakdown{{
+		Level: 0, Workers: 3,
+		// Worker 2's 40 edges are the level's straggler share.
+		Counters: Counters{Frontier: 7, Edges: 75, BitmapReads: 56, AtomicOps: 14, RemoteSends: 7,
+			MaxWorkerEdges: 40, Steals: 1},
+		RemoteBatches: 3, RemoteTuples: 15,
+	}, {
+		Level: 1, Workers: 3,
+		Counters: Counters{Frontier: 6, Edges: 2, BitmapReads: 3, MaxWorkerEdges: 2},
+	}}
+	want[0].Phases[PhaseLocalScan] = 6 * time.Millisecond
+	want[1].Phases[PhaseBarrierWait] = 4 * time.Millisecond
+	got := c.Levels()
+	if len(got) != len(want) {
+		t.Fatalf("levels = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		// The clock stamps Start and Duration; levels tile the run.
+		if got[i].Duration < 0 || (i > 0 && got[i].Start != got[i-1].Start+got[i-1].Duration) {
+			t.Errorf("level %d: start %v duration %v do not follow level %d", i, got[i].Start, got[i].Duration, i-1)
+		}
+		want[i].Start, want[i].Duration = got[i].Start, got[i].Duration
+		if got[i] != want[i] {
+			t.Errorf("level %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if s := c.Worker(2).slots[0]; s.Frontier != 100 || s.Edges != 100 {
+		t.Errorf("level 2's early deposit was lost or folded: %+v", s.Counters)
+	}
+
+	// The trace carries a copy of the same records.
 	tr := c.Finish()
 	if tr == nil {
 		t.Fatal("no trace")
 	}
-	if len(tr.Levels) != 2 {
-		t.Fatalf("levels = %d, want 2", len(tr.Levels))
+	if len(tr.Levels) != 2 || tr.Levels[0] != got[0] || tr.Levels[1] != got[1] {
+		t.Errorf("trace levels %+v differ from the folded records %+v", tr.Levels, got)
 	}
-	b0 := tr.Levels[0]
-	if b0.Phases[PhaseLocalScan] != 3*time.Millisecond {
-		t.Errorf("level 0 local-scan = %v, want 3ms", b0.Phases[PhaseLocalScan])
+
+	// Reset re-arms any worker count, clearing what the previous run
+	// left in its slots and records.
+	c.Reset(Config{Workers: 4})
+	if len(c.Levels()) != 0 {
+		t.Errorf("Reset kept %d level records", len(c.Levels()))
 	}
-	if b0.Phases[PhaseBarrierWait] != 0 {
-		t.Errorf("level 0 barrier-wait leaked from level 1: %v", b0.Phases[PhaseBarrierWait])
-	}
-	if b0.RemoteTuples != 10 || b0.RemoteBatches != 2 {
-		t.Errorf("level 0 remote = %d tuples / %d batches, want 10/2", b0.RemoteTuples, b0.RemoteBatches)
-	}
-	if b0.Frontier != 7 || b0.Edges != 70 {
-		t.Errorf("level 0 counters = %+v", b0.Counters)
-	}
-	b1 := tr.Levels[1]
-	if b1.Phases[PhaseBarrierWait] != 4*time.Millisecond {
-		t.Errorf("level 1 barrier-wait = %v, want 4ms", b1.Phases[PhaseBarrierWait])
-	}
-	if b1.RemoteTuples != 0 {
-		t.Errorf("level 1 remote tuples not cleared: %d", b1.RemoteTuples)
-	}
-	// Folding clears the slots for reuse two levels later.
-	if got := c.Worker(0).workerState.phases[0][PhaseLocalScan]; got != 0 {
-		t.Errorf("parity-0 slot not cleared after fold: %v", got)
+	for w := 0; w < 4; w++ {
+		if s := c.Worker(w).slots; s != [2]LevelBreakdown{} {
+			t.Errorf("worker %d: slots not cleared by Reset: %+v", w, s)
+		}
 	}
 }
 
@@ -94,7 +136,7 @@ func TestSpansRecorded(t *testing.T) {
 	start := wr.PhaseStart()
 	time.Sleep(time.Millisecond)
 	wr.PhaseEnd(PhaseLocalScan, start)
-	c.EndLevel(0, time.Millisecond, Counters{}, false)
+	c.EndLevel(false)
 	tr := c.Finish()
 	if len(tr.Timelines) != 1 || len(tr.Timelines[0]) != 1 {
 		t.Fatalf("timelines = %v", tr.Timelines)
@@ -106,28 +148,33 @@ func TestSpansRecorded(t *testing.T) {
 }
 
 func TestTracerHooks(t *testing.T) {
-	var mu sync.Mutex
 	var events []string
-	rec := func(e string) {
-		mu.Lock()
-		events = append(events, e)
-		mu.Unlock()
-	}
+	var ends []LevelBreakdown
 	tr := TracerFuncs{
-		LevelStart:  func(level int) { rec("start") },
-		LevelEnd:    func(level int, b LevelBreakdown) { rec("end") },
-		RemoteBatch: func(level, worker, toSocket, tuples int) { rec("batch") },
-		BarrierWait: func(level, worker int, wait time.Duration) { rec("wait") },
+		LevelStart: func(level int) { events = append(events, "start") },
+		LevelEnd: func(level int, b LevelBreakdown) {
+			events = append(events, "end")
+			ends = append(ends, b)
+		},
 	}
 	c := NewCollector(Config{Workers: 1, Tracer: tr})
 	wr := c.Worker(0)
-	wr.RemoteBatch(1, 3)
+	wr.AddCounters(Counters{Frontier: 1, Edges: 3})
+	wr.RemoteBatch(3)
 	wr.PhaseEnd(PhaseBarrierWait, wr.PhaseStart())
-	c.EndLevel(0, time.Millisecond, Counters{}, true) // fires end + next start
-	c.EndLevel(0, time.Millisecond, Counters{}, false)
-	want := []string{"start", "batch", "wait", "end", "start", "end"}
+	c.EndLevel(true) // fires end + next start
+	wr.NextLevel()
+	c.EndLevel(false)
+	want := []string{"start", "end", "start", "end"}
 	if strings.Join(events, ",") != strings.Join(want, ",") {
 		t.Errorf("events = %v, want %v", events, want)
+	}
+	// OnLevelEnd receives the folded record itself.
+	if len(ends) != 2 || ends[0] != c.Levels()[0] || ends[1] != c.Levels()[1] {
+		t.Errorf("OnLevelEnd records %+v differ from the folded records %+v", ends, c.Levels())
+	}
+	if ends[0].Edges != 3 || ends[0].RemoteTuples != 3 {
+		t.Errorf("level 0 record = %+v", ends[0])
 	}
 }
 
@@ -136,8 +183,6 @@ func TestTracerFuncsNilFields(t *testing.T) {
 	var tr TracerFuncs
 	tr.OnLevelStart(0)
 	tr.OnLevelEnd(0, LevelBreakdown{})
-	tr.OnRemoteBatch(0, 0, 0, 0)
-	tr.OnBarrierWait(0, 0, 0)
 }
 
 func TestWriteChromeTrace(t *testing.T) {
@@ -149,7 +194,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	c.AddChannelSample(0, 100, 3, 80, 64)
 	c.AddChannelSample(1, 50, 1, 50, 50)
-	c.EndLevel(0, time.Millisecond, Counters{Frontier: 1}, false)
+	c.EndLevel(false)
 
 	var buf bytes.Buffer
 	if err := c.Finish().WriteChromeTrace(&buf); err != nil {
@@ -196,12 +241,12 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestWriteBreakdown(t *testing.T) {
-	c := NewCollector(Config{Workers: 2, Trace: true})
-	wr := c.Worker(0)
-	wr.workerState.phases[0][PhaseLocalScan] = 2 * time.Millisecond
-	c.EndLevel(0, 2*time.Millisecond, Counters{Frontier: 9, Edges: 81}, false)
+	tr := &Trace{Workers: 2, Levels: []LevelBreakdown{{
+		Duration: 2 * time.Millisecond, Counters: Counters{Frontier: 9, Edges: 81},
+	}}}
+	tr.Levels[0].Phases[PhaseLocalScan] = 2 * time.Millisecond
 	var buf bytes.Buffer
-	if err := c.Finish().WriteBreakdown(&buf); err != nil {
+	if err := tr.WriteBreakdown(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -216,11 +261,11 @@ func TestMetrics(t *testing.T) {
 	tr := m.Tracer()
 	tr.OnLevelStart(0)
 	tr.OnLevelStart(1) // not a new search
-	b := LevelBreakdown{Counters: Counters{Frontier: 4, Edges: 40, BitmapReads: 30, AtomicOps: 5}}
+	b := LevelBreakdown{Counters: Counters{Frontier: 4, Edges: 40, BitmapReads: 30, AtomicOps: 5},
+		RemoteBatches: 1, RemoteTuples: 64}
 	b.Phases[PhaseLocalScan] = time.Millisecond
+	b.Phases[PhaseBarrierWait] = time.Microsecond
 	tr.OnLevelEnd(0, b)
-	tr.OnRemoteBatch(0, 0, 1, 64)
-	tr.OnBarrierWait(0, 0, time.Microsecond)
 
 	s := m.Snapshot()
 	want := map[string]int64{
@@ -239,9 +284,7 @@ func TestMultiTracer(t *testing.T) {
 	var a, b Metrics
 	mt := MultiTracer(a.Tracer(), nil, b.Tracer())
 	mt.OnLevelStart(0)
-	mt.OnLevelEnd(0, LevelBreakdown{Counters: Counters{Edges: 7}})
-	mt.OnRemoteBatch(0, 0, 0, 2)
-	mt.OnBarrierWait(0, 0, time.Millisecond)
+	mt.OnLevelEnd(0, LevelBreakdown{Counters: Counters{Edges: 7}, RemoteTuples: 2})
 	for _, m := range []*Metrics{&a, &b} {
 		if m.Searches.Load() != 1 || m.Edges.Load() != 7 || m.RemoteTuples.Load() != 2 {
 			t.Errorf("metrics not fanned out: %+v", m.Snapshot())

@@ -138,16 +138,7 @@ func (t *Trace) WriteBreakdown(w io.Writer) error {
 		if err := t.writeBreakdownRow(w, fmt.Sprintf("%d", b.Level), b); err != nil {
 			return err
 		}
-		tot.Duration += b.Duration
-		tot.Frontier += b.Frontier
-		tot.Edges += b.Edges
-		tot.MaxWorkerEdges += b.MaxWorkerEdges
-		tot.Steals += b.Steals
-		tot.RemoteTuples += b.RemoteTuples
-		tot.RemoteBatches += b.RemoteBatches
-		for p := range tot.Phases {
-			tot.Phases[p] += b.Phases[p]
-		}
+		tot.add(&b)
 	}
 	return t.writeBreakdownRow(w, "total", tot)
 }

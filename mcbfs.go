@@ -67,15 +67,18 @@ type Options = core.Options
 // Result is the outcome of a BFS run.
 type Result = core.Result
 
-// LevelStats is per-level instrumentation (enable with
-// Options.Instrument).
-type LevelStats = core.LevelStats
+// LevelStats is one level's record in Result.PerLevel (enable with
+// Options.Instrument): the same LevelBreakdown that traces, Tracer
+// hooks and the flight recorder carry, under its older name.
+type LevelStats = obs.LevelBreakdown
 
 // Algorithm selects a BFS implementation tier.
 type Algorithm = core.Algorithm
 
-// Tracer receives observability callbacks from a BFS run (attach via
-// Options.Tracer); implementations must be safe for concurrent use.
+// Tracer receives each level's start and folded record from a BFS run
+// (attach via Options.Tracer). Its hooks fire as the run starts and at
+// each level barrier, one at a time per search, never from a worker; a
+// Tracer shared by concurrent searches must be safe for concurrent use.
 type Tracer = obs.Tracer
 
 // TracerFuncs adapts plain functions to the Tracer interface.
@@ -95,8 +98,11 @@ type LevelBreakdown = obs.LevelBreakdown
 // Phase labels a portion of a worker's time within a level.
 type Phase = obs.Phase
 
-// Metrics is a set of live counters fed by Metrics.Tracer() and
-// publishable via expvar.
+// Metrics is a set of live counters publishable via expvar. Its
+// per-level counters are fed by Metrics.Tracer(), which reads each
+// level's folded record at the level barrier (so attaching it adds no
+// atomic operation to the workers); its serving counters are fed by
+// PoolOptions.Metrics.
 type Metrics = obs.Metrics
 
 // Telemetry is the serving telemetry hub: a lock-free sharded latency

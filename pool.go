@@ -470,7 +470,7 @@ func (p *Pool) QueryFunc(ctx context.Context, root Vertex, q Query, fn func(*Res
 		p.noteShed(qstart, err)
 		return err
 	}
-	err, panicked := p.runWith(s, ctx, root, q, fn)
+	err, searchErr, panicked := p.runWith(s, ctx, root, q, fn)
 	if panicked {
 		p.notePanic(root, qstart)
 		p.rebuild(sn, s)
@@ -478,7 +478,7 @@ func (p *Pool) QueryFunc(ctx context.Context, root Vertex, q Query, fn func(*Res
 	}
 	sn.free <- s
 	sn.release(p)
-	p.countCancelled(err)
+	p.countCancelled(searchErr)
 	return err
 }
 
@@ -784,19 +784,21 @@ func (p *Pool) searchOn(s *core.Searcher, ctx context.Context, root Vertex, q Qu
 
 // runWith is searchOn plus the caller's fn, both inside the recover
 // scope (QueryFunc's contract: a panicking fn poisons the Searcher it
-// was reading, so the Searcher is rebuilt just the same).
-func (p *Pool) runWith(s *core.Searcher, ctx context.Context, root Vertex, q Query, fn func(*Result) error) (err error, panicked bool) {
+// was reading, so the Searcher is rebuilt just the same). err is the
+// query's error, fn's included; searchErr is the search's own, from
+// which the query's outcome is counted.
+func (p *Pool) runWith(s *core.Searcher, ctx context.Context, root Vertex, q Query, fn func(*Result) error) (err, searchErr error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
 			err = fmt.Errorf("mcbfs: query from root %d panicked: %v", root, r)
 		}
 	}()
-	res, err := s.SearchContext(ctx, root, q)
-	if err != nil {
-		return err, false
+	res, searchErr := s.SearchContext(ctx, root, q)
+	if searchErr != nil {
+		return searchErr, searchErr, false
 	}
-	return fn(res), false
+	return fn(res), nil, false
 }
 
 // telNow stamps the query's admission time, but only when a telemetry

@@ -186,15 +186,19 @@ func TestPoolPanicRecovery(t *testing.T) {
 }
 
 // TestPoolCancelledQuery checks context-driven unwinding through the
-// pool: a cancelled query reports ctx.Err(), feeds the Cancelled
-// counter, and the Searcher it borrowed serves the next query exactly.
+// pool: a cancelled query reports ctx.Err(), is counted as cancelled in
+// both the Metrics and the Telemetry sink (it takes an idle Searcher and
+// returns at the search's dead-on-arrival check), and the Searcher it
+// borrowed serves the next query exactly.
 func TestPoolCancelledQuery(t *testing.T) {
 	g := poolTestGraph(t)
 	var m mcbfs.Metrics
+	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
 	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
-		Size:    1,
-		Search:  mcbfs.Options{Threads: 2},
-		Metrics: &m,
+		Size:      1,
+		Search:    mcbfs.Options{Threads: 2},
+		Metrics:   &m,
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +213,9 @@ func TestPoolCancelledQuery(t *testing.T) {
 	if c := m.Cancelled.Load(); c != 1 {
 		t.Errorf("Cancelled = %d, want 1", c)
 	}
+	if c := tel.OutcomeCount(mcbfs.OutcomeCancelled); c != 1 {
+		t.Errorf("telemetry cancelled outcomes = %d, want 1", c)
+	}
 
 	ref, err := mcbfs.BFS(g, 0, mcbfs.Options{Algorithm: mcbfs.AlgSequential, Threads: 1})
 	if err != nil {
@@ -221,6 +228,39 @@ func TestPoolCancelledQuery(t *testing.T) {
 	if res.Reached != ref.Reached || res.Levels != ref.Levels {
 		t.Fatalf("after cancel: reached %d levels %d, want %d/%d",
 			res.Reached, res.Levels, ref.Reached, ref.Levels)
+	}
+}
+
+// TestPoolQueryFuncErrorNotCancelled checks that QueryFunc counts a
+// query's outcome from its search, not from fn: a completed search whose
+// fn returns a context error is returned as that error but counted as
+// ok, in both the Metrics and the Telemetry sink.
+func TestPoolQueryFuncErrorNotCancelled(t *testing.T) {
+	g := poolTestGraph(t)
+	var m mcbfs.Metrics
+	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+		Size:      1,
+		Search:    mcbfs.Options{Threads: 2},
+		Metrics:   &m,
+		Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	err = pool.QueryFunc(context.Background(), 0, mcbfs.Query{}, func(*mcbfs.Result) error {
+		return context.DeadlineExceeded
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("QueryFunc = %v, want fn's context.DeadlineExceeded", err)
+	}
+	if c := m.Cancelled.Load(); c != 0 {
+		t.Errorf("Cancelled = %d, want 0", c)
+	}
+	if c := tel.OutcomeCount(mcbfs.OutcomeOK); c != 1 {
+		t.Errorf("telemetry ok outcomes = %d, want 1", c)
 	}
 }
 
