@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"mcbfs/internal/core"
-	"mcbfs/internal/dist"
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/graph500"
@@ -561,32 +560,6 @@ func BenchmarkSSCA2Kernel4(b *testing.B) {
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N*len(sources))/elapsed, "sources/s")
-	}
-}
-
-// BenchmarkDistBFS measures the distributed-memory prototype across
-// node counts, reporting cross-node tuple traffic per edge.
-func BenchmarkDistBFS(b *testing.B) {
-	g := benchUniform(b, 1<<18, 8)
-	for _, nodes := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			var tuples, edges int64
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				res, err := dist.BFS(g, 0, dist.Options{Nodes: nodes, BatchSize: 4096})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tuples = res.Comm.TuplesSent
-				edges += res.EdgesTraversed
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(edges)/elapsed/1e6, "ME/s")
-			}
-			b.ReportMetric(float64(tuples)/float64(g.NumEdges()), "tuples/edge")
-		})
 	}
 }
 

@@ -24,13 +24,6 @@ type harnessConfig struct {
 	Seed   uint64
 	Short  bool
 	Tracer obs.Tracer // observes every measured library run (nil = off)
-	// Telemetry, when non-nil (-pprof), is the serving hub the -clients
-	// pool reports into, exposed at /metrics and /debug/bfs.
-	Telemetry *obs.Telemetry
-	// Order relabels the measured graph under a locality-optimized
-	// vertex ordering (-order); the reorder time is reported on its own
-	// line, never folded into setup or query time.
-	Order graph.Ordering
 	// EdgeBudget configures degree-aware frontier scheduling for the
 	// measured library runs (-edge-budget): 0 auto, -1 off, positive
 	// an explicit per-chunk adjacency allowance.
@@ -76,8 +69,6 @@ var experiments = map[string]experiment{
 	"table3": {"comparison with published results (Table III)", runTable3},
 	"ext-hybrid": {"extension: direction-optimizing BFS vs the paper's top-down (post-paper)",
 		runExtHybrid},
-	"ext-cluster": {"extension: projected distributed-memory scaling (paper Section V future work)",
-		runExtCluster},
 }
 
 // measuredThreads returns the thread sweep used for measured runs.
@@ -599,36 +590,6 @@ func runExtHybrid(w io.Writer, cfg harnessConfig) error {
 				res.Duration.Round(time.Microsecond*100),
 				float64(g.NumEdges())/res.Duration.Seconds()/1e6)
 		}
-	}
-	return nil
-}
-
-func runExtCluster(w io.Writer, cfg harnessConfig) error {
-	if !cfg.sim() {
-		fmt.Fprintln(w, "(simulated-only experiment; rerun with -mode sim or both)")
-		return nil
-	}
-	wl := simbfs.Workload{Kind: simbfs.Uniform, N: 128e6, Degree: 16}
-	fmt.Fprintln(w, "-- projected: EX nodes joined by a cluster network, uniform 128M/2B --")
-	fmt.Fprintln(w, "nodes  IB-QDR-GE/s  comm%   10GigE-GE/s  comm%")
-	for _, p := range []int{1, 2, 4, 8, 16, 32} {
-		ib, err := simbfs.SimulateCluster(wl, simbfs.ClusterConfig{
-			Node: machine.EX(), ThreadsPerNode: 64, Nodes: p,
-			Net: simbfs.InfiniBandQDR, BatchSize: 4096,
-		})
-		if err != nil {
-			return err
-		}
-		eth, err := simbfs.SimulateCluster(wl, simbfs.ClusterConfig{
-			Node: machine.EX(), ThreadsPerNode: 64, Nodes: p,
-			Net: simbfs.TenGigE, BatchSize: 4096,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "%-6d %-12.2f %-7.0f %-12.2f %.0f\n",
-			p, ib.RatePerSec/1e9, ib.CommFraction*100,
-			eth.RatePerSec/1e9, eth.CommFraction*100)
 	}
 	return nil
 }

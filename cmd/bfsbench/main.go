@@ -17,9 +17,12 @@
 //	bfsbench -experiment fig8b -mode sim  # simulated only
 //	bfsbench -list                        # list experiment ids
 //	bfsbench -trace out.json -breakdown   # one traced BFS, Chrome trace + phase table
-//	bfsbench -searches 64 -scale 20       # repeated searches on one session, cold vs warm
-//	bfsbench -searches 256 -clients 8     # concurrent clients over a Searcher pool: qps + p50/p99
 //	bfsbench -experiment all -pprof :6060 # live pprof/expvar while experiments run
+//
+// Repeated-search and serving measurements live elsewhere: graph500
+// reports cold vs warm session rates (and -batch replays the roots
+// through MS-BFS), and the perfbench module measures Pool serving,
+// batching and live updates.
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for
 // recorded paper-vs-reproduced results.
@@ -33,7 +36,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
@@ -47,18 +49,11 @@ func main() {
 		seed      = flag.Uint64("seed", 42, "workload seed for measured runs")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		short     = flag.Bool("short", false, "shrink measured runs (CI-friendly)")
-		searches  = flag.Int("searches", 0, "run N back-to-back searches on one amortized session and report queries/sec (cold vs warm)")
-		clients   = flag.Int("clients", 1, "with -searches: issue the N queries from M concurrent clients through a Searcher pool, reporting queries/sec and p50/p99 latency")
-		poolSize  = flag.Int("pool", 0, "with -clients: number of pooled Searchers (0 = GOMAXPROCS/2 capped at -clients)")
-		batch     = flag.Int("batch", 0, "with -searches: MS-BFS lane width — single-client mode replays the roots through one batched session; clients mode runs the pool in batching mode, coalescing concurrent queries (0 = off, max 64)")
-		batchWin  = flag.Duration("batch-window", 100*time.Microsecond, "with -clients and -batch: how long an admission window stays open to coalesce queries into one traversal")
-		churn     = flag.Int("churn", 0, "with -clients: hot-swap N freshly generated graph snapshots into the pool while the clients run, reporting tail latency across the swaps")
 		traceOut  = flag.String("trace", "", "run one traced BFS and write a Chrome trace-event JSON file (view in Perfetto)")
 		breakdown = flag.Bool("breakdown", false, "run one traced BFS and print its per-level phase breakdown")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and live expvar counters on this address (e.g. :6060)")
 		outPath   = flag.String("o", "", "write output to this file instead of stdout")
 		buildPar  = flag.Int("build-threads", 0, "CSR construction worker count (0 = GOMAXPROCS)")
-		order     = flag.String("order", "natural", "with -searches: vertex ordering applied to the measured graph (natural, degree, dbg, rcm); reorder time reported separately")
 		edgeBud   = flag.Int64("edge-budget", 0, "degree-aware frontier scheduling for measured runs: 0 = auto budget, -1 = off (fixed 128-vertex chunks), >0 = explicit per-chunk edge budget")
 	)
 	flag.Parse()
@@ -67,18 +62,11 @@ func main() {
 		graph.SetBuildParallelism(*buildPar)
 	}
 
-	ordering, err := graph.ParseOrdering(*order)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bfsbench: %v\n", err)
-		os.Exit(2)
-	}
-
 	cfg := harnessConfig{
 		Mode:       *mode,
 		Scale:      *scale,
 		Seed:       *seed,
 		Short:      *short,
-		Order:      ordering,
 		EdgeBudget: *edgeBud,
 	}
 	if cfg.Mode != "sim" && cfg.Mode != "measured" && cfg.Mode != "both" {
@@ -88,27 +76,17 @@ func main() {
 
 	if *pprofAddr != "" {
 		// Live observability for long runs: every measured BFS feeds a
-		// process-wide obs.Metrics published under /debug/vars, the same
-		// counters plus the latency histogram and flight recorder are
-		// served in Prometheus text format at /metrics and as JSON at
-		// /debug/bfs, and the default mux already carries /debug/pprof
-		// via the blank import. The -clients pool reports into the same
-		// telemetry hub.
+		// process-wide obs.Metrics published under /debug/vars, and the
+		// default mux already carries /debug/pprof via the blank import.
 		var live obs.Metrics
 		live.Publish("mcbfs")
 		cfg.Tracer = live.Tracer()
-		cfg.Telemetry = obs.NewTelemetry(obs.TelemetryOptions{
-			Shards:  *clients,
-			Metrics: &live,
-		})
-		http.Handle("/metrics", cfg.Telemetry.MetricsHandler())
-		http.Handle("/debug/bfs", cfg.Telemetry.StatusHandler())
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "bfsbench: pprof server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "bfsbench: pprof at http://%s/debug/pprof, Prometheus at /metrics, status at /debug/bfs, expvar at /debug/vars\n",
+		fmt.Fprintf(os.Stderr, "bfsbench: pprof at http://%s/debug/pprof, expvar at /debug/vars\n",
 			*pprofAddr)
 	}
 
@@ -125,7 +103,7 @@ func main() {
 	}
 
 	traceMode := *traceOut != "" || *breakdown
-	if *expID == "" && !traceMode && *searches == 0 {
+	if *expID == "" && !traceMode {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -154,16 +132,6 @@ func main() {
 	if traceMode {
 		if err := runTraced(out, cfg, *traceOut, *breakdown); err != nil {
 			fatal("bfsbench: trace: %v\n", err)
-		}
-	}
-
-	if *searches > 0 {
-		if *clients > 1 {
-			if err := runClientSearches(out, cfg, *searches, *clients, *poolSize, *batch, *batchWin, *churn); err != nil {
-				fatal("bfsbench: searches: %v\n", err)
-			}
-		} else if err := runSearches(out, cfg, *searches, *batch); err != nil {
-			fatal("bfsbench: searches: %v\n", err)
 		}
 	}
 

@@ -44,17 +44,20 @@ func main() {
 	}
 	defer pool.Close()
 
-	// Continuous client traffic across every swap below.
+	// Continuous client traffic across every swap below. A client that
+	// sees an error stops and leaves it for the final check.
+	const clients = 4
 	var stop atomic.Bool
 	var queries atomic.Int64
 	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
+	failed := make(chan error, clients)
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
 				if _, err := pool.Query(context.Background(), 0); err != nil {
-					log.Printf("query: %v", err)
+					failed <- err
 					return
 				}
 				queries.Add(1)
@@ -94,6 +97,11 @@ func main() {
 
 	stop.Store(true)
 	wg.Wait()
+	select {
+	case err := <-failed:
+		log.Fatalf("query: %v", err)
+	default:
+	}
 
 	// Old epochs drain asynchronously once their last query returns.
 	for pool.Draining() > 0 {

@@ -91,7 +91,8 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	// Lanes-per-traversal histogram and batch totals, emitted only once a
 	// batch has been recorded so non-batching deployments keep their
 	// exposition unchanged.
-	if traversals, lanes, scanned, laneEdges := t.BatchStats(); traversals > 0 {
+	traversals, lanes, scanned, laneEdges := t.BatchStats()
+	if traversals > 0 {
 		b.WriteString("# HELP mcbfs_batch_lanes Lanes (queries) carried per MS-BFS batch traversal.\n")
 		b.WriteString("# TYPE mcbfs_batch_lanes histogram\n")
 		buckets := t.BatchLaneBuckets()
@@ -154,24 +155,34 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	b.WriteString("# HELP mcbfs_slow_capture_threshold_seconds Current flight-recorder slow-capture threshold.\n")
 	b.WriteString("# TYPE mcbfs_slow_capture_threshold_seconds gauge\n")
 	fmt.Fprintf(&b, "mcbfs_slow_capture_threshold_seconds %s\n", promSec(uint64(t.flight.Threshold())))
-	if busy, size := t.pool(); size > 0 {
+	pool := t.info()
+	if pool != nil && pool.SearcherSlots > 0 {
 		b.WriteString("# HELP mcbfs_pool_searchers Searchers in the serving pool.\n")
 		b.WriteString("# TYPE mcbfs_pool_searchers gauge\n")
-		fmt.Fprintf(&b, "mcbfs_pool_searchers %d\n", size)
+		fmt.Fprintf(&b, "mcbfs_pool_searchers %d\n", pool.SearcherSlots)
 		b.WriteString("# HELP mcbfs_pool_searchers_busy Searchers currently borrowed by in-flight queries.\n")
 		b.WriteString("# TYPE mcbfs_pool_searchers_busy gauge\n")
-		fmt.Fprintf(&b, "mcbfs_pool_searchers_busy %d\n", busy)
+		fmt.Fprintf(&b, "mcbfs_pool_searchers_busy %d\n", pool.SearchersBusy)
 	}
-	if info := t.info(); info != nil && info.BatchLanes > 0 {
+	if pool != nil && pool.BatchLanes > 0 {
 		b.WriteString("# HELP mcbfs_pool_batch_lanes MS-BFS lane capacity (lanes per traversal x runners).\n")
 		b.WriteString("# TYPE mcbfs_pool_batch_lanes gauge\n")
-		fmt.Fprintf(&b, "mcbfs_pool_batch_lanes %d\n", info.BatchLanes*info.BatchRunners)
+		fmt.Fprintf(&b, "mcbfs_pool_batch_lanes %d\n", pool.BatchLanes*pool.BatchRunners)
 	}
 
 	// Attached Metrics counters, exported generically so the series set
-	// follows the Metrics struct without a second name table here.
+	// follows the Metrics struct without a second name table here. Once
+	// the batch block above is written it carries the four batch totals
+	// (mcbfs_batch_lanes _count/_sum and the mcbfs_batch_*_total
+	// counters); writing them again would repeat the
+	// mcbfs_batch_lane_edges_total family.
 	if t.metrics != nil {
 		snap := t.metrics.Snapshot()
+		if traversals > 0 {
+			for _, k := range []string{"batchTraversals", "batchLanes", "batchEdges", "batchLaneEdges"} {
+				delete(snap, k)
+			}
+		}
 		keys := make([]string, 0, len(snap))
 		for k := range snap {
 			keys = append(keys, k)
@@ -350,10 +361,13 @@ func (t *Telemetry) Status() Status {
 	if t == nil {
 		return st
 	}
-	st.Pool.Busy, st.Pool.Size = t.pool()
 	if info := t.info(); info != nil {
-		st.Pool.BatchLanes = info.BatchLanes
-		st.Pool.BatchRunners = info.BatchRunners
+		st.Pool = PoolStatus{
+			Size:         info.SearcherSlots,
+			Busy:         info.SearchersBusy,
+			BatchLanes:   info.BatchLanes,
+			BatchRunners: info.BatchRunners,
+		}
 	}
 	if epoch, swaps := t.Epoch(); epoch > 0 {
 		ss := &SnapshotStatus{Epoch: epoch, Swaps: swaps, Draining: t.draining()}

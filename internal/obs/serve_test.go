@@ -27,9 +27,10 @@ func feedTelemetry(t *Telemetry) {
 // promSample matches a Prometheus text-format sample line.
 var promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (NaN|[-+]?(Inf|[0-9].*))$`)
 
-// validatePrometheus checks the exposition's line grammar plus the
-// histogram invariants: ascending le values, non-decreasing cumulative
-// counts, and +Inf == _count.
+// validatePrometheus checks the exposition's line grammar, that no
+// family repeats its # HELP or # TYPE line (a Prometheus parser rejects
+// the second one), plus the histogram invariants: ascending le values,
+// non-decreasing cumulative counts, and +Inf == _count.
 func validatePrometheus(t *testing.T, body string) map[string]float64 {
 	t.Helper()
 	values := map[string]float64{}
@@ -37,6 +38,7 @@ func validatePrometheus(t *testing.T, body string) map[string]float64 {
 	var lastLe float64
 	var lastCum float64
 	typed := map[string]string{}
+	described := map[string]bool{} // "HELP name" and "TYPE name" seen so far
 	for n := 1; sc.Scan(); n++ {
 		line := sc.Text()
 		if line == "" {
@@ -47,6 +49,11 @@ func validatePrometheus(t *testing.T, body string) map[string]float64 {
 			if len(f) < 4 || (f[1] != "HELP" && f[1] != "TYPE") {
 				t.Fatalf("line %d: malformed comment %q", n, line)
 			}
+			key := f[1] + " " + f[2]
+			if described[key] {
+				t.Fatalf("line %d: second # %s line for %s", n, f[1], f[2])
+			}
+			described[key] = true
 			if f[1] == "TYPE" {
 				typed[f[2]] = f[3]
 			}
@@ -90,8 +97,14 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	var m Metrics
 	m.Searches.Add(3)
 	m.TimedOut.Add(2)
+	// A batching Pool feeds one batch into both the hub and its Metrics.
+	m.BatchTraversals.Add(1)
+	m.BatchLanes.Add(4)
+	m.BatchEdges.Add(100)
+	m.BatchLaneEdges.Add(300)
 	tel := NewTelemetry(TelemetryOptions{Shards: 4, Metrics: &m})
-	tel.SetPoolGauge(func() (int, int) { return 2, 8 })
+	tel.SetPoolInfo(func() PoolInfo { return PoolInfo{SearcherSlots: 8, SearchersBusy: 2} })
+	tel.RecordBatch(4, 100, 300)
 	tel.SetOrdering(OrderingInfo{
 		Order: "degree", PermNs: 1_500_000_000, RelabelNs: 500_000_000,
 		HubVertices: 10, HubEdges: 600, TotalEdges: 1000,
@@ -137,6 +150,25 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	if got := values["mcbfs_hub_edge_fraction"]; got != 0.6 {
 		t.Errorf("hub edge fraction gauge = %v, want 0.6", got)
 	}
+	if got := values["mcbfs_batch_lanes_count"]; got != 1 {
+		t.Errorf("batch traversals = %v, want 1", got)
+	}
+	if got := values["mcbfs_batch_lanes_sum"]; got != 4 {
+		t.Errorf("batch lanes = %v, want 4", got)
+	}
+	if got := values["mcbfs_batch_edges_scanned_total"]; got != 100 {
+		t.Errorf("batch edges scanned = %v, want 100", got)
+	}
+	if got := values["mcbfs_batch_lane_edges_total"]; got != 300 {
+		t.Errorf("batch lane edges = %v, want 300", got)
+	}
+	// The hub's batch block carries the batch totals; the attached
+	// Metrics must not repeat them.
+	for _, name := range []string{"mcbfs_batch_traversals_total", "mcbfs_batch_lanes_total", "mcbfs_batch_edges_total"} {
+		if _, ok := values[name]; ok {
+			t.Errorf("%s exported beside the hub's batch block", name)
+		}
+	}
 }
 
 func TestStatusPage(t *testing.T) {
@@ -147,7 +179,7 @@ func TestStatusPage(t *testing.T) {
 	clk := &fakeClock{ns: int64(1000 * time.Second)}
 	tel.ok.nowNanos = clk.now
 	tel.errs.nowNanos = clk.now
-	tel.SetPoolGauge(func() (int, int) { return 1, 4 })
+	tel.SetPoolInfo(func() PoolInfo { return PoolInfo{SearcherSlots: 4, SearchersBusy: 1} })
 	tel.SetOrdering(OrderingInfo{
 		Order: "dbg", PermNs: 100, RelabelNs: 900,
 		HubVertices: 4, HubEdges: 250, TotalEdges: 1000,
@@ -229,7 +261,7 @@ func TestTelemetryNilSafe(t *testing.T) {
 	var tel *Telemetry
 	tel.RecordQuery(0, QuerySample{Duration: time.Millisecond})
 	tel.RecordShed(time.Now(), time.Millisecond)
-	tel.SetPoolGauge(func() (int, int) { return 0, 0 })
+	tel.SetPoolInfo(func() PoolInfo { return PoolInfo{} })
 	if tel.QPS(time.Second) != 0 || tel.ErrorRate(time.Second) != 0 {
 		t.Error("nil telemetry reported rates")
 	}

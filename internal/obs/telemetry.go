@@ -43,10 +43,6 @@ type Telemetry struct {
 	ok       SlidingCounter
 	errs     SlidingCounter
 	outcomes [numOutcomes]atomic.Int64
-	// poolGauge reports (busy, size) of the serving pool; registered by
-	// Pool, read by the status page. Atomic so registration can trail
-	// the first queries.
-	poolGauge atomic.Pointer[func() (busy, size int)]
 	// batchLanes is the lanes-per-traversal histogram: bucket i counts
 	// MS-BFS traversals that carried at most 1<<i lanes (le 1, 2, 4, …,
 	// 64). batchTraversals/batchLaneTotal/batchEdgesScanned/
@@ -59,13 +55,13 @@ type Telemetry struct {
 	batchLaneEdges    atomic.Int64
 	// ordering describes the active vertex ordering (nil when the pool
 	// serves in natural order); registered by Pool at construction, read
-	// by the status page and /metrics. Atomic for the same registration
-	// ordering reason as poolGauge.
+	// by the status page and /metrics. Atomic so registration can trail
+	// the first queries.
 	ordering atomic.Pointer[OrderingInfo]
-	// poolInfo is the richer capacity gauge a hot-swapping pool
-	// registers: Searcher slots and batch lanes reported separately, so
+	// poolInfo is the capacity gauge the serving pool registers:
+	// Searcher slots and batch lanes reported separately, so
 	// batching-dominant configurations are not misread as tiny pools.
-	// When set it supersedes poolGauge on the status page.
+	// Atomic for the same registration-ordering reason as ordering.
 	poolInfo atomic.Pointer[func() PoolInfo]
 	// Snapshot hot-swap telemetry: the current graph epoch, cumulative
 	// swap count and build+install time, the last swap's latency, and
@@ -149,17 +145,6 @@ func (t *Telemetry) AttachedMetrics() *Metrics {
 	return t.metrics
 }
 
-// SetPoolGauge registers the pool-occupancy callback shown on
-// /debug/bfs and /metrics; fn must be safe for concurrent use. The Pool
-// registers itself; standalone users may register anything (or
-// nothing).
-func (t *Telemetry) SetPoolGauge(fn func() (busy, size int)) {
-	if t == nil {
-		return
-	}
-	t.poolGauge.Store(&fn)
-}
-
 // SetOrdering registers the active vertex ordering shown on /debug/bfs
 // and /metrics. The Pool registers it when PoolOptions.Search carries a
 // non-natural ordering; no-op on a nil receiver.
@@ -179,10 +164,10 @@ func (t *Telemetry) Ordering() *OrderingInfo {
 	return t.ordering.Load()
 }
 
-// SetPoolInfo registers the structured capacity gauge (Searcher slots
-// and batch lanes separately); fn must be safe for concurrent use. When
-// registered it supersedes SetPoolGauge on the status page and adds the
-// batch-lane gauges to /metrics. No-op on a nil receiver.
+// SetPoolInfo registers the capacity gauge shown on /debug/bfs and
+// /metrics (Searcher slots and batch lanes separately); fn must be safe
+// for concurrent use. A Pool registers its own on the hub it reports
+// into. No-op on a nil receiver.
 func (t *Telemetry) SetPoolInfo(fn func() PoolInfo) {
 	if t == nil {
 		return
@@ -363,25 +348,8 @@ func (t *Telemetry) ErrorRate(window time.Duration) float64 {
 	return t.errs.Rate(window)
 }
 
-// pool reads the registered pool occupancy: the structured PoolInfo
-// gauge when one is set (Searcher slots only — batch lanes are reported
-// separately), else the plain (busy, size) gauge, else (0, 0).
-func (t *Telemetry) pool() (busy, size int) {
-	if t == nil {
-		return 0, 0
-	}
-	if fn := t.poolInfo.Load(); fn != nil {
-		info := (*fn)()
-		return info.SearchersBusy, info.SearcherSlots
-	}
-	if fn := t.poolGauge.Load(); fn != nil {
-		return (*fn)()
-	}
-	return 0, 0
-}
-
-// info reads the structured capacity gauge, or nil when only the plain
-// gauge (or nothing) is registered.
+// info reads the registered capacity gauge, or nil when none is
+// registered.
 func (t *Telemetry) info() *PoolInfo {
 	if t == nil {
 		return nil

@@ -41,7 +41,6 @@ import (
 
 	"mcbfs/internal/algo"
 	"mcbfs/internal/core"
-	"mcbfs/internal/dist"
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/graph500"
@@ -473,22 +472,6 @@ func ApproxDiameter(g *Graph, start Vertex, opt Options) (int, error) {
 // sample for the SSCA#2-style estimate. workers <= 0 means GOMAXPROCS.
 func Betweenness(g *Graph, sources []Vertex, workers int) ([]float64, error) {
 	return ssca2.Kernel4(g, sources, workers)
-}
-
-// DistOptions configures DistributedBFS.
-type DistOptions = dist.Options
-
-// DistResult is the outcome of DistributedBFS, including the
-// communication profile (supersteps, messages, tuples).
-type DistResult = dist.Result
-
-// DistributedBFS runs the level-synchronous BFS over simulated
-// distributed-memory nodes with strictly private per-node state and
-// batched message exchange — the paper's stated future-work design
-// (Section V: distributed-memory machines with PGAS-style
-// communication).
-func DistributedBFS(g *Graph, root Vertex, opt DistOptions) (*DistResult, error) {
-	return dist.BFS(g, root, opt)
 }
 
 // Graph500Spec configures RunGraph500.
