@@ -69,15 +69,13 @@ type BatchOptions struct {
 	// as for Options.PinThreads.
 	PinThreads bool
 	// Telemetry, when non-nil, receives one batch sample per traversal
-	// (lanes-per-traversal histogram, shared vs. per-lane edge scans)
-	// and one obs.QuerySample per lane.
+	// (lanes-per-traversal histogram; the shared vs. per-lane edge scans
+	// are counted into the hub's Metrics) and one obs.QuerySample per
+	// lane.
 	Telemetry *obs.Telemetry
 	// TelemetryShard selects the latency-histogram shard the per-lane
 	// samples record into.
 	TelemetryShard int
-	// Metrics, when non-nil, receives the batch counters
-	// (BatchTraversals, BatchLanes, BatchEdges, BatchLaneEdges).
-	Metrics *obs.Metrics
 	// EdgeBudget selects the worker partition of the frontier vectors:
 	// 0 or positive (the default) splits [0, n) by edge prefix sums so
 	// each worker's scan range carries ~equal adjacency mass; a
@@ -516,19 +514,13 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 
 // record hands the finished batch to the session's telemetry sinks.
 func (b *BatchSearcher) record(res *BatchResult, start time.Time) {
-	var laneEdges int64
-	for _, e := range res.Edges {
-		laneEdges += e
-	}
-	if m := b.o.Metrics; m != nil {
-		m.BatchTraversals.Add(1)
-		m.BatchLanes.Add(int64(res.Lanes))
-		m.BatchEdges.Add(res.EdgesScanned)
-		m.BatchLaneEdges.Add(laneEdges)
-	}
 	t := b.o.Telemetry
 	if t == nil {
 		return
+	}
+	var laneEdges int64
+	for _, e := range res.Edges {
+		laneEdges += e
 	}
 	t.RecordBatch(res.Lanes, res.EdgesScanned, laneEdges)
 	for l := 0; l < res.Lanes; l++ {

@@ -378,8 +378,8 @@ func TestBatchQueryOneShot(t *testing.T) {
 func TestBatchTelemetry(t *testing.T) {
 	g := must(gen.RMAT(9, 4096, gen.GTgraphDefaults, 10))
 	var m obs.Metrics
-	tel := obs.NewTelemetry(obs.TelemetryOptions{Shards: 1})
-	b, err := NewBatchSearcher(g, BatchOptions{Width: 8, Threads: 2, Telemetry: tel, Metrics: &m})
+	tel := obs.NewTelemetry(obs.TelemetryOptions{Shards: 1, Metrics: &m})
+	b, err := NewBatchSearcher(g, BatchOptions{Width: 8, Threads: 2, Telemetry: tel})
 	if err != nil {
 		t.Fatalf("NewBatchSearcher: %v", err)
 	}

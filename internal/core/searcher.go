@@ -559,23 +559,26 @@ func (s *Searcher) Search(root graph.Vertex, q Query) (*Result, error) {
 // context adds no per-search allocation or synchronization beyond
 // Search.
 func (s *Searcher) SearchContext(ctx context.Context, root graph.Vertex, q Query) (*Result, error) {
-	return s.search(ctx, root, q, true)
+	return s.search(ctx, root, q, true, nil)
 }
 
-// SearchWithoutParents is s.SearchContext for a caller that reads no
-// parent tree: the Result's Parents is nil, and a session with an
-// active ordering skips translating the tree into caller ids (and so
-// the next reset skips clearing that translation). Every other field
-// of the Result is as SearchContext returns it. It is a function, not a
-// method, because mcbfs.Searcher aliases Searcher, whose methods are
-// public API.
-func SearchWithoutParents(ctx context.Context, s *Searcher, root graph.Vertex, q Query) (*Result, error) {
-	return s.search(ctx, root, q, false)
+// SearchFunc is s.SearchContext for the serving pool. With withParents
+// false the Result's Parents is nil, and a session with an active
+// ordering skips translating the tree into caller ids (and so the next
+// reset skips clearing that translation). A non-nil fn reads the
+// Result of a completed search before the query's outcome is recorded:
+// a panic in fn unwinds past the recording, so the caller that
+// recovers it records the query's one outcome; fn's error is returned,
+// and the recorded outcome stays the search's own. It is a function,
+// not a method, because mcbfs.Searcher aliases Searcher, whose methods
+// are public API.
+func SearchFunc(ctx context.Context, s *Searcher, root graph.Vertex, q Query, withParents bool, fn func(*Result) error) (*Result, error) {
+	return s.search(ctx, root, q, withParents, fn)
 }
 
-// search runs one query for SearchContext (withParents true) or
-// SearchWithoutParents (false).
-func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withParents bool) (*Result, error) {
+// search runs one query for SearchContext (with parents, no fn) or
+// SearchFunc.
+func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withParents bool, fn func(*Result) error) (*Result, error) {
 	if s.closed {
 		return nil, errors.New("core: Search on a closed Searcher")
 	}
@@ -717,8 +720,12 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 		PerLevel:       perLevel,
 		Trace:          s.coll.Finish(),
 	}
+	var err error
+	if fn != nil {
+		err = fn(&s.res)
+	}
 	s.recordQuery(root, start, dur, reached, edges, obs.OutcomeOK, alg)
-	return &s.res, nil
+	return &s.res, err
 }
 
 // translateParents projects the parent tree of the search that just

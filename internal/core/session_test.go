@@ -150,12 +150,12 @@ type resetCall int
 
 const (
 	callSearch     resetCall = iota // SearchContext; the parents are checked
-	callNoParents                   // SearchWithoutParents; counts only
+	callNoParents                   // SearchFunc without parents; counts only
 	callCancelling                  // SearchContext cancelled partway through
 )
 
 func (c resetCall) String() string {
-	return [...]string{"SearchContext", "SearchWithoutParents", "cancelled SearchContext"}[c]
+	return [...]string{"SearchContext", "SearchFunc without parents", "cancelled SearchContext"}[c]
 }
 
 // TestSearcherResetCompleteness is the reset property test: after a
@@ -174,7 +174,7 @@ func (c resetCall) String() string {
 //     bitmap runs between two that do, so the visited clear must follow
 //     what the last searches wrote, not the incoming query's tier;
 //   - a reordered session interleaving translated searches, the
-//     SearchWithoutParents entry point and a cancelled search, so the
+//     parent-free SearchFunc entry point and a cancelled search, so the
 //     caller-id parent clear must follow the last translation, not
 //     whether the incoming query translates.
 func TestSearcherResetCompleteness(t *testing.T) {
@@ -236,7 +236,7 @@ func TestSearcherResetCompleteness(t *testing.T) {
 					case callSearch:
 						res, err = s.SearchContext(context.Background(), st.root, q)
 					case callNoParents:
-						res, err = SearchWithoutParents(context.Background(), s, st.root, q)
+						res, err = SearchFunc(context.Background(), s, st.root, q, false, nil)
 					case callCancelling:
 						res, err = s.SearchContext(&countdownCtx{after: 3}, st.root, q)
 						if res != nil || !errors.Is(err, context.Canceled) {
@@ -269,7 +269,7 @@ func expectResetResult(t *testing.T, g *graph.Graph, res *Result, withParents bo
 	}
 	if !withParents {
 		if res.Parents != nil {
-			t.Fatalf("%s: SearchWithoutParents returned %d parents, want nil", at, len(res.Parents))
+			t.Fatalf("%s: SearchFunc without parents returned %d parents, want nil", at, len(res.Parents))
 		}
 		return
 	}

@@ -301,7 +301,6 @@ func runBatch(spec Spec, g *graph.Graph, roots []graph.Vertex, res *Result) erro
 		PinThreads:     spec.Options.PinThreads,
 		Telemetry:      spec.Options.Telemetry,
 		TelemetryShard: spec.Options.TelemetryShard,
-		Metrics:        spec.Metrics,
 		Ordering:       spec.Options.Ordering,
 		Reordered:      spec.Options.Reordered,
 	})

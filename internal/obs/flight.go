@@ -85,43 +85,32 @@ type QueryRecord struct {
 const flightRefreshEvery = 64
 
 // FlightRecorder is a fixed-size ring of the most recent queries. Every
-// query deposits its scalar record; only queries slower than the
-// adaptive threshold — the histogram's current p99, floored at a
-// configured minimum — retain their full per-level breakdown, so the
-// ring stays cheap to feed (one short mutex hold, no steady-state
-// allocation: slow captures reuse each slot's PerLevel capacity) while
-// the pathological queries arrive with their phase anatomy attached.
+// query deposits its scalar record; only queries at or above the
+// adaptive threshold — the histogram's current p99 — retain their full
+// per-level breakdown, so the ring stays cheap to feed (one short mutex
+// hold, no steady-state allocation: slow captures reuse each slot's
+// PerLevel capacity) while the pathological queries arrive with their
+// phase anatomy attached.
 //
-// The threshold starts at the configured floor (default 0, i.e.
-// capture everything) and adapts after each flightRefreshEvery
-// recordings, so a cold recorder documents its first queries fully and
-// a warm one spends capture space only on the tail.
+// The threshold starts at 0 (capture everything) and adapts after each
+// flightRefreshEvery recordings, so a cold recorder documents its first
+// queries fully and a warm one spends capture space only on the tail.
 type FlightRecorder struct {
 	mu           sync.Mutex
 	ring         []QueryRecord
 	seq          uint64
-	floor        int64 // ns; configured minimum threshold
 	threshold    int64 // ns; current capture threshold
 	sinceRefresh int
-	hist         *Histogram // threshold source; may be nil (floor only)
+	hist         *Histogram // threshold source; may be nil (threshold stays put)
 }
 
 // newFlightRecorder builds a recorder of the given ring size whose
-// adaptive threshold tracks hist's p99 (floored at floor).
-func newFlightRecorder(size int, floor time.Duration, hist *Histogram) *FlightRecorder {
+// adaptive threshold tracks hist's p99.
+func newFlightRecorder(size int, hist *Histogram) *FlightRecorder {
 	if size < 1 {
 		size = 1
 	}
-	f := int64(floor)
-	if f < 0 {
-		f = 0
-	}
-	return &FlightRecorder{
-		ring:      make([]QueryRecord, size),
-		floor:     f,
-		threshold: f,
-		hist:      hist,
-	}
+	return &FlightRecorder{ring: make([]QueryRecord, size), hist: hist}
 }
 
 // note deposits one query into the ring. Called by Telemetry.RecordQuery.
@@ -156,18 +145,13 @@ func (r *FlightRecorder) note(s QuerySample) {
 }
 
 // refreshThreshold re-derives the capture threshold from the
-// histogram's current p99, floored at the configured minimum. Called
-// with r.mu held.
+// histogram's current p99. Called with r.mu held.
 func (r *FlightRecorder) refreshThreshold() {
 	if r.hist == nil {
 		return
 	}
 	snap := r.hist.Snapshot()
-	t := int64(snap.Quantile(0.99))
-	if t < r.floor {
-		t = r.floor
-	}
-	r.threshold = t
+	r.threshold = int64(snap.Quantile(0.99))
 }
 
 // Threshold returns the current slow-capture threshold.

@@ -28,8 +28,9 @@ func sampleWithLevels(d time.Duration, levels int) QuerySample {
 }
 
 func TestFlightRecorderCapturesAboveThreshold(t *testing.T) {
-	// No histogram: the threshold stays at the configured floor.
-	r := newFlightRecorder(8, 10*time.Millisecond, nil)
+	// No histogram: the threshold stays where it is set.
+	r := newFlightRecorder(8, nil)
+	r.threshold = int64(10 * time.Millisecond)
 	r.note(sampleWithLevels(time.Millisecond, 3))    // fast: scalars only
 	r.note(sampleWithLevels(20*time.Millisecond, 4)) // slow: captured
 	recs := r.Records()
@@ -49,7 +50,7 @@ func TestFlightRecorderCapturesAboveThreshold(t *testing.T) {
 }
 
 func TestFlightRecorderRingWrap(t *testing.T) {
-	r := newFlightRecorder(4, 0, nil)
+	r := newFlightRecorder(4, nil)
 	for i := 1; i <= 10; i++ {
 		r.note(sampleWithLevels(time.Duration(i)*time.Millisecond, 2))
 	}
@@ -66,7 +67,7 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 
 func TestFlightRecorderAdaptiveThreshold(t *testing.T) {
 	h := NewHistogram(1)
-	r := newFlightRecorder(32, 0, h)
+	r := newFlightRecorder(32, h)
 	if r.Threshold() != 0 {
 		t.Fatalf("cold threshold = %v, want 0 (capture everything)", r.Threshold())
 	}
@@ -93,7 +94,7 @@ func TestFlightRecorderAdaptiveThreshold(t *testing.T) {
 }
 
 func TestFlightRecorderSlowest(t *testing.T) {
-	r := newFlightRecorder(16, 0, nil)
+	r := newFlightRecorder(16, nil)
 	for _, ms := range []int{5, 1, 9, 3, 7} {
 		r.note(sampleWithLevels(time.Duration(ms)*time.Millisecond, 1))
 	}
@@ -110,7 +111,7 @@ func TestFlightRecorderSlowest(t *testing.T) {
 }
 
 func TestFlightRecorderRecordsAreCopies(t *testing.T) {
-	r := newFlightRecorder(2, 0, nil)
+	r := newFlightRecorder(2, nil)
 	r.note(sampleWithLevels(time.Second, 3))
 	recs := r.Records()
 	// Overwrite the slot by wrapping the ring; the copy must not change.

@@ -28,18 +28,9 @@ type Metrics struct {
 	BarrierWaitNs atomic.Int64
 	LocalScanNs   atomic.Int64
 	QueueDrainNs  atomic.Int64
-	// Cancelled counts queries that returned early on context
-	// cancellation or deadline expiry; Shed counts queries refused at
-	// admission because the pool stayed saturated past their deadline;
-	// Recovered counts panicking queries whose Searcher was discarded
-	// and rebuilt. These are fed by the serving layer (mcbfs.Pool)
-	// rather than by the Tracer callbacks below.
-	Cancelled atomic.Int64
-	Shed      atomic.Int64
-	Recovered atomic.Int64
 	// TimedOut counts protocol-level roots abandoned at a per-root
-	// deadline (graph500 -deadline) — distinct from Cancelled, which the
-	// serving layer feeds per query.
+	// deadline (graph500 -deadline). Per-query serving outcomes are not
+	// kept here: a Telemetry hub classifies them (OutcomeCount).
 	TimedOut atomic.Int64
 	// BatchTraversals counts MS-BFS batch traversals; BatchLanes the
 	// lanes (queries) they carried, so BatchLanes/BatchTraversals is the
@@ -47,7 +38,7 @@ type Metrics struct {
 	// shared traversals actually scanned and BatchLaneEdges the entries
 	// the lanes would have scanned as single-source searches —
 	// BatchLaneEdges/BatchEdges is the live bandwidth-amortization
-	// factor. Fed by core.BatchSearcher via BatchOptions.Metrics.
+	// factor. Fed by Telemetry.RecordBatch into the hub's Metrics.
 	BatchTraversals atomic.Int64
 	BatchLanes      atomic.Int64
 	BatchEdges      atomic.Int64
@@ -58,11 +49,11 @@ type Metrics struct {
 	// counter against which ordering TEPS gains amortize.
 	ReorderNs atomic.Int64
 	// Swaps counts graph snapshot hot-swaps installed by the serving
-	// layer (mcbfs.Pool.Swap); SwapNs accumulates their end-to-end
-	// latency — building the new epoch's Searchers (reordering
-	// included) plus the atomic install. SwapDegraded counts swap or
-	// rebind attempts that failed and left serving on the stale
-	// snapshot: the degradation rule made visible.
+	// layer (mcbfs.Pool.Swap, through Telemetry.RecordSwap); SwapNs
+	// accumulates their end-to-end latency — building the new epoch's
+	// Searchers (reordering included) plus the atomic install.
+	// SwapDegraded counts swap or rebind attempts that failed and left
+	// serving on the stale snapshot: the degradation rule made visible.
 	Swaps        atomic.Int64
 	SwapNs       atomic.Int64
 	SwapDegraded atomic.Int64
@@ -89,9 +80,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"barrierWaitNs": m.BarrierWaitNs.Load(),
 		"localScanNs":   m.LocalScanNs.Load(),
 		"queueDrainNs":  m.QueueDrainNs.Load(),
-		"cancelled":     m.Cancelled.Load(),
-		"shed":          m.Shed.Load(),
-		"recovered":     m.Recovered.Load(),
 		"timedOut":      m.TimedOut.Load(),
 
 		"batchTraversals": m.BatchTraversals.Load(),

@@ -15,8 +15,8 @@ import (
 //
 //   - /metrics — Prometheus text format (version 0.0.4), no external
 //     dependencies: the latency histogram with cumulative le buckets,
-//     per-outcome query counters, pool-occupancy gauges, and — when a
-//     Metrics was attached — its cumulative counters;
+//     per-outcome query counters, pool-occupancy gauges, and the hub's
+//     Metrics counters, each count under exactly one family;
 //   - /debug/bfs — a JSON status page: pool occupancy, rolling
 //     1s/10s/60s QPS and error rates, latency quantiles, and the top-K
 //     slowest recent queries with per-level phase breakdowns for those
@@ -88,10 +88,10 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 		fmt.Fprintf(&b, "mcbfs_queries_total{outcome=%q} %d\n", o.String(), t.outcomes[o].Load())
 	}
 
-	// Lanes-per-traversal histogram and batch totals, emitted only once a
-	// batch has been recorded so non-batching deployments keep their
-	// exposition unchanged.
-	traversals, lanes, scanned, laneEdges := t.BatchStats()
+	// Lanes-per-traversal histogram, emitted only once a batch has been
+	// recorded so non-batching deployments keep their exposition
+	// unchanged. The edge totals are Metrics counters, written below.
+	traversals, lanes, _, _ := t.BatchStats()
 	if traversals > 0 {
 		b.WriteString("# HELP mcbfs_batch_lanes Lanes (queries) carried per MS-BFS batch traversal.\n")
 		b.WriteString("# TYPE mcbfs_batch_lanes histogram\n")
@@ -107,12 +107,6 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 		fmt.Fprintf(&b, "mcbfs_batch_lanes_bucket{le=\"+Inf\"} %d\n", traversals)
 		fmt.Fprintf(&b, "mcbfs_batch_lanes_sum %d\n", lanes)
 		fmt.Fprintf(&b, "mcbfs_batch_lanes_count %d\n", traversals)
-		b.WriteString("# HELP mcbfs_batch_edges_scanned_total Adjacency entries loaded by shared batch traversals.\n")
-		b.WriteString("# TYPE mcbfs_batch_edges_scanned_total counter\n")
-		fmt.Fprintf(&b, "mcbfs_batch_edges_scanned_total %d\n", scanned)
-		b.WriteString("# HELP mcbfs_batch_lane_edges_total Adjacency entries the batched lanes would have scanned as single-source searches.\n")
-		b.WriteString("# TYPE mcbfs_batch_lane_edges_total counter\n")
-		fmt.Fprintf(&b, "mcbfs_batch_lane_edges_total %d\n", laneEdges)
 	}
 
 	// Active vertex ordering: one-time reorder cost and hub-prefix
@@ -130,14 +124,12 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	}
 
 	// Graph snapshot epoch, swap latency, and staleness — emitted only
-	// when a hot-swapping pool registered an epoch.
+	// when a hot-swapping pool registered an epoch. The swap totals are
+	// Metrics counters, written below.
 	if epoch, swaps := t.Epoch(); epoch > 0 {
 		b.WriteString("# HELP mcbfs_graph_epoch Current graph snapshot epoch (bumped by each hot-swap).\n")
 		b.WriteString("# TYPE mcbfs_graph_epoch gauge\n")
 		fmt.Fprintf(&b, "mcbfs_graph_epoch %d\n", epoch)
-		b.WriteString("# HELP mcbfs_graph_swaps_total Graph snapshot hot-swaps installed.\n")
-		b.WriteString("# TYPE mcbfs_graph_swaps_total counter\n")
-		fmt.Fprintf(&b, "mcbfs_graph_swaps_total %d\n", swaps)
 		if swaps > 0 {
 			b.WriteString("# HELP mcbfs_swap_duration_seconds Last hot-swap's build+install latency.\n")
 			b.WriteString("# TYPE mcbfs_swap_duration_seconds gauge\n")
@@ -170,30 +162,23 @@ func (t *Telemetry) WriteMetrics(w io.Writer) error {
 		fmt.Fprintf(&b, "mcbfs_pool_batch_lanes %d\n", pool.BatchLanes*pool.BatchRunners)
 	}
 
-	// Attached Metrics counters, exported generically so the series set
-	// follows the Metrics struct without a second name table here. Once
-	// the batch block above is written it carries the four batch totals
-	// (mcbfs_batch_lanes _count/_sum and the mcbfs_batch_*_total
-	// counters); writing them again would repeat the
-	// mcbfs_batch_lane_edges_total family.
-	if t.metrics != nil {
-		snap := t.metrics.Snapshot()
-		if traversals > 0 {
-			for _, k := range []string{"batchTraversals", "batchLanes", "batchEdges", "batchLaneEdges"} {
-				delete(snap, k)
-			}
-		}
-		keys := make([]string, 0, len(snap))
-		for k := range snap {
+	// The hub's Metrics counters, exported generically so the series set
+	// follows the Metrics struct without a second name table here. A
+	// counter is written once it is non-zero, as the batch and swap
+	// blocks above are, so a deployment sees only what it exercises.
+	counts := t.metrics.Snapshot()
+	keys := make([]string, 0, len(counts))
+	for k, v := range counts {
+		if v != 0 {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			name := "mcbfs_" + camelToSnake(k) + "_total"
-			fmt.Fprintf(&b, "# HELP %s Cumulative %s counter (obs.Metrics).\n", name, k)
-			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
-			fmt.Fprintf(&b, "%s %d\n", name, snap[k])
-		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		name := "mcbfs_" + camelToSnake(k) + "_total"
+		fmt.Fprintf(&b, "# HELP %s Cumulative %s counter (obs.Metrics).\n", name, k)
+		fmt.Fprintf(&b, "# TYPE %s counter\n", name)
+		fmt.Fprintf(&b, "%s %d\n", name, counts[k])
 	}
 
 	_, err := io.WriteString(w, b.String())
@@ -238,9 +223,9 @@ type Status struct {
 	// Snapshot describes the graph epoch and hot-swap history; omitted
 	// until a pool registers an epoch.
 	Snapshot *SnapshotStatus `json:"snapshot,omitempty"`
-	// SlowThresholdNs is the flight recorder's current capture
-	// threshold.
-	SlowThresholdNs int64 `json:"slowThresholdNs"`
+	// CaptureThresholdNs is the flight recorder's current capture
+	// threshold, under the JSON name /debug/bfs consumers read.
+	CaptureThresholdNs int64 `json:"slowThresholdNs"`
 	// Slowest is the top-K slowest queries currently in the flight
 	// ring, slowest first; captured entries carry per-level breakdowns.
 	Slowest []QueryStatus `json:"slowest"`
@@ -429,7 +414,7 @@ func (t *Telemetry) Status() Status {
 		}
 		st.Ordering = os
 	}
-	st.SlowThresholdNs = int64(t.flight.Threshold())
+	st.CaptureThresholdNs = int64(t.flight.Threshold())
 	for _, rec := range t.flight.Slowest(statusTopK) {
 		st.Slowest = append(st.Slowest, renderRecord(rec))
 	}

@@ -97,14 +97,12 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	var m Metrics
 	m.Searches.Add(3)
 	m.TimedOut.Add(2)
-	// A batching Pool feeds one batch into both the hub and its Metrics.
-	m.BatchTraversals.Add(1)
-	m.BatchLanes.Add(4)
-	m.BatchEdges.Add(100)
-	m.BatchLaneEdges.Add(300)
+	// The batch below reaches the attached Metrics through the hub alone.
 	tel := NewTelemetry(TelemetryOptions{Shards: 4, Metrics: &m})
 	tel.SetPoolInfo(func() PoolInfo { return PoolInfo{SearcherSlots: 8, SearchersBusy: 2} })
 	tel.RecordBatch(4, 100, 300)
+	tel.SetEpoch(1)
+	tel.RecordSwap(2, 3*time.Millisecond)
 	tel.SetOrdering(OrderingInfo{
 		Order: "degree", PermNs: 1_500_000_000, RelabelNs: 500_000_000,
 		HubVertices: 10, HubEdges: 600, TotalEdges: 1000,
@@ -156,18 +154,25 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	if got := values["mcbfs_batch_lanes_sum"]; got != 4 {
 		t.Errorf("batch lanes = %v, want 4", got)
 	}
-	if got := values["mcbfs_batch_edges_scanned_total"]; got != 100 {
-		t.Errorf("batch edges scanned = %v, want 100", got)
-	}
-	if got := values["mcbfs_batch_lane_edges_total"]; got != 300 {
-		t.Errorf("batch lane edges = %v, want 300", got)
-	}
-	// The hub's batch block carries the batch totals; the attached
-	// Metrics must not repeat them.
-	for _, name := range []string{"mcbfs_batch_traversals_total", "mcbfs_batch_lanes_total", "mcbfs_batch_edges_total"} {
-		if _, ok := values[name]; ok {
-			t.Errorf("%s exported beside the hub's batch block", name)
+	// The batch and swap totals are the attached Metrics' counters, each
+	// written once (validatePrometheus rejects a repeated family).
+	for name, want := range map[string]float64{
+		"mcbfs_batch_traversals_total": 1,
+		"mcbfs_batch_lanes_total":      4,
+		"mcbfs_batch_edges_total":      100,
+		"mcbfs_batch_lane_edges_total": 300,
+		"mcbfs_swaps_total":            1,
+		"mcbfs_swap_ns_total":          3e6,
+		"mcbfs_graph_epoch":            2,
+		"mcbfs_swap_duration_seconds":  0.003,
+	} {
+		if got, ok := values[name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
 		}
+	}
+	// A counter still at zero is not written.
+	if _, ok := values["mcbfs_ingested_edges_total"]; ok {
+		t.Error("mcbfs_ingested_edges_total written before any ingest")
 	}
 }
 
@@ -265,7 +270,7 @@ func TestTelemetryNilSafe(t *testing.T) {
 	if tel.QPS(time.Second) != 0 || tel.ErrorRate(time.Second) != 0 {
 		t.Error("nil telemetry reported rates")
 	}
-	if tel.Histogram() != nil || tel.Flight() != nil || tel.AttachedMetrics() != nil {
+	if tel.Histogram() != nil || tel.Flight() != nil || tel.Metrics() != nil {
 		t.Error("nil telemetry returned components")
 	}
 	st := tel.Status()

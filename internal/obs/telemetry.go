@@ -6,8 +6,8 @@ import (
 )
 
 // TelemetryOptions configures a Telemetry hub. The zero value is usable:
-// one histogram shard, a 256-entry flight ring, an adaptive-only slow
-// threshold, and no Metrics attachment.
+// one histogram shard, a 256-entry flight ring, and a Metrics the hub
+// allocates for itself.
 type TelemetryOptions struct {
 	// Shards is the latency histogram's shard count; size it to the
 	// number of concurrent recorders (the Pool uses its Searcher count).
@@ -15,22 +15,21 @@ type TelemetryOptions struct {
 	Shards int
 	// FlightSize is the flight recorder's ring length. 0 means 256.
 	FlightSize int
-	// SlowThreshold floors the flight recorder's adaptive slow-capture
-	// threshold: queries faster than it never retain their per-level
-	// breakdown even when the current p99 is lower. 0 means adaptive
-	// only (and a cold recorder captures everything until its first
-	// threshold refresh).
-	SlowThreshold time.Duration
-	// Metrics, when non-nil, is exported on /metrics alongside the
-	// telemetry's own series. The Telemetry does not feed it — attach
-	// Metrics.Tracer() / PoolOptions.Metrics for that as usual.
+	// Metrics is the counter set the hub counts its batch and swap
+	// totals into and exports on /metrics; nil makes the hub allocate
+	// its own. The hub's lanes histogram takes its count and sum from
+	// it, so give each hub its own Metrics and share the hub instead to
+	// aggregate pools. The hub does not feed the per-level counters —
+	// attach Metrics.Tracer() to Options.Tracer for those.
 	Metrics *Metrics
 }
 
 // Telemetry is the serving-telemetry hub: a sharded latency histogram,
 // a slow-query flight recorder, sliding-window QPS/error counters,
 // per-outcome totals, and the HTTP exposition over all of them
-// (Prometheus text /metrics, JSON /debug/bfs — see serve.go).
+// (Prometheus text /metrics, JSON /debug/bfs — see serve.go). The hub
+// classifies queries; the cumulative work it sees (batch traversals,
+// hot-swaps) it counts into its Metrics, so each count has one home.
 //
 // One Telemetry is shared by every session serving a pool (or any set
 // of concurrent recorders); RecordQuery is safe for concurrent use and
@@ -45,14 +44,8 @@ type Telemetry struct {
 	outcomes [numOutcomes]atomic.Int64
 	// batchLanes is the lanes-per-traversal histogram: bucket i counts
 	// MS-BFS traversals that carried at most 1<<i lanes (le 1, 2, 4, …,
-	// 64). batchTraversals/batchLaneTotal/batchEdgesScanned/
-	// batchLaneEdges are the matching totals, from which the status page
-	// derives mean batch width and edge-scan amortization.
-	batchLanes        [batchLaneBuckets]atomic.Int64
-	batchTraversals   atomic.Int64
-	batchLaneTotal    atomic.Int64
-	batchEdgesScanned atomic.Int64
-	batchLaneEdges    atomic.Int64
+	// 64). The matching totals live in metrics.
+	batchLanes [batchLaneBuckets]atomic.Int64
 	// ordering describes the active vertex ordering (nil when the pool
 	// serves in natural order); registered by Pool at construction, read
 	// by the status page and /metrics. Atomic so registration can trail
@@ -63,16 +56,14 @@ type Telemetry struct {
 	// batching-dominant configurations are not misread as tiny pools.
 	// Atomic for the same registration-ordering reason as ordering.
 	poolInfo atomic.Pointer[func() PoolInfo]
-	// Snapshot hot-swap telemetry: the current graph epoch, cumulative
-	// swap count and build+install time, the last swap's latency, and
-	// when it landed (from which the status page derives snapshot
-	// staleness). drainGauge reports retired-but-undrained snapshots.
-	graphEpoch  atomic.Int64
-	swaps       atomic.Int64
-	swapTotalNs atomic.Int64
-	lastSwapNs  atomic.Int64
-	lastSwapAt  atomic.Int64 // unix nanos; 0 = never swapped
-	drainGauge  atomic.Pointer[func() int]
+	// Snapshot hot-swap gauges: the current graph epoch, the last
+	// swap's latency, and when it landed (from which the status page
+	// derives snapshot staleness); the cumulative swap totals live in
+	// metrics. drainGauge reports retired-but-undrained snapshots.
+	graphEpoch atomic.Int64
+	lastSwapNs atomic.Int64
+	lastSwapAt atomic.Int64 // unix nanos; 0 = never swapped
+	drainGauge atomic.Pointer[func() int]
 	// epoch anchors process-relative timestamps on the status page.
 	epoch time.Time
 }
@@ -112,11 +103,15 @@ func NewTelemetry(opt TelemetryOptions) *Telemetry {
 	if size <= 0 {
 		size = 256
 	}
+	m := opt.Metrics
+	if m == nil {
+		m = &Metrics{}
+	}
 	hist := NewHistogram(opt.Shards)
 	return &Telemetry{
-		metrics: opt.Metrics,
+		metrics: m,
 		hist:    hist,
-		flight:  newFlightRecorder(size, opt.SlowThreshold, hist),
+		flight:  newFlightRecorder(size, hist),
 		epoch:   time.Now(),
 	}
 }
@@ -137,8 +132,10 @@ func (t *Telemetry) Flight() *FlightRecorder {
 	return t.flight
 }
 
-// AttachedMetrics returns the Metrics exported on /metrics, or nil.
-func (t *Telemetry) AttachedMetrics() *Metrics {
+// Metrics returns the counter set the hub counts into and exports on
+// /metrics: TelemetryOptions.Metrics, or the one the hub allocated. It
+// is nil only on a nil receiver.
+func (t *Telemetry) Metrics() *Metrics {
 	if t == nil {
 		return nil
 	}
@@ -186,16 +183,17 @@ func (t *Telemetry) SetEpoch(epoch int64) {
 }
 
 // RecordSwap deposits one completed graph snapshot hot-swap: the new
-// epoch becomes current and d — building the epoch's Searchers plus the
-// atomic install — feeds the swap latency series. Safe for concurrent
+// epoch becomes current, the swap is counted into the hub's Metrics
+// (Swaps, SwapNs), and d — building the epoch's Searchers plus the
+// atomic install — becomes the last-swap latency. Safe for concurrent
 // use, no-op on a nil receiver.
 func (t *Telemetry) RecordSwap(epoch int64, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.graphEpoch.Store(epoch)
-	t.swaps.Add(1)
-	t.swapTotalNs.Add(int64(d))
+	t.metrics.Swaps.Add(1)
+	t.metrics.SwapNs.Add(int64(d))
 	t.lastSwapNs.Store(int64(d))
 	t.lastSwapAt.Store(time.Now().UnixNano())
 }
@@ -211,12 +209,12 @@ func (t *Telemetry) SetDrainGauge(fn func() int) {
 }
 
 // Epoch returns the current graph epoch (0 when no pool registered
-// one) and the number of swaps recorded.
+// one) and the number of swaps counted in the hub's Metrics.
 func (t *Telemetry) Epoch() (epoch, swaps int64) {
 	if t == nil {
 		return 0, 0
 	}
-	return t.graphEpoch.Load(), t.swaps.Load()
+	return t.graphEpoch.Load(), t.metrics.Swaps.Load()
 }
 
 // Staleness returns the time since the last recorded swap, or 0 when
@@ -276,11 +274,13 @@ func (t *Telemetry) RecordShed(start time.Time, d time.Duration) {
 
 // RecordBatch deposits one finished MS-BFS batch traversal: the lane
 // count into the lanes-per-traversal histogram (power-of-two buckets le
-// 1, 2, 4, …, 64) and the edge-scan totals — edgesScanned is what the
-// shared traversal actually loaded, laneEdges what its lanes would have
-// scanned as independent single-source searches. Per-lane latency
-// samples are recorded separately via RecordQuery. Safe for concurrent
-// use, allocation-free, no-op on a nil receiver.
+// 1, 2, 4, …, 64) and the batch totals into the hub's Metrics
+// (BatchTraversals, BatchLanes, BatchEdges, BatchLaneEdges) —
+// edgesScanned is what the shared traversal actually loaded, laneEdges
+// what its lanes would have scanned as independent single-source
+// searches. Per-lane latency samples are recorded separately via
+// RecordQuery. Safe for concurrent use, allocation-free, no-op on a nil
+// receiver.
 func (t *Telemetry) RecordBatch(lanes int, edgesScanned, laneEdges int64) {
 	if t == nil {
 		return
@@ -290,21 +290,22 @@ func (t *Telemetry) RecordBatch(lanes int, edgesScanned, laneEdges int64) {
 		b++
 	}
 	t.batchLanes[b].Add(1)
-	t.batchTraversals.Add(1)
-	t.batchLaneTotal.Add(int64(lanes))
-	t.batchEdgesScanned.Add(edgesScanned)
-	t.batchLaneEdges.Add(laneEdges)
+	m := t.metrics
+	m.BatchTraversals.Add(1)
+	m.BatchLanes.Add(int64(lanes))
+	m.BatchEdges.Add(edgesScanned)
+	m.BatchLaneEdges.Add(laneEdges)
 }
 
-// BatchStats returns the batch totals recorded so far: traversals,
-// lanes carried, edges the shared traversals scanned, and edges the
-// lanes would have scanned independently.
+// BatchStats returns the batch totals counted in the hub's Metrics:
+// traversals, lanes carried, edges the shared traversals scanned, and
+// edges the lanes would have scanned independently.
 func (t *Telemetry) BatchStats() (traversals, lanes, edgesScanned, laneEdges int64) {
 	if t == nil {
 		return 0, 0, 0, 0
 	}
-	return t.batchTraversals.Load(), t.batchLaneTotal.Load(),
-		t.batchEdgesScanned.Load(), t.batchLaneEdges.Load()
+	m := t.metrics
+	return m.BatchTraversals.Load(), m.BatchLanes.Load(), m.BatchEdges.Load(), m.BatchLaneEdges.Load()
 }
 
 // BatchLaneBuckets returns the lanes-per-traversal histogram as

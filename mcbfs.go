@@ -97,20 +97,25 @@ type LevelBreakdown = obs.LevelBreakdown
 // Phase labels a portion of a worker's time within a level.
 type Phase = obs.Phase
 
-// Metrics is a set of live counters publishable via expvar. Its
-// per-level counters are fed by Metrics.Tracer(), which reads each
-// level's folded record at the level barrier (so attaching it adds no
-// atomic operation to the workers); its serving counters are fed by
-// PoolOptions.Metrics.
+// Metrics is a set of live cumulative work counters publishable via
+// expvar. Its per-level counters are fed by Metrics.Tracer(), which
+// reads each level's folded record at the level barrier (so attaching
+// it adds no atomic operation to the workers); its batch and swap
+// totals by the Telemetry hub it is attached to; its pool counters by
+// a Pool whose hub it is (PoolOptions.Metrics). Per-query outcomes are
+// not kept here: read them with Telemetry.OutcomeCount.
 type Metrics = obs.Metrics
 
 // Telemetry is the serving telemetry hub: a lock-free sharded latency
-// histogram, per-outcome rolling-window counters, and a flight recorder
-// that retains the slowest recent queries with their per-level phase
-// breakdowns. Attach one to a Pool (PoolOptions.Telemetry, or
-// implicitly via PoolOptions.ServeMonitor) or to a Searcher
-// (Options.Telemetry), and expose it over HTTP with Telemetry.Handler —
-// Prometheus text format at /metrics, JSON status at /debug/bfs.
+// histogram, per-outcome totals and rolling-window counters (exactly
+// one outcome per query), and a flight recorder that retains the
+// slowest recent queries with their per-level phase breakdowns. It
+// counts the cumulative work it sees (batch traversals, hot-swaps)
+// into its Metrics (Telemetry.Metrics). Attach one to a Pool
+// (PoolOptions.Telemetry, or implicitly via PoolOptions.Metrics or
+// ServeMonitor) or to a Searcher (Options.Telemetry), and expose it
+// over HTTP with Telemetry.Handler — Prometheus text format at
+// /metrics, JSON status at /debug/bfs.
 type Telemetry = obs.Telemetry
 
 // TelemetryOptions configures NewTelemetry.

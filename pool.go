@@ -49,24 +49,30 @@ type PoolOptions struct {
 	// one context allocation; deadline-free queries on a deadline-free
 	// pool stay allocation-free.
 	DefaultTimeout time.Duration
-	// Metrics, when non-nil, receives the pool's serving counters:
-	// Cancelled (queries unwound by context), Shed (admission failures),
-	// Recovered (Searchers rebuilt after a panicking query).
+	// Metrics, when non-nil, is the counter set of the pool's telemetry
+	// hub: the hub counts batch traversals and hot-swaps into it, and
+	// the pool adds SwapDegraded, IngestedEdges, SnapshotsDrained and
+	// ReorderNs. With Telemetry nil, setting Metrics builds a hub over
+	// it (one histogram shard per Searcher), so the pool also records
+	// per-query telemetry. With Telemetry set, Metrics must be nil or
+	// Telemetry.Metrics(); NewPool fails otherwise. Query outcomes are
+	// read from the hub (Telemetry.OutcomeCount).
 	Metrics *Metrics
 	// Telemetry, when non-nil, is the serving telemetry hub every query
-	// reports to: latency into a per-Searcher-sharded histogram,
-	// outcomes into rolling-window counters, and slow queries — with
-	// per-level phase breakdowns — into the flight recorder. Share one
-	// hub across pools to aggregate them, or leave nil and set
-	// ServeMonitor to have the pool build its own.
+	// reports to: latency into a per-Searcher-sharded histogram, its one
+	// outcome into the per-outcome totals and rolling-window counters,
+	// and slow queries — with per-level phase breakdowns — into the
+	// flight recorder. Share one hub across pools to aggregate them, or
+	// leave nil and set Metrics or ServeMonitor to have the pool build
+	// its own.
 	Telemetry *Telemetry
 	// ServeMonitor, when non-empty, is a TCP listen address (e.g.
 	// ":6060" or "127.0.0.1:0") on which the pool serves its telemetry
 	// over HTTP: Prometheus text format at /metrics and a JSON status
 	// page at /debug/bfs. The bound address is available from
 	// Pool.MonitorAddr; the server shuts down with Close. When
-	// Telemetry is nil, setting ServeMonitor creates a hub (wired to
-	// Metrics, one histogram shard per Searcher) automatically.
+	// Telemetry is nil, setting ServeMonitor creates a hub (counting
+	// into Metrics, one histogram shard per Searcher) automatically.
 	ServeMonitor string
 	// Batching, when enabled (Lanes > 0), coalesces concurrently
 	// admitted default-configuration queries into shared MS-BFS batch
@@ -176,8 +182,9 @@ type Pool struct {
 	rebuilding atomic.Bool
 
 	// tel is the resolved telemetry hub (PoolOptions.Telemetry, or one
-	// the pool built for ServeMonitor); monitor the HTTP server bound
-	// to monitorAddr, both nil/empty when monitoring is off.
+	// the pool built for Metrics or ServeMonitor), nil when all three
+	// are unset; monitor is the HTTP server bound to monitorAddr, nil
+	// and empty without ServeMonitor.
 	tel         *obs.Telemetry
 	monitor     *http.Server
 	monitorAddr string
@@ -242,8 +249,11 @@ func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 	}
 	p.transposeSelf = opt.Search.Transpose == g
 	p.tel = opt.Telemetry
-	if p.tel == nil && opt.ServeMonitor != "" {
+	switch {
+	case p.tel == nil && (opt.Metrics != nil || opt.ServeMonitor != ""):
 		p.tel = obs.NewTelemetry(obs.TelemetryOptions{Shards: size, Metrics: opt.Metrics})
+	case opt.Metrics != nil && opt.Metrics != p.tel.Metrics():
+		return nil, errors.New("mcbfs: PoolOptions.Metrics must be nil or PoolOptions.Telemetry.Metrics()")
 	}
 	// Batch capacity is decided up front (immutable after this point) so
 	// the telemetry gauges registered below never race startBatching.
@@ -325,7 +335,7 @@ func (p *Pool) startBatching() error {
 }
 
 // newBatchSearcher builds one runner's MS-BFS session over a given
-// snapshot's graph, wired to the pool's telemetry and metrics.
+// snapshot's graph, wired to the pool's telemetry hub.
 func (p *Pool) newBatchSearcher(runner int, sn *poolSnapshot) (*core.BatchSearcher, error) {
 	return core.NewBatchSearcher(sn.g, core.BatchOptions{
 		Width:          p.batching.Lanes,
@@ -333,15 +343,14 @@ func (p *Pool) newBatchSearcher(runner int, sn *poolSnapshot) (*core.BatchSearch
 		PinThreads:     p.opt.Search.PinThreads,
 		Telemetry:      p.tel,
 		TelemetryShard: runner,
-		Metrics:        p.opt.Metrics,
 		Ordering:       sn.searchOpt.Ordering,
 		Reordered:      sn.searchOpt.Reordered,
 	})
 }
 
 // Telemetry returns the pool's telemetry hub: PoolOptions.Telemetry if
-// one was supplied, the hub the pool built for ServeMonitor, or nil
-// when monitoring is off.
+// one was supplied, else the hub the pool built because Metrics or
+// ServeMonitor was set. It is nil only when all three are unset.
 func (p *Pool) Telemetry() *Telemetry { return p.tel }
 
 // MonitorAddr returns the bound address of the pool's monitoring HTTP
@@ -411,39 +420,20 @@ func (p *Pool) Query(ctx context.Context, root Vertex) (Result, error) {
 // coalesced into shared MS-BFS traversals; overridden queries still
 // borrow a Searcher.
 func (p *Pool) Search(ctx context.Context, root Vertex, q Query) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.opt.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.opt.DefaultTimeout)
-			defer cancel()
-		}
-	}
+	ctx, cancel := p.queryCtx(ctx)
+	defer cancel()
 	if p.batchCh != nil && q == (Query{}) {
 		return p.batchedSearch(ctx, root)
 	}
-	qstart := p.telNow()
-	sn, s, err := p.acquire(ctx)
-	if err != nil {
-		p.noteShed(qstart, err)
-		return Result{}, err
-	}
-	r, err, panicked := p.searchOn(s, ctx, root, q)
-	if panicked {
-		p.notePanic(root, qstart)
-		p.rebuild(sn, s)
-		return Result{}, err
-	}
 	var res Result
-	if r != nil {
-		res = *r
-		res.Parents, res.PerLevel, res.Trace = nil, nil, nil
-	}
-	sn.free <- s
-	sn.release(p)
-	p.countCancelled(err)
+	err := p.borrow(ctx, root, func(s *core.Searcher) error {
+		r, err := core.SearchFunc(ctx, s, root, q, false, nil)
+		if r != nil {
+			res = *r
+			res.Parents, res.PerLevel, res.Trace = nil, nil, nil
+		}
+		return err
+	})
 	return res, err
 }
 
@@ -451,35 +441,60 @@ func (p *Pool) Search(ctx context.Context, root Vertex, q Query) (Result, error)
 // — Parents, PerLevel and Trace included — while the borrowed Searcher
 // is still held, so the pointers are safe to read for the duration of
 // fn (and only then; copy what must outlive it). fn's error is
-// returned as the query's error. A panic in fn is treated like a
-// panicking search: the Searcher is discarded and rebuilt.
+// returned as the query's error, while the recorded outcome stays the
+// search's own. A panic in fn is treated like a panicking search: the
+// Searcher is discarded and rebuilt, and the query records one panic
+// outcome.
 func (p *Pool) QueryFunc(ctx context.Context, root Vertex, q Query, fn func(*Result) error) error {
+	ctx, cancel := p.queryCtx(ctx)
+	defer cancel()
+	return p.borrow(ctx, root, func(s *core.Searcher) error {
+		_, err := core.SearchFunc(ctx, s, root, q, true, fn)
+		return err
+	})
+}
+
+// queryCtx resolves a query's context for Search and QueryFunc: nil
+// means Background, and a context without a deadline of its own is
+// bounded by DefaultTimeout. The caller defers the returned cancel.
+func (p *Pool) queryCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if p.opt.DefaultTimeout > 0 {
 		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, p.opt.DefaultTimeout)
-			defer cancel()
+			return context.WithTimeout(ctx, p.opt.DefaultTimeout)
 		}
 	}
+	return ctx, func() {}
+}
+
+// borrow runs one query on a Searcher borrowed from the serving
+// snapshot, the one path Search and QueryFunc share. run executes
+// under one recover scope: a panic becomes the query's error and its
+// one recorded outcome (OutcomePanic), and the Searcher is discarded
+// and rebuilt; otherwise the Searcher goes back to the snapshot and
+// the borrow's reference is released. The session records completed
+// and cancelled queries itself, and noteShed the ones refused at
+// admission, so each query records exactly one outcome.
+func (p *Pool) borrow(ctx context.Context, root Vertex, run func(*core.Searcher) error) (err error) {
 	qstart := p.telNow()
 	sn, s, err := p.acquire(ctx)
 	if err != nil {
 		p.noteShed(qstart, err)
 		return err
 	}
-	err, searchErr, panicked := p.runWith(s, ctx, root, q, fn)
-	if panicked {
-		p.notePanic(root, qstart)
-		p.rebuild(sn, s)
-		return err
-	}
-	sn.free <- s
-	sn.release(p)
-	p.countCancelled(searchErr)
-	return err
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("mcbfs: query from root %d panicked: %v", root, r)
+			p.notePanic(root, qstart)
+			p.rebuild(sn, s)
+			return
+		}
+		sn.free <- s
+		sn.release(p)
+	}()
+	return run(s)
 }
 
 // acquire borrows a Searcher from the serving snapshot: the fast path
@@ -488,9 +503,8 @@ func (p *Pool) QueryFunc(ctx context.Context, root Vertex, q Query, fn func(*Res
 // epoch), the pool closes, or the caller's context expires (shed).
 // The returned snapshot holds one reference for the borrow; the caller
 // must return the Searcher to sn.free and then call sn.release(p).
-// Shed accounting — the Shed counter and the telemetry error outcome —
-// is centralized in noteShed, which every admission path calls on its
-// error.
+// Shed accounting is centralized in noteShed, which every admission
+// path calls on its error.
 func (p *Pool) acquire(ctx context.Context) (*poolSnapshot, *core.Searcher, error) {
 	for {
 		if err := p.err(); err != nil {
@@ -586,7 +600,6 @@ func (p *Pool) batchedSearch(ctx context.Context, root Vertex) (Result, error) {
 	// borrower of this reply channel read our lane's result.
 	r := <-reply
 	p.replies <- reply
-	p.countCancelled(r.err)
 	return r.res, r.err
 }
 
@@ -601,7 +614,8 @@ func (p *Pool) batchedSearch(ctx context.Context, root Vertex) (Result, error) {
 // and, on an epoch change, rebinds — builds a fresh BatchSearcher on
 // the new graph and closes the old one. If the rebind fails, the
 // runner degrades to its stale snapshot (counted in SwapDegraded)
-// rather than dropping queries; it retries on the next batch.
+// rather than dropping queries; it retries on the next batch. Each
+// lane's root is then checked against the graph the batch runs on.
 func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot) {
 	defer p.batchWG.Done()
 	lanes := p.batching.Lanes
@@ -662,24 +676,38 @@ func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot)
 			if nbs, err := p.newBatchSearcher(runner, cur); err == nil {
 				bs.Close()
 				bs, sn = nbs, cur
-			} else if p.opt.Metrics != nil {
-				p.opt.Metrics.SwapDegraded.Add(1)
+			} else if m := p.tel.Metrics(); m != nil {
+				m.SwapDegraded.Add(1)
 			}
 		}
 
+		// A root admitted before a Swap shrank the graph fails its own
+		// lane, with the error a Searcher-slot query gets and no
+		// recorded outcome; the other lanes run.
+		n := sn.g.NumVertices()
+		kept := reqs[:0]
 		roots = roots[:0]
 		ctxs = ctxs[:0]
 		for _, req := range reqs {
+			if int(req.root) >= n {
+				req.reply <- batchReply{err: fmt.Errorf("core: root %d out of range [0,%d)", req.root, n)}
+				continue
+			}
+			kept = append(kept, req)
 			roots = append(roots, req.root)
 			ctxs = append(ctxs, req.ctx)
 		}
+		if reqs = kept; len(reqs) == 0 {
+			continue
+		}
+		bstart := p.telNow()
 		res, err, panicked := p.batchOn(bs, roots, ctxs)
 		if panicked {
+			// Every lane's panic outcome is recorded before its reply,
+			// so a caller that sees the error also sees the count.
 			for _, req := range reqs {
+				p.notePanic(req.root, bstart)
 				req.reply <- batchReply{err: err}
-			}
-			if p.opt.Metrics != nil {
-				p.opt.Metrics.Recovered.Add(1)
 			}
 			bs, sn = p.rebuildBatch(bs, runner)
 			if bs == nil {
@@ -692,10 +720,10 @@ func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot)
 		}
 		if err != nil {
 			// SearchLanes only errors as a whole on invalid input or a
-			// dead batch context; neither occurs here (roots are
-			// validated by the graph bound check per query below, and
-			// the batch context is Background). Fail the lanes anyway
-			// rather than dropping them.
+			// dead batch context; neither occurs here (every root was
+			// checked against this BatchSearcher's graph above, and the
+			// batch context is Background). Fail the lanes anyway rather
+			// than dropping them.
 			for _, req := range reqs {
 				req.reply <- batchReply{err: err}
 			}
@@ -766,41 +794,6 @@ func (p *Pool) rebuildBatch(old *core.BatchSearcher, runner int) (*core.BatchSea
 	return bs, sn
 }
 
-// searchOn executes one borrowed search under a recover scope, so a
-// panic is contained to this query and reported as an error. Search
-// drops the parent tree, so the session skips translating it into
-// caller ids.
-func (p *Pool) searchOn(s *core.Searcher, ctx context.Context, root Vertex, q Query) (res *Result, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			res = nil
-			err = fmt.Errorf("mcbfs: query from root %d panicked: %v", root, r)
-		}
-	}()
-	res, err = core.SearchWithoutParents(ctx, s, root, q)
-	return res, err, false
-}
-
-// runWith is searchOn plus the caller's fn, both inside the recover
-// scope (QueryFunc's contract: a panicking fn poisons the Searcher it
-// was reading, so the Searcher is rebuilt just the same). err is the
-// query's error, fn's included; searchErr is the search's own, from
-// which the query's outcome is counted.
-func (p *Pool) runWith(s *core.Searcher, ctx context.Context, root Vertex, q Query, fn func(*Result) error) (err, searchErr error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			err = fmt.Errorf("mcbfs: query from root %d panicked: %v", root, r)
-		}
-	}()
-	res, searchErr := s.SearchContext(ctx, root, q)
-	if searchErr != nil {
-		return searchErr, searchErr, false
-	}
-	return fn(res), nil, false
-}
-
 // telNow stamps the query's admission time, but only when a telemetry
 // hub will consume it — the no-telemetry fast path stays free of the
 // extra clock read.
@@ -811,28 +804,21 @@ func (p *Pool) telNow() time.Time {
 	return time.Now()
 }
 
-// noteShed records an admission failure into every sink before the
-// caller returns ErrPoolSaturated: the Shed serving counter and — when
-// a telemetry hub is attached — the latency histogram's shed outcome,
-// which feeds the /metrics error-rate windows. Centralizing both here
-// keeps the Searcher-pool and batching admission paths consistent.
-// Cancellation and search errors are recorded by the sessions
-// themselves, so only the saturated path is noted here; the recorded
-// latency is the time the query spent waiting before it was refused.
+// noteShed records an admission failure as the query's one outcome
+// (OutcomeShed, which feeds the /metrics error-rate windows) before the
+// caller returns ErrPoolSaturated. Every admission path, Searcher slot
+// and batching alike, calls it on its error. Completed and cancelled
+// queries are recorded by the sessions themselves, so only the
+// saturated path is noted here; the recorded latency is the time the
+// query spent waiting before it was refused.
 func (p *Pool) noteShed(qstart time.Time, err error) {
-	if !errors.Is(err, ErrPoolSaturated) {
-		return
-	}
-	if p.opt.Metrics != nil {
-		p.opt.Metrics.Shed.Add(1)
-	}
-	if p.tel != nil {
+	if p.tel != nil && errors.Is(err, ErrPoolSaturated) {
 		p.tel.RecordShed(qstart, time.Since(qstart))
 	}
 }
 
-// notePanic reports a panicking query to the telemetry hub. The
-// Searcher never reached its own recording point, so the pool records
+// notePanic records a panicking query's one outcome (OutcomePanic). The
+// session never reached its own recording point, so the pool records
 // the sample — scalars only, on shard 0 (panics are rare enough that
 // shard contention is irrelevant).
 func (p *Pool) notePanic(root Vertex, qstart time.Time) {
@@ -847,25 +833,6 @@ func (p *Pool) notePanic(root Vertex, qstart time.Time) {
 	})
 }
 
-// countCancelled feeds the Cancelled serving counter for queries the
-// context unwound. A shed query's error wraps the context error that
-// expired while it waited for admission, so it matches both
-// ErrPoolSaturated and context.DeadlineExceeded/Canceled; noteShed
-// already counted it, and counting it here too would double-book one
-// outcome across Shed and Cancelled. Each query increments exactly one
-// of the two.
-func (p *Pool) countCancelled(err error) {
-	if err == nil || p.opt.Metrics == nil {
-		return
-	}
-	if errors.Is(err, ErrPoolSaturated) {
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		p.opt.Metrics.Cancelled.Add(1)
-	}
-}
-
 // rebuild replaces a Searcher whose query panicked: the old one is
 // closed on a best-effort basis (its pool protocol may be corrupted
 // mid-job, so the close runs detached and its own panic is swallowed)
@@ -878,9 +845,6 @@ func (p *Pool) countCancelled(err error) {
 // is released at the end, so a retired snapshot cannot begin draining
 // while its slot count is still being adjusted.
 func (p *Pool) rebuild(sn *poolSnapshot, old *core.Searcher) {
-	if p.opt.Metrics != nil {
-		p.opt.Metrics.Recovered.Add(1)
-	}
 	go func() {
 		defer func() { _ = recover() }()
 		old.Close()

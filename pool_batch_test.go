@@ -3,6 +3,7 @@ package mcbfs_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -117,9 +118,8 @@ func (c *holdCtx) Err() error {
 }
 
 // TestPoolBatchingShed saturates the batching admission path and
-// checks the shed is recorded in every sink before ErrPoolSaturated
-// returns: the Shed counter, the shed outcome total, and the telemetry
-// error-rate window that feeds /metrics.
+// checks the shed is recorded before ErrPoolSaturated returns: the shed
+// outcome total and the telemetry error-rate window that feeds /metrics.
 //
 // Setup: with Lanes=1, Runners=1, QueueDepth=1 the reply free-list
 // holds exactly 2 channels. Query A parks the runner (blocking lane
@@ -128,12 +128,10 @@ func (c *holdCtx) Err() error {
 // the other deterministically sheds at its deadline.
 func TestPoolBatchingShed(t *testing.T) {
 	g := poolTestGraph(t)
-	var m mcbfs.Metrics
 	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{Shards: 1})
 	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
 		Size:      1,
 		Search:    mcbfs.Options{Threads: 2},
-		Metrics:   &m,
 		Telemetry: tel,
 		Batching: mcbfs.BatchingOptions{
 			Lanes:      1, // no admission window: the runner serves one query at a time
@@ -185,9 +183,6 @@ func TestPoolBatchingShed(t *testing.T) {
 	if !errors.Is(shedErr, context.DeadlineExceeded) {
 		t.Errorf("saturated query error = %v, want context.DeadlineExceeded in chain", shedErr)
 	}
-	if got := m.Shed.Load(); got != 1 {
-		t.Errorf("Shed = %d, want 1", got)
-	}
 	if got := tel.OutcomeCount(mcbfs.OutcomeShed); got != 1 {
 		t.Errorf("OutcomeShed count = %d, want 1", got)
 	}
@@ -204,8 +199,8 @@ func TestPoolBatchingShed(t *testing.T) {
 }
 
 // TestPoolBatchingCancelledQuery routes a dead-context query through
-// the batched path: it must come back with the context's error and feed
-// the Cancelled counter, while a healthy sibling query is unaffected.
+// the batched path: it must come back with the context's error and be
+// counted as cancelled, while a healthy sibling query is unaffected.
 func TestPoolBatchingCancelledQuery(t *testing.T) {
 	g := poolTestGraph(t)
 	var m mcbfs.Metrics
@@ -225,8 +220,8 @@ func TestPoolBatchingCancelledQuery(t *testing.T) {
 	if _, err := pool.Query(dead, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("dead-context query error = %v, want context.Canceled", err)
 	}
-	if got := m.Cancelled.Load(); got != 1 {
-		t.Errorf("Cancelled = %d, want 1", got)
+	if got := pool.Telemetry().OutcomeCount(mcbfs.OutcomeCancelled); got != 1 {
+		t.Errorf("cancelled outcomes = %d, want 1", got)
 	}
 	ref, err := mcbfs.BFS(g, 0, mcbfs.Options{Algorithm: mcbfs.AlgSequential})
 	if err != nil {
@@ -238,6 +233,133 @@ func TestPoolBatchingCancelledQuery(t *testing.T) {
 	}
 	if res.Reached != ref.Reached {
 		t.Errorf("healthy query Reached = %d, want %d", res.Reached, ref.Reached)
+	}
+}
+
+// panicCtx is a lane context whose Err panics. The batch runner polls
+// it while seeding the lanes, on the runner's own goroutine, so the
+// pool recovers the panic as a panicking batch.
+type panicCtx struct{ context.Context }
+
+func (panicCtx) Err() error { panic("lane context exploded") }
+
+// queryBatch issues one Query per root concurrently, root i under
+// ctxs[i], and returns each call's result and error.
+func queryBatch(pool *mcbfs.Pool, ctxs []context.Context, roots []mcbfs.Vertex) ([]mcbfs.Result, []error) {
+	res := make([]mcbfs.Result, len(roots))
+	errs := make([]error, len(roots))
+	var wg sync.WaitGroup
+	for i := range roots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = pool.Query(ctxs[i], roots[i])
+		}()
+	}
+	wg.Wait()
+	return res, errs
+}
+
+// fourLanes is a batching configuration whose four concurrent queries
+// always share one batch: the window, far longer than any test, closes
+// as soon as the fourth lane arrives.
+var fourLanes = mcbfs.BatchingOptions{Lanes: 4, Window: 10 * time.Second}
+
+// TestPoolBatchingBadRootFailsOnlyItsLane batches a root outside the
+// graph with three valid ones: the bad lane alone fails, with the error
+// a Searcher-slot query for that root gets, and records no outcome;
+// the valid lanes answer exactly what a single-source search does.
+func TestPoolBatchingBadRootFailsOnlyItsLane(t *testing.T) {
+	g := poolTestGraph(t)
+	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+		Size:      1,
+		Search:    mcbfs.Options{Threads: 2},
+		Telemetry: tel,
+		Batching:  fourLanes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	bad := mcbfs.Vertex(g.NumVertices() + 5)
+	// An overridden query takes a Searcher slot.
+	_, slotErr := pool.Search(context.Background(), bad, mcbfs.Query{Algorithm: mcbfs.AlgSequential})
+	if slotErr == nil {
+		t.Fatalf("Searcher-slot query from root %d succeeded", bad)
+	}
+	bg := context.Background()
+	roots := []mcbfs.Vertex{0, 1, 2, bad}
+	res, errs := queryBatch(pool, []context.Context{bg, bg, bg, bg}, roots)
+	for i, root := range roots[:3] {
+		ref, err := mcbfs.BFS(g, root, mcbfs.Options{Algorithm: mcbfs.AlgSequential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs[i] != nil {
+			t.Errorf("root %d batched with a bad root: %v", root, errs[i])
+			continue
+		}
+		if res[i].Reached != ref.Reached || res[i].EdgesTraversed != ref.EdgesTraversed || res[i].Levels != ref.Levels {
+			t.Errorf("root %d: Reached=%d/%d Edges=%d/%d Levels=%d/%d", root,
+				res[i].Reached, ref.Reached, res[i].EdgesTraversed, ref.EdgesTraversed, res[i].Levels, ref.Levels)
+		}
+	}
+	if errs[3] == nil || errs[3].Error() != slotErr.Error() {
+		t.Errorf("bad lane error = %v, want the Searcher-slot error %q", errs[3], slotErr)
+	}
+	if got := tel.OutcomeCount(mcbfs.OutcomeOK); got != 3 {
+		t.Errorf("ok outcomes = %d, want 3 (the bad root records none)", got)
+	}
+	if got := tel.Histogram().Snapshot().Count; got != 3 {
+		t.Errorf("latency samples = %d, want 3", got)
+	}
+}
+
+// TestPoolBatchingPanicRecordsEveryLane panics a batch of four queries
+// through one lane's context: every lane returns the panic error and
+// records one panic outcome and one latency sample, and the runner's
+// rebuilt BatchSearcher serves the next batch exactly.
+func TestPoolBatchingPanicRecordsEveryLane(t *testing.T) {
+	g := poolTestGraph(t)
+	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+		Size:      1,
+		Search:    mcbfs.Options{Threads: 2},
+		Telemetry: tel,
+		Batching:  fourLanes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	bg := context.Background()
+	roots := []mcbfs.Vertex{0, 1, 2, 3}
+	_, errs := queryBatch(pool, []context.Context{bg, bg, panicCtx{bg}, bg}, roots)
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("lane %d of the panicking batch: %v, want a panic error", i, err)
+		}
+	}
+	if got := tel.OutcomeCount(mcbfs.OutcomePanic); got != 4 {
+		t.Errorf("panic outcomes = %d, want 4 (one per lane)", got)
+	}
+	if got := tel.Histogram().Snapshot().Count; got != 4 {
+		t.Errorf("latency samples = %d, want 4", got)
+	}
+
+	res, errs := queryBatch(pool, []context.Context{bg, bg, bg, bg}, roots)
+	for i, root := range roots {
+		ref, err := mcbfs.BFS(g, root, mcbfs.Options{Algorithm: mcbfs.AlgSequential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs[i] != nil || res[i].Reached != ref.Reached || res[i].Levels != ref.Levels {
+			t.Errorf("root %d after the panic: Reached=%d/%d Levels=%d/%d, err %v",
+				root, res[i].Reached, ref.Reached, res[i].Levels, ref.Levels, errs[i])
+		}
 	}
 }
 

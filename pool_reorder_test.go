@@ -27,7 +27,7 @@ func TestPoolOrderingEquivalence(t *testing.T) {
 
 	for _, o := range []mcbfs.Ordering{mcbfs.OrderDegree, mcbfs.OrderDegreeGroup, mcbfs.OrderBFS} {
 		var metrics mcbfs.Metrics
-		tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{Shards: 2})
+		tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{Shards: 2, Metrics: &metrics})
 		pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
 			Size:      2,
 			Search:    mcbfs.Options{Threads: 2, Ordering: o},

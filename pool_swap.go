@@ -93,8 +93,8 @@ func (sn *poolSnapshot) drain(p *Pool) {
 		p.mu.Unlock()
 	}
 	p.draining.Add(-1)
-	if p.opt.Metrics != nil {
-		p.opt.Metrics.SnapshotsDrained.Add(1)
+	if m := p.tel.Metrics(); m != nil {
+		m.SnapshotsDrained.Add(1)
 	}
 	p.drains.Done()
 }
@@ -142,8 +142,8 @@ func (p *Pool) buildSnapshot(g *Graph, epoch int64, rd *Reordered) (sn *poolSnap
 		if err != nil {
 			return nil, err
 		}
-		if p.opt.Metrics != nil {
-			p.opt.Metrics.ReorderNs.Add(int64(rd.ReorderTime()))
+		if m := p.tel.Metrics(); m != nil {
+			m.ReorderNs.Add(int64(rd.ReorderTime()))
 		}
 	}
 	searchOpt.Reordered = rd
@@ -209,22 +209,15 @@ func (p *Pool) swapLocked(g *Graph) error {
 	start := time.Now()
 	sn, err := p.buildSnapshot(g, old.epoch+1, nil)
 	if err != nil {
-		if p.opt.Metrics != nil {
-			p.opt.Metrics.SwapDegraded.Add(1)
+		if m := p.tel.Metrics(); m != nil {
+			m.SwapDegraded.Add(1)
 		}
 		return fmt.Errorf("mcbfs: swap to epoch %d failed, still serving epoch %d: %w", old.epoch+1, old.epoch, err)
 	}
 	p.drains.Add(1)
 	p.snap.Store(sn)
 	old.retire(p)
-	d := time.Since(start)
-	if p.opt.Metrics != nil {
-		p.opt.Metrics.Swaps.Add(1)
-		p.opt.Metrics.SwapNs.Add(int64(d))
-	}
-	if p.tel != nil {
-		p.tel.RecordSwap(sn.epoch, d)
-	}
+	p.tel.RecordSwap(sn.epoch, time.Since(start))
 	return nil
 }
 
@@ -245,8 +238,8 @@ func (p *Pool) Ingest(edges []Edge) (pending int, err error) {
 	}
 	pending = len(p.pendSrcs)
 	p.pendMu.Unlock()
-	if p.opt.Metrics != nil {
-		p.opt.Metrics.IngestedEdges.Add(int64(len(edges)))
+	if m := p.tel.Metrics(); m != nil {
+		m.IngestedEdges.Add(int64(len(edges)))
 	}
 	if th := p.opt.RebuildThreshold; th > 0 && pending >= th &&
 		p.rebuilding.CompareAndSwap(false, true) {

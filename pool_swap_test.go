@@ -406,8 +406,8 @@ func TestPoolSwapRecomputesOrdering(t *testing.T) {
 // TestPoolShedNotCancelled is the regression test for the
 // double-counting defect: a query shed after its deadline expired
 // matches both ErrPoolSaturated and context.DeadlineExceeded, and used
-// to increment Shed and Cancelled. Each outcome must land in exactly
-// one counter.
+// to be counted as both shed and cancelled. Each outcome must land in
+// exactly one counter.
 func TestPoolShedNotCancelled(t *testing.T) {
 	metrics := &mcbfs.Metrics{}
 	pool, err := mcbfs.NewPool(undirectedPath(t, 100), mcbfs.PoolOptions{
@@ -444,10 +444,11 @@ func TestPoolShedNotCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if shed := metrics.Shed.Load(); shed != 1 {
-		t.Errorf("Shed = %d, want 1", shed)
+	tel := pool.Telemetry()
+	if shed := tel.OutcomeCount(mcbfs.OutcomeShed); shed != 1 {
+		t.Errorf("shed outcomes = %d, want 1", shed)
 	}
-	if cancelled := metrics.Cancelled.Load(); cancelled != 0 {
-		t.Errorf("Cancelled = %d for a shed query, want 0 (double-counted)", cancelled)
+	if cancelled := tel.OutcomeCount(mcbfs.OutcomeCancelled); cancelled != 0 {
+		t.Errorf("cancelled outcomes = %d for a shed query, want 0 (double-counted)", cancelled)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,14 +141,14 @@ func TestPoolSaturation(t *testing.T) {
 	}
 	close(hold)
 	wg.Wait()
-	if shed := m.Shed.Load(); shed != 1 {
-		t.Errorf("Shed = %d, want 1", shed)
+	if shed := pool.Telemetry().OutcomeCount(mcbfs.OutcomeShed); shed != 1 {
+		t.Errorf("shed outcomes = %d, want 1", shed)
 	}
 }
 
 // TestPoolPanicRecovery panics inside a QueryFunc callback and checks
-// the pool discards that Searcher, rebuilds the slot, counts the
-// recovery, and keeps serving exact answers.
+// the pool discards that Searcher, rebuilds the slot, counts the panic
+// outcome, and keeps serving exact answers.
 func TestPoolPanicRecovery(t *testing.T) {
 	g := poolTestGraph(t)
 	var m mcbfs.Metrics
@@ -167,8 +168,8 @@ func TestPoolPanicRecovery(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panicking query returned %v, want a panic error", err)
 	}
-	if rec := m.Recovered.Load(); rec != 1 {
-		t.Errorf("Recovered = %d, want 1", rec)
+	if rec := pool.Telemetry().OutcomeCount(mcbfs.OutcomePanic); rec != 1 {
+		t.Errorf("panic outcomes = %d, want 1", rec)
 	}
 
 	ref, err := mcbfs.BFS(g, 0, mcbfs.Options{Algorithm: mcbfs.AlgSequential, Threads: 1})
@@ -186,18 +187,16 @@ func TestPoolPanicRecovery(t *testing.T) {
 }
 
 // TestPoolCancelledQuery checks context-driven unwinding through the
-// pool: a cancelled query reports ctx.Err(), is counted as cancelled in
-// both the Metrics and the Telemetry sink (it takes an idle Searcher and
-// returns at the search's dead-on-arrival check), and the Searcher it
-// borrowed serves the next query exactly.
+// pool: a cancelled query reports ctx.Err(), is counted as cancelled by
+// the Telemetry hub (it takes an idle Searcher and returns at the
+// search's dead-on-arrival check), and the Searcher it borrowed serves
+// the next query exactly.
 func TestPoolCancelledQuery(t *testing.T) {
 	g := poolTestGraph(t)
-	var m mcbfs.Metrics
 	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
 	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
 		Size:      1,
 		Search:    mcbfs.Options{Threads: 2},
-		Metrics:   &m,
 		Telemetry: tel,
 	})
 	if err != nil {
@@ -209,9 +208,6 @@ func TestPoolCancelledQuery(t *testing.T) {
 	cancel()
 	if _, err := pool.Query(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query: %v, want context.Canceled", err)
-	}
-	if c := m.Cancelled.Load(); c != 1 {
-		t.Errorf("Cancelled = %d, want 1", c)
 	}
 	if c := tel.OutcomeCount(mcbfs.OutcomeCancelled); c != 1 {
 		t.Errorf("telemetry cancelled outcomes = %d, want 1", c)
@@ -234,15 +230,13 @@ func TestPoolCancelledQuery(t *testing.T) {
 // TestPoolQueryFuncErrorNotCancelled checks that QueryFunc counts a
 // query's outcome from its search, not from fn: a completed search whose
 // fn returns a context error is returned as that error but counted as
-// ok, in both the Metrics and the Telemetry sink.
+// ok, and not as cancelled.
 func TestPoolQueryFuncErrorNotCancelled(t *testing.T) {
 	g := poolTestGraph(t)
-	var m mcbfs.Metrics
 	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
 	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
 		Size:      1,
 		Search:    mcbfs.Options{Threads: 2},
-		Metrics:   &m,
 		Telemetry: tel,
 	})
 	if err != nil {
@@ -256,11 +250,222 @@ func TestPoolQueryFuncErrorNotCancelled(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("QueryFunc = %v, want fn's context.DeadlineExceeded", err)
 	}
-	if c := m.Cancelled.Load(); c != 0 {
-		t.Errorf("Cancelled = %d, want 0", c)
+	if c := tel.OutcomeCount(mcbfs.OutcomeCancelled); c != 0 {
+		t.Errorf("telemetry cancelled outcomes = %d, want 0", c)
 	}
 	if c := tel.OutcomeCount(mcbfs.OutcomeOK); c != 1 {
 		t.Errorf("telemetry ok outcomes = %d, want 1", c)
+	}
+}
+
+// outcomeCounts reads a hub's four outcome totals (ok, cancelled, shed,
+// panic) and its latency histogram's sample count.
+func outcomeCounts(tel *mcbfs.Telemetry) [5]int64 {
+	return [5]int64{
+		tel.OutcomeCount(mcbfs.OutcomeOK),
+		tel.OutcomeCount(mcbfs.OutcomeCancelled),
+		tel.OutcomeCount(mcbfs.OutcomeShed),
+		tel.OutcomeCount(mcbfs.OutcomePanic),
+		int64(tel.Histogram().Snapshot().Count),
+	}
+}
+
+// TestOneOutcomePerQuery crosses the three admission paths — Search on
+// a Searcher slot, QueryFunc, and a batched Query — with the four
+// outcomes, and checks that each query moves its own outcome total and
+// the latency histogram by exactly one, and nothing else. A root
+// outside the graph is refused before it searches and moves neither.
+// Each panic is raised where the pool can recover it: a Tracer's
+// OnLevelStart(0), which the caller's goroutine fires as the search
+// starts; QueryFunc's callback; and a lane context the batch runner
+// polls while seeding the lanes.
+func TestOneOutcomePerQuery(t *testing.T) {
+	g := poolTestGraph(t)
+	var armed atomic.Bool // the next search's level-0 hook panics
+	tracer := mcbfs.TracerFuncs{LevelStart: func(level int) {
+		if level == 0 && armed.CompareAndSwap(true, false) {
+			panic("tracer exploded")
+		}
+	}}
+	type query func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error
+	// holdSlot saturates a one-Searcher pool with a QueryFunc parked in
+	// its callback; the probe then sheds at its deadline.
+	holdSlot := func(t *testing.T, pool *mcbfs.Pool, q query) (func() error, func()) {
+		hold, held, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			done <- pool.QueryFunc(context.Background(), 0, mcbfs.Query{}, func(*mcbfs.Result) error {
+				close(held)
+				<-hold
+				return nil
+			})
+		}()
+		<-held
+		probe := func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			return q(pool, ctx, 0, false)
+		}
+		return probe, func() {
+			close(hold)
+			if err := <-done; err != nil {
+				t.Errorf("holding query: %v", err)
+			}
+		}
+	}
+	// holdRunner saturates a one-lane, one-deep batching pool as
+	// TestPoolBatchingShed does: one query parks the runner, two probes
+	// race for the last admission slot, and the loser sheds first.
+	holdRunner := func(t *testing.T, pool *mcbfs.Pool, q query) (func() error, func()) {
+		hc := newHoldCtx()
+		errs := make(chan error, 3)
+		go func() { errs <- q(pool, hc, 0, false) }()
+		<-hc.held
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		probe := func() error {
+			for i := 0; i < 2; i++ {
+				go func() { errs <- q(pool, ctx, 0, false) }()
+			}
+			return <-errs
+		}
+		return probe, func() {
+			close(hc.release)
+			for i := 0; i < 2; i++ {
+				if err := <-errs; err != nil && !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("absorbed query: %v", err)
+				}
+			}
+			cancel()
+		}
+	}
+	paths := []struct {
+		name  string
+		opt   mcbfs.PoolOptions
+		query query
+		hold  func(*testing.T, *mcbfs.Pool, query) (func() error, func())
+	}{
+		{
+			name: "search",
+			opt:  mcbfs.PoolOptions{Search: mcbfs.Options{Threads: 2, Tracer: tracer}},
+			query: func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error {
+				armed.Store(panics)
+				_, err := pool.Search(ctx, root, mcbfs.Query{})
+				return err
+			},
+			hold: holdSlot,
+		},
+		{
+			name: "queryfunc",
+			opt:  mcbfs.PoolOptions{Search: mcbfs.Options{Threads: 2}},
+			query: func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error {
+				return pool.QueryFunc(ctx, root, mcbfs.Query{}, func(*mcbfs.Result) error {
+					if panics {
+						panic("reader exploded")
+					}
+					return nil
+				})
+			},
+			hold: holdSlot,
+		},
+		{
+			name: "batched",
+			opt: mcbfs.PoolOptions{
+				Search:   mcbfs.Options{Threads: 2},
+				Batching: mcbfs.BatchingOptions{Lanes: 1, Runners: 1, QueueDepth: 1},
+			},
+			query: func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error {
+				if panics {
+					ctx = panicCtx{ctx}
+				}
+				_, err := pool.Query(ctx, root)
+				return err
+			},
+			hold: holdRunner,
+		},
+	}
+	names := [5]string{"ok", "cancelled", "shed", "panic", "latency samples"}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
+			opt := path.opt
+			opt.Size, opt.Telemetry = 1, tel
+			pool, err := mcbfs.NewPool(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			bg := context.Background()
+			dead, cancel := context.WithCancel(bg)
+			cancel()
+			bad := mcbfs.Vertex(g.NumVertices() + 5)
+			for _, row := range []struct {
+				outcome int // index into names; -1 records nothing
+				run     func() error
+				wantErr func(error) bool
+			}{
+				{0, func() error { return path.query(pool, bg, 0, false) },
+					func(err error) bool { return err == nil }},
+				{1, func() error { return path.query(pool, dead, 0, false) },
+					func(err error) bool { return errors.Is(err, context.Canceled) }},
+				{2, nil, func(err error) bool { return errors.Is(err, mcbfs.ErrPoolSaturated) }},
+				{3, func() error { return path.query(pool, bg, 0, true) },
+					func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked") }},
+				{-1, func() error { return path.query(pool, bg, bad, false) },
+					func(err error) bool { return err != nil && strings.Contains(err.Error(), "out of range") }},
+			} {
+				run, release := row.run, func() {}
+				if run == nil {
+					run, release = path.hold(t, pool, path.query)
+				}
+				before := outcomeCounts(tel)
+				err := run()
+				after := outcomeCounts(tel)
+				release()
+				label := "out of range"
+				var want [5]int64
+				if row.outcome >= 0 {
+					label = names[row.outcome]
+					want[row.outcome], want[4] = 1, 1
+				}
+				if !row.wantErr(err) {
+					t.Errorf("%s query returned %v", label, err)
+				}
+				for i := range want {
+					if got := after[i] - before[i]; got != want[i] {
+						t.Errorf("%s query moved %s by %d, want %d", label, names[i], got, want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNewPoolRejectsForeignMetrics pins the one home of a pool's
+// counters: given a hub, PoolOptions.Metrics must be nil or the hub's
+// own Metrics, and any other Metrics fails NewPool; given no hub,
+// Metrics gets one that counts into it.
+func TestNewPoolRejectsForeignMetrics(t *testing.T) {
+	g := poolTestGraph(t)
+	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
+	search := mcbfs.Options{Threads: 1}
+	if pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{Size: 1, Search: search, Telemetry: tel, Metrics: &mcbfs.Metrics{}}); err == nil {
+		pool.Close()
+		t.Fatal("NewPool accepted a Metrics other than its hub's")
+	}
+	for _, m := range []*mcbfs.Metrics{nil, tel.Metrics()} {
+		pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{Size: 1, Search: search, Telemetry: tel, Metrics: m})
+		if err != nil {
+			t.Fatalf("Metrics %p with the hub's own %p: %v", m, tel.Metrics(), err)
+		}
+		pool.Close()
+	}
+	var m mcbfs.Metrics
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{Size: 1, Search: search, Metrics: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if pool.Telemetry() == nil || pool.Telemetry().Metrics() != &m {
+		t.Fatal("a pool given Metrics alone did not build a hub counting into it")
 	}
 }
 
