@@ -132,7 +132,10 @@ type Options struct {
 	HybridBeta  int
 	// DisableDoubleCheck forces the atomic read-and-set on every
 	// neighbour, skipping the plain bitmap probe. Ablation knob for the
-	// paper's Fig. 5 "impact of optimizations".
+	// paper's Fig. 5 "impact of optimizations". In the multi-socket
+	// tier it also restores the paper-literal send path: every
+	// neighbour owned by another socket is sent to it, where the double
+	// check sends only those whose visited bit looks clear.
 	DisableDoubleCheck bool
 	// Instrument returns each level's folded record in
 	// Result.PerLevel: counters (bitmap probes, atomic operations,

@@ -189,39 +189,55 @@ func TestMoreThreadsThanVertices(t *testing.T) {
 	}
 }
 
+// TestDisableDoubleCheck pins each claim's bitmap traffic with the
+// double check on and off. The multi-socket row runs on two sockets, so
+// its counts include the probe of remote targets before they are sent.
 func TestDisableDoubleCheck(t *testing.T) {
 	g := must(gen.Uniform(1000, 8, 5))
-	for _, alg := range []Algorithm{AlgSingleSocket, AlgMultiSocket} {
+	for _, tier := range []struct {
+		alg     Algorithm
+		machine topology.Machine
+	}{
+		{AlgSingleSocket, topology.NehalemEP},
+		{AlgMultiSocket, topology.Generic(2, 2, 1)},
+	} {
 		for _, disable := range []bool{false, true} {
 			res := run(t, g, 0, Options{
-				Algorithm:          alg,
+				Algorithm:          tier.alg,
 				Threads:            4,
-				Machine:            topology.NehalemEP,
+				Machine:            tier.machine,
 				DisableDoubleCheck: disable,
 				Instrument:         true,
 			})
 			validate(t, g, res)
-			var atomics, probes, edges int64
+			var atomics, probes, edges, sends int64
 			for _, ls := range res.PerLevel {
 				atomics += ls.AtomicOps
 				probes += ls.BitmapReads
 				edges += ls.Edges
+				sends += ls.RemoteSends
+			}
+			if tier.alg == AlgMultiSocket && sends == 0 {
+				t.Errorf("%v (disable=%v): no remote sends; the run never crossed a socket", tier.alg, disable)
 			}
 			if !disable {
 				// Every scanned neighbour gets exactly one plain probe,
-				// on its owner's socket.
-				if probes != edges {
-					t.Errorf("%v: probes = %d, want one per scanned edge %d", alg, probes, edges)
+				// local or remote, and the owner probes each delivered
+				// tuple once more before it claims it.
+				if probes != edges+sends {
+					t.Errorf("%v: probes = %d, want one per scanned edge %d plus one per sent tuple %d",
+						tier.alg, probes, edges, sends)
 				}
 				continue
 			}
-			// Without the double check every scanned neighbour costs an
-			// atomic op and no plain probes happen.
+			// Without the double check every scanned neighbour costs one
+			// atomic op, by the scanner or by the owner it is sent to,
+			// and no plain probes happen.
 			if probes != 0 {
-				t.Errorf("%v: %d bitmap probes with double-check disabled", alg, probes)
+				t.Errorf("%v: %d bitmap probes with double-check disabled", tier.alg, probes)
 			}
 			if atomics != edges {
-				t.Errorf("%v: atomics = %d, want one per scanned edge %d", alg, atomics, edges)
+				t.Errorf("%v: atomics = %d, want one per scanned edge %d", tier.alg, atomics, edges)
 			}
 		}
 	}
@@ -554,6 +570,13 @@ func TestBatchSizeVariants(t *testing.T) {
 
 func TestRemoteSendsOnlyAcrossSockets(t *testing.T) {
 	g := must(gen.Uniform(4000, 8, 13))
+	sent := func(res *Result) int64 {
+		var sends int64
+		for _, ls := range res.PerLevel {
+			sends += ls.RemoteSends
+		}
+		return sends
+	}
 	// Single socket: no remote sends.
 	res := run(t, g, 0, Options{
 		Algorithm:  AlgMultiSocket,
@@ -561,30 +584,47 @@ func TestRemoteSendsOnlyAcrossSockets(t *testing.T) {
 		Machine:    topology.Generic(1, 4, 1),
 		Instrument: true,
 	})
-	var sends int64
-	for _, ls := range res.PerLevel {
-		sends += ls.RemoteSends
-	}
-	if sends != 0 {
+	if sends := sent(res); sends != 0 {
 		t.Errorf("single-socket multi-socket run sent %d remote tuples", sends)
 	}
-	// Two sockets: roughly half the edges lead to the other socket.
+	// Two sockets, paper-literal send path: every neighbour in the other
+	// partition is sent, roughly half the edges. Both two-socket runs
+	// turn stealing off, so each frontier vertex is scanned on its
+	// owner's socket and which edges lead off-socket does not depend on
+	// timing.
+	literal := run(t, g, 0, Options{
+		Algorithm:          AlgMultiSocket,
+		Threads:            8,
+		Machine:            topology.NehalemEP,
+		EdgeBudget:         EdgeBudgetOff,
+		DisableDoubleCheck: true,
+		Instrument:         true,
+	})
+	validate(t, g, literal)
+	literalSends := sent(literal)
+	frac := float64(literalSends) / float64(literal.EdgesTraversed)
+	if frac < 0.3 || frac > 0.7 {
+		t.Errorf("paper-literal remote fraction = %.2f, want ~0.5 for a uniform graph over 2 sockets", frac)
+	}
+	// With the double check, remote targets are probed before they are
+	// sent. Each level's frontier is the same set in both runs and the
+	// probe only removes sends, so the probed run sends strictly fewer
+	// tuples — the edges back into earlier levels alone see to that —
+	// but still some.
 	res2 := run(t, g, 0, Options{
 		Algorithm:  AlgMultiSocket,
 		Threads:    8,
 		Machine:    topology.NehalemEP,
+		EdgeBudget: EdgeBudgetOff,
 		Instrument: true,
 	})
-	var sends2 int64
-	for _, ls := range res2.PerLevel {
-		sends2 += ls.RemoteSends
-	}
+	validate(t, g, res2)
+	sends2 := sent(res2)
 	if sends2 == 0 {
 		t.Error("two-socket run sent no remote tuples")
 	}
-	frac := float64(sends2) / float64(res2.EdgesTraversed)
-	if frac < 0.3 || frac > 0.7 {
-		t.Errorf("remote fraction = %.2f, want ~0.5 for a uniform graph over 2 sockets", frac)
+	if sends2 >= literalSends {
+		t.Errorf("probed run sent %d tuples, want fewer than the paper-literal run's %d", sends2, literalSends)
 	}
 }
 

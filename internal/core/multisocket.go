@@ -23,9 +23,18 @@ import (
 //
 //	phase 1: the shared top-down scan in claimOwned mode over the
 //	         socket's own queue; local discoveries are claimed
-//	         immediately, remote ones batched into channels;
+//	         immediately, remote ones batched into channels. With the
+//	         double check on, every target's visited bit is probed
+//	         first, so only remote targets that look unvisited are
+//	         sent; Options.DisableDoubleCheck sends every remote
+//	         target, as the paper's Algorithm 3 does;
 //	phase 2: exchange drains the socket's own channel, claiming the
 //	         delivered tuples exactly as local ones.
+//
+// The probe reads the owner's bitmap block with an atomic load and
+// never writes it, so each socket still writes only its own block.
+// Bits only go from 0 to 1 within a search: a set bit proves the target
+// claimed, and a clear one is re-checked by the owner in claimTuples.
 //
 // On the logical machine of this reproduction the "sockets" are
 // goroutine groups; the data partitioning, channel wiring and two-phase
@@ -78,6 +87,23 @@ func (s *Searcher) exchange(ws *searchWorker, tp time.Time) {
 	}
 	ws.flush()
 	ws.wr.PhaseEnd(obs.PhaseQueueDrain, tp)
+}
+
+// sendRemote batches the tuple (v, u) for v's owner, shipping the batch
+// when it is full, and counts the send. It is expand's only call per
+// sent target and stays out of line: inlined, the append's growslice
+// call made the compiler keep expand's loop index, counters and v in
+// stack slots.
+//
+//go:noinline
+func (ws *searchWorker) sendRemote(v, u uint32) {
+	ws.st.RemoteSends++
+	sck := ws.s.part.DetermineSocket(v)
+	b := append(ws.remote[sck], queue.Tuple{V: v, Parent: u})
+	ws.remote[sck] = b
+	if len(b) == cap(b) {
+		ws.send(sck)
+	}
 }
 
 // send ships the worker's batch for socket sck through that socket's

@@ -5,6 +5,7 @@ import (
 
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
+	"mcbfs/internal/topology"
 )
 
 // reorderTestOrderings are the non-natural orderings under test.
@@ -25,7 +26,8 @@ func reorderTestGraphs(t *testing.T) map[string]*graph.Graph {
 
 // reorderTiers is the tier sweep: every concrete algorithm plus the
 // direction-optimizing hybrid (which exercises the relabeled-transpose
-// path).
+// path). The multi-socket row spans two sockets, so relabeled targets
+// cross partitions and travel through the channels.
 var reorderTiers = []struct {
 	name string
 	opt  Options
@@ -33,7 +35,7 @@ var reorderTiers = []struct {
 	{"sequential", Options{Algorithm: AlgSequential, Threads: 1}},
 	{"parallel-simple", Options{Algorithm: AlgParallelSimple, Threads: 3}},
 	{"single-socket", Options{Algorithm: AlgSingleSocket, Threads: 4}},
-	{"multi-socket", Options{Algorithm: AlgMultiSocket, Threads: 4}},
+	{"multi-socket", Options{Algorithm: AlgMultiSocket, Threads: 4, Machine: topology.Generic(2, 2, 1)}},
 	{"direction-optimizing", Options{Algorithm: AlgDirectionOptimizing, Threads: 4}},
 }
 

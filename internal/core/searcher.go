@@ -45,10 +45,12 @@ type searchWorker struct {
 	s    *Searcher
 	wr   *obs.WorkerRec
 	mode claimMode
-	// this is the worker's socket in the multi-socket tier; q is the
-	// queue it pops frontier chunks from and pushes claims to.
-	this int
-	q    *queue.ChunkQueue
+	// this is the worker's socket in the multi-socket tier and
+	// [lo, lo+size) the vertex block that socket owns; q is the queue
+	// the worker pops frontier chunks from and pushes claims to.
+	this     int
+	lo, size uint32
+	q        *queue.ChunkQueue
 	// local is the claimed-vertex batch (cap localBatch), flushed into
 	// the next-level window of q when full.
 	local []uint32

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"mcbfs/internal/obs"
-	"mcbfs/internal/queue"
 )
 
 // The paper's Algorithms 1-3 are one level-synchronous loop: pop a
@@ -43,9 +42,10 @@ const (
 	// (Options.DisableDoubleCheck), the ablation of paper Fig. 5.
 	claimAtomic
 	// claimOwned is Algorithm 3: a target owned by the scanning worker's
-	// socket is claimed in the bitmap (double-checked unless
-	// DisableDoubleCheck), any other target is sent to its owner's
-	// channel and claimed there in the level's second phase.
+	// socket is claimed in the bitmap, any other target is sent to its
+	// owner's channel and claimed there in the level's second phase.
+	// Unless DisableDoubleCheck, every target is probed first, so only
+	// targets that look unvisited are claimed or sent.
 	claimOwned
 )
 
@@ -95,6 +95,8 @@ func (ws *searchWorker) begin(w int) {
 		ws.mode = claimOwned
 		ws.this = s.o.Machine.SocketOfThread(w, s.workers)
 		ws.q = s.qs[ws.this]
+		lo, hi := s.part.Range(ws.this)
+		ws.lo, ws.size = uint32(lo), uint32(hi-lo)
 	case s.o.DisableDoubleCheck:
 		ws.mode = claimAtomic
 	default:
@@ -177,7 +179,7 @@ func (ws *searchWorker) scanLevel() {
 func (ws *searchWorker) expand(u uint32, nbrs []uint32) {
 	s := ws.s
 	parents, visited := s.parents, s.visited
-	var reads, atomics, sends int64
+	var reads, atomics int64
 	switch ws.mode {
 	case claimParent:
 		atomics = int64(len(nbrs))
@@ -207,22 +209,40 @@ func (ws *searchWorker) expand(u uint32, nbrs []uint32) {
 			}
 		}
 	case claimOwned:
-		check := !s.o.DisableDoubleCheck
-		part, this, remote := s.part, ws.this, ws.remote
-		for _, v := range nbrs {
-			if sck := part.DetermineSocket(v); sck != this {
-				sends++
-				remote[sck] = append(remote[sck], queue.Tuple{V: v, Parent: u})
-				if len(remote[sck]) == cap(remote[sck]) {
-					ws.send(sck)
-				}
-				continue
-			}
-			if check {
-				reads++
-				if visited.Get(int(v)) {
+		// v-lo >= size (unsigned) is "v lies outside this socket's
+		// block": the ownership test is one subtraction and compare, and
+		// the division that names the owner runs in sendRemote, only for
+		// targets that are actually sent.
+		lo, size := ws.lo, ws.size
+		if s.o.DisableDoubleCheck {
+			// Paper-literal Algorithm 3: every remote target is sent. A
+			// loop of its own keeps a per-edge mode test out of the
+			// probed loop below, which ran ~10% faster that way on R-MAT
+			// scale 18 (2 workers on 2 sockets).
+			for _, v := range nbrs {
+				if v-lo >= size {
+					ws.sendRemote(v, u)
 					continue
 				}
+				atomics++
+				if !visited.TestAndSet(int(v)) {
+					parents[v] = u
+					ws.push(v)
+				}
+			}
+			break
+		}
+		// Double check: probe every target first, local or remote. A set
+		// bit proves the target claimed (bits only go from 0 to 1 within
+		// a search), so it is neither claimed nor sent.
+		reads = int64(len(nbrs))
+		for _, v := range nbrs {
+			if visited.Get(int(v)) {
+				continue
+			}
+			if v-lo >= size {
+				ws.sendRemote(v, u)
+				continue
 			}
 			atomics++
 			if !visited.TestAndSet(int(v)) {
@@ -234,7 +254,6 @@ func (ws *searchWorker) expand(u uint32, nbrs []uint32) {
 	ws.st.Edges += int64(len(nbrs))
 	ws.st.BitmapReads += reads
 	ws.st.AtomicOps += atomics
-	ws.st.RemoteSends += sends
 }
 
 // push appends a vertex this worker claimed to its local batch,

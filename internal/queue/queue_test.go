@@ -1,6 +1,8 @@
 package queue
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -136,6 +138,60 @@ func TestSPSCSegmentOverflow(t *testing.T) {
 	}
 	if _, ok := q.Dequeue(); ok {
 		t.Error("queue should be empty")
+	}
+}
+
+// TestSPSCSegmentPoolGrowsGeometrically drives one queue through
+// bursts of rising and falling size, each enqueued in full before it is
+// drained — the shape of a channel's traffic in one BFS level. A burst
+// that needs more segments than the queue owns costs one allocation per
+// doubling of the pool, so allocations grow with the log of the peak,
+// and a burst that fits costs none.
+func TestSPSCSegmentPoolGrowsGeometrically(t *testing.T) {
+	// No collection may run mid-burst: a GC cycle allocates on its own
+	// account and would blur the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	q := NewSPSC()
+	burst := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			q.Enqueue(uint64(i))
+		}
+		for i := 0; i < n; i++ {
+			if v, ok := q.Dequeue(); !ok || v != uint64(i) {
+				t.Fatalf("burst of %d: Dequeue %d = (%d, %v)", n, i, v, ok)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	owned := 1 // NewSPSC's first segment
+	for _, b := range []struct {
+		n      int    // values in the burst
+		allocs uint64 // pool doublings it needs
+	}{
+		{segSize, 0},       // fits the first segment
+		{3 * segSize, 2},   // 1 → 2 → 4 segments
+		{10 * segSize, 2},  // 4 → 8 → 16
+		{40 * segSize, 2},  // 16 → 32 → 64
+		{20 * segSize, 0},  // falling: every burst below the peak fits
+		{5*segSize + 7, 0}, // and leaves the producer mid-segment
+		{1, 0},
+		{64 * segSize, 0}, // exactly the pool, from mid-segment
+		{65 * segSize, 1}, // 64 → 128
+		{128 * segSize, 0},
+		{7 * segSize, 0},
+	} {
+		if got := burst(b.n); got != b.allocs {
+			t.Errorf("burst of %d values (pool %d segments): %d allocations, want %d",
+				b.n, owned, got, b.allocs)
+		}
+		owned <<= b.allocs
+		if q.owned != owned {
+			t.Errorf("after a burst of %d values the queue owns %d segments, want %d", b.n, q.owned, owned)
+		}
 	}
 }
 

@@ -47,12 +47,17 @@ type SPSC struct {
 	// the stack are never re-pushed while present, so the head can only
 	// return to an observed value via that same observer's pop.
 	free atomic.Pointer[segment]
+	// Producer-private pool growth: owned counts the segments the queue
+	// has ever allocated and spare holds the unused rest of the last
+	// block (see getSegment).
+	owned int
+	spare []segment
 }
 
 // NewSPSC returns an empty queue.
 func NewSPSC() *SPSC {
 	s := &segment{}
-	return &SPSC{pseg: s, cseg: s}
+	return &SPSC{pseg: s, cseg: s, owned: 1}
 }
 
 // maxValue is the largest value Enqueue accepts. Values are stored
@@ -131,19 +136,34 @@ func (q *SPSC) Dequeue() (v uint64, ok bool) {
 	return x - 1, true
 }
 
-// getSegment pops a drained segment off the free stack, or allocates
-// when the stack is empty. Producer-side only.
+// getSegment pops a drained segment off the free stack. When the stack
+// is empty it takes one from the spare block, and when that is used up
+// it grows the pool geometrically: one allocation adds as many segments
+// as the queue already owns. How far ahead of the consumer the producer
+// runs can differ from one burst to the next — in a BFS level, with how
+// the workers interleave — and growing one segment at a time would
+// allocate at each new high-water mark. Doubling allocates O(log peak)
+// times over the queue's life, and not at all once a burst fits.
+// Producer-side only; spare segments never enter the free stack until
+// the consumer drains them, so the stack keeps its single popper.
 func (q *SPSC) getSegment() *segment {
 	for {
 		s := q.free.Load()
 		if s == nil {
-			return &segment{}
+			break
 		}
 		if q.free.CompareAndSwap(s, s.next.Load()) {
 			s.next.Store(nil)
 			return s
 		}
 	}
+	if len(q.spare) == 0 {
+		q.spare = make([]segment, q.owned)
+		q.owned *= 2
+	}
+	s := &q.spare[0]
+	q.spare = q.spare[1:]
+	return s
 }
 
 // putSegment pushes a drained segment onto the free stack. Consumer-side

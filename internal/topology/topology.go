@@ -144,8 +144,9 @@ func (m Machine) SocketsForThreads(nThreads int) int {
 
 // Partition maps vertices onto sockets in contiguous equal blocks, the
 // paper's "allocate n/sockets nodes to each socket" (Algorithm 3 line
-// 2). DetermineSocket is O(1): one multiply-free division by a
-// precomputed block size.
+// 2). DetermineSocket is O(1), but it is an integer division by the
+// block size, which compiles to IDIV on amd64. A hot loop that only
+// needs "is v mine?" should test v against its own Range instead.
 type Partition struct {
 	n       int
 	sockets int
