@@ -16,15 +16,17 @@
 // read-and-set only when the bit looks unset).
 //
 // The clears (Atomic.Reset, ResetWords and ClearWordOf; Lanes.Clear and
-// ResetWords) are plain stores, not locked ones: they must not race
-// with any other access to the words they clear. The caller's barrier
-// orders them against the concurrent phases before and after.
+// ResetWords) and Lanes.Store are plain stores, not locked ones: they
+// must not race with any other access to the words they write. The
+// caller's barrier orders them against the concurrent phases before and
+// after.
 package bitmap
 
 import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 )
 
 const wordBits = 64
@@ -264,6 +266,15 @@ func (l *Lanes) Or(i int, mask uint64) uint64 {
 // touches until the next barrier.
 func (l *Lanes) Clear(i int) {
 	clear(l.words[i : i+1])
+}
+
+// Store overwrites element i with mask using a plain store, under the
+// same rule as Clear: no other access to element i may race with it.
+// MS-BFS's bottom-up level uses it on the vertices a worker owns, where
+// the worker is the only reader and writer of those words until the
+// level barrier.
+func (l *Lanes) Store(i int, mask uint64) {
+	*(*uint64)(unsafe.Pointer(&l.words[i])) = mask
 }
 
 // ResetWords zeroes elements [lo, hi) — the shard primitive of a

@@ -57,9 +57,10 @@ const (
 	// AlgDirectionOptimizing is the top-down/bottom-up hybrid — an
 	// extension beyond the paper (Beamer et al.'s direction-optimizing
 	// BFS) that eliminates atomics entirely in the dense middle levels.
-	// It needs in-edges: supply the transpose via Options.Transpose, or
-	// pass the graph itself for symmetric graphs; if absent it is
-	// computed once per call.
+	// It needs in-edges: a graph flagged Symmetric (graph.Undirected)
+	// serves as its own; otherwise supply the transpose via
+	// Options.Transpose, or the session computes it once, the first
+	// time it runs this tier.
 	AlgDirectionOptimizing
 )
 
@@ -145,8 +146,12 @@ type Options struct {
 	// of throughput.
 	Instrument bool
 	// Transpose supplies the in-edge graph for AlgDirectionOptimizing.
-	// Pass the graph itself when it is symmetric. When nil, the
-	// transpose is computed per call (O(n+m) time and memory).
+	// It is not needed when the graph is flagged Symmetric, which makes
+	// the graph its own transpose; passing the graph itself also works
+	// for a symmetric graph that is not flagged. When nil on an
+	// unflagged graph, the session computes the transpose (O(n+m) time
+	// and memory) the first time it runs this tier; a one-shot BFS pays
+	// that on every call.
 	Transpose *graph.Graph
 	// MaxLevels stops the search after exploring that many levels
 	// (level 0 is the root). 0 means unbounded. Depth-bounded

@@ -85,6 +85,46 @@ func TestDirectionOptimizingSymmetricGraphSelfTranspose(t *testing.T) {
 	}
 }
 
+// TestDirectionOptimizingSymmetricFlagIsItsOwnTranspose runs the tier
+// on an Undirected graph with Options.Transpose nil, in natural order
+// and under every reordering: the session must use its own graph as
+// the in-edges (no transpose computed, no relabel of one) and answer
+// with the sequential tier's depths.
+func TestDirectionOptimizingSymmetricFlagIsItsOwnTranspose(t *testing.T) {
+	g := must(gen.RMAT(11, 1<<14, gen.GTgraphDefaults, 23)).Undirected()
+	roots := sampleReorderRoots(g, 4)
+	orders := append([]graph.Ordering{graph.OrderNatural}, reorderTestOrderings...)
+	for _, o := range orders {
+		s, err := NewSearcher(g, Options{Algorithm: AlgDirectionOptimizing, Threads: 3, Ordering: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.gt != s.g {
+			t.Errorf("%s: the session built a separate in-edge graph for a symmetric graph", o)
+		}
+		for _, root := range roots {
+			res, err := s.BFS(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := run(t, g, root, Options{Algorithm: AlgSequential})
+			if res.Reached != ref.Reached || res.Levels != ref.Levels {
+				t.Fatalf("%s root %d: reached/levels %d/%d, want %d/%d", o, root, res.Reached, res.Levels, ref.Reached, ref.Levels)
+			}
+			if err := ValidateTree(g, root, res.Parents); err != nil {
+				t.Fatalf("%s root %d: %v", o, root, err)
+			}
+			got, want := TreeDepths(res.Parents, root), TreeDepths(ref.Parents, root)
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("%s root %d: depth[%d] = %d, want %d", o, root, v, got[v], want[v])
+				}
+			}
+		}
+		s.Close()
+	}
+}
+
 func TestDirectionOptimizingRejectsWrongTranspose(t *testing.T) {
 	g := must(gen.Chain(10))
 	wrong := must(gen.Chain(12))

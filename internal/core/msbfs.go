@@ -34,11 +34,22 @@ import (
 //	visit[v]     — lanes whose current frontier contains v
 //	visitNext[v] — lanes discovering v in this level
 //
-// and a lane-strided parent array. The per-neighbour claim is the
-// paper's double-checked pattern lifted to lane masks: a plain read of
-// seen[w] first (d = visit[v] &^ seen[w]), and only when some lane bit
-// looks clear the atomic OR — whose returned previous value, not the
-// probe, decides which lane bits this worker actually won.
+// and a lane-strided parent array. A top-down level's per-neighbour
+// claim is the paper's double-checked pattern lifted to lane masks: a
+// plain read of seen[w] first (d = visit[v] &^ seen[w]), and only when
+// some lane bit looks clear the atomic OR — whose returned previous
+// value, not the probe, decides which lane bits this worker actually
+// won.
+//
+// On a graph flagged Symmetric, the dense middle levels run bottom up
+// instead (Beamer et al.'s direction-optimizing step, applied to lane
+// words as in Then et al., PVLDB 8(4), 2014): every vertex that some
+// active lane has not seen scans its own row for frontier members of
+// the lanes it misses and stops once all of them are found. Only the
+// owner of a vertex writes its words in such a level, so it needs no
+// atomic OR at all. The coordinator picks each level's direction from
+// the next frontier's edges m_f and the unexplored edges m_u (see
+// batchAlpha).
 //
 // Parallelism reuses the level-barrier machinery of the session tiers:
 // workers own static vertex ranges of the frontier vectors, a
@@ -53,6 +64,45 @@ const MaxLanes = 64
 
 // BatchAlgorithmName labels MS-BFS traversals in telemetry samples.
 const BatchAlgorithmName = "msbfs"
+
+// batchAlpha is the direction rule's α: on a symmetric graph a level
+// runs bottom up when its frontier's edges m_f exceed the unexplored
+// edges m_u divided by batchAlpha, and top down otherwise. Both are
+// summed over the active lanes, so the rule is Beamer's single-source
+// rule applied to the batch as a whole: m_f is the rows each lane's
+// next frontier holds, m_u the rows of the vertices each lane has not
+// yet seen. Per-lane sums, not the union's rows, because a lane word
+// stops its bottom-up scan only when every missing lane is found: lanes
+// whose frontiers sit at different depths (a grid, a long path) make a
+// bottom-up scan read whole rows, and their summed m_u keeps such
+// levels top down. The value comes from interleaved runs of each α on
+// permuted R-MAT graphs (EXPERIMENTS.md, "Bottom-up lane sweeps in
+// MS-BFS"), not from the single-source tier's constants.
+const batchAlpha = 4
+
+// BatchDirection overrides the direction rule of every MS-BFS level in
+// the process. It is a test hook: the equivalence tests run the same
+// batches with each setting against one reference. Nothing outside
+// tests changes it, and the public API does not expose it.
+type BatchDirection int32
+
+const (
+	// DirectionAuto applies the batchAlpha rule on symmetric graphs.
+	DirectionAuto BatchDirection = iota
+	// DirectionTopDown runs every level top down.
+	DirectionTopDown
+	// DirectionBottomUp runs every level bottom up on symmetric graphs;
+	// batches on other graphs stay top down.
+	DirectionBottomUp
+)
+
+var batchDirection atomic.Int32
+
+// SetBatchDirection installs d process-wide and returns the setting it
+// replaced. Tests only; see BatchDirection.
+func SetBatchDirection(d BatchDirection) BatchDirection {
+	return BatchDirection(batchDirection.Swap(int32(d)))
+}
 
 // BatchOptions configures a BatchSearcher. The zero value is a 64-lane
 // engine with GOMAXPROCS workers.
@@ -109,17 +159,16 @@ func (o BatchOptions) withDefaults() BatchOptions {
 // end-of-level deposits of adjacent workers never share a cache line.
 type batchWorker struct {
 	// activeNext is the OR of lane bits this worker newly set in
-	// visitNext during the level; the coordinator folds the slots at
-	// the barrier.
+	// visitNext during the level, and claimed the rows of the vertices
+	// it claimed, once per claiming lane: its share of the next
+	// frontier's m_f. The coordinator folds and zeroes both at the
+	// barrier.
 	activeNext uint64
-	// edges counts adjacency entries this worker scanned (each scanned
-	// once for the whole batch).
+	claimed    int64
+	// edges counts adjacency entries this worker examined: a frontier
+	// row once for the whole batch top down, each in-edge a bottom-up
+	// scan reads.
 	edges int64
-	// allEdges accumulates degree for frontier vertices whose active
-	// mask equalled the full batch mask — the common case once lanes
-	// converge — so per-lane edge attribution pays the bit loop only
-	// for partial masks.
-	allEdges int64
 	// laneEdges and laneReached are per-lane attribution: what each
 	// lane's single-source search would have scanned and reached.
 	laneEdges   [MaxLanes]int64
@@ -172,16 +221,28 @@ type BatchSearcher struct {
 	closed bool
 	job    jobKind
 
+	// symmetric caches g.Symmetric(): only then may a level run bottom
+	// up, because the bottom-up scan reads a vertex's row as its
+	// in-edges.
+	symmetric bool
+
 	// Per-batch state, written by Search before the launch gate (the
 	// gate's mutex publishes it to the workers).
-	lanes      int
-	laneMask   uint64
-	activeMask uint64 // laneMask minus cancelled lanes; coordinator-owned
-	ctx        context.Context
-	laneCtx    []context.Context // nil, or per-lane contexts (nil entries = background)
-	cancelMask laneCancel        // lanes whose bits stop propagating
-	done       atomic.Bool
-	depth      int // depth of the frontier being expanded
+	lanes    int
+	laneMask uint64
+	// activeMask holds the lanes that expand the current level: not
+	// cancelled, with a non-empty frontier. bottomUp is the level's
+	// direction. bottomUpLevels counts the batch's levels that ran
+	// bottom up, and turns the direction changes from one level to the
+	// next. All are coordinator-owned.
+	activeMask            uint64
+	bottomUp              bool
+	bottomUpLevels, turns int
+	ctx                   context.Context
+	laneCtx               []context.Context // nil, or per-lane contexts (nil entries = background)
+	cancelMask            laneCancel        // lanes whose bits stop propagating
+	done                  atomic.Bool
+	depth                 int // depth of the frontier being expanded
 
 	laneLevels  [MaxLanes]int
 	laneReached [MaxLanes]int64
@@ -261,6 +322,7 @@ func NewBatchSearcher(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) 
 		ws:        make([]batchWorker, o.Threads),
 		bar:       newBarrier(o.Threads),
 		gate:      newBarrier(o.Threads + 1),
+		symmetric: workGraph.Symmetric(),
 	}
 	for w := range b.ws {
 		b.ws[w].tbuf = make([]uint32, 0, 64)
@@ -424,8 +486,10 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 
 	// Seed the lanes. A lane whose context is already dead is cancelled
 	// before the first scan, so it deterministically reaches only its
-	// root.
+	// root; every other lane adds its root's row to the root level's
+	// m_f.
 	var cancelled uint64
+	var mf int64
 	for i, r := range roots {
 		// The traversal runs in the session's id space; res.Roots echoes
 		// the caller's original ids.
@@ -445,6 +509,8 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		b.laneErr[i] = nil
 		if laneCtx != nil && laneCtx[i] != nil && laneCtx[i].Err() != nil {
 			cancelled |= bit
+		} else {
+			mf += int64(b.g.Degree(graph.Vertex(ir)))
 		}
 	}
 	b.cancelMask.Store(cancelled)
@@ -453,6 +519,11 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		// Every lane dead on arrival: no traversal, but the seeds are
 		// dirty, so finish through the normal path.
 		b.done.Store(true)
+	}
+	b.bottomUp = b.bottomUpNext(mf, b.activeMask)
+	b.bottomUpLevels, b.turns = 0, 0
+	if b.bottomUp {
+		b.bottomUpLevels = 1
 	}
 
 	start := time.Now()
@@ -471,12 +542,11 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		edges += ws.edges
 		ws.edges = 0
 		for l := 0; l < b.lanes; l++ {
-			b.laneEdges[l] += ws.laneEdges[l] + ws.allEdges
+			b.laneEdges[l] += ws.laneEdges[l]
 			b.laneReached[l] += ws.laneReached[l]
 			ws.laneEdges[l] = 0
 			ws.laneReached[l] = 0
 		}
-		ws.allEdges = 0
 	}
 
 	if ctx.Err() != nil {
@@ -546,112 +616,230 @@ func (b *BatchSearcher) record(res *BatchResult, start time.Time) {
 // the coordinator at every level barrier.
 const batchCancelStride = 1 << 12
 
-// batchWorker runs one worker's share of the traversal: scan the owned
-// range of visit for active lane masks, advance every lane across each
-// vertex's adjacency in one pass, and meet the others at the level
-// barrier. The owner both reads and clears its visit words, so after a
-// full scan the vector is empty and becomes the next level's visitNext
-// at the swap — no O(n) zeroing between levels.
+// batchWorker runs one worker's share of the traversal: expand its
+// range of each level in the direction the coordinator chose, then meet
+// the others at the level barrier.
 func (b *BatchSearcher) batchWorker(w int) {
 	ws := &b.ws[w]
-	g := b.g
-	width := b.width
-	parents := b.parents
 	lo, hi := b.vertexRange(w)
-	var myEdges int64
-	tbuf := ws.tbuf[:0]
 	for {
-		visit, visitNext := b.visit, b.visitNext
-		am := b.activeMask
-		allMask := am
-		var myActive uint64
-		for v := lo; v < hi; v++ {
-			if v&(batchCancelStride-1) == 0 && b.ctx.Err() != nil {
-				b.cancelMask.Or(b.laneMask)
-				break
-			}
-			m := visit.Load(v)
-			if m == 0 {
-				continue
-			}
-			// Plain store: during a level only the owner of [lo, hi)
-			// reads or writes these visit words (the other workers OR
-			// into visitNext), and the level barrier orders this clear
-			// before the swap hands the vector back as visitNext.
-			visit.Clear(v)
-			m &= am
-			if m == 0 {
-				continue
-			}
-			nbrs := g.Neighbors(graph.Vertex(v))
-			deg := int64(len(nbrs))
-			myEdges += deg
-			// Per-lane edge attribution: the full-mask fast path keeps
-			// the converged case at one add; partial masks pay one add
-			// per set bit.
-			if m == allMask {
-				ws.allEdges += deg
-			} else {
-				for t := m; t != 0; t &= t - 1 {
-					ws.laneEdges[bits.TrailingZeros64(t)] += deg
-				}
-			}
-			for _, nb := range nbrs {
-				wv := int(nb)
-				// Double-checked claim on the shared seen words: the
-				// plain probe first; only lanes that look unseen pay
-				// the atomic OR, and the OR's returned previous value
-				// decides which bits this worker actually won.
-				d := m &^ b.seen.Load(wv)
-				if d == 0 {
-					continue
-				}
-				old := b.seen.Or(wv, d)
-				d &^= old
-				if d == 0 {
-					continue
-				}
-				if old == 0 {
-					tbuf = append(tbuf, nb)
-					if len(tbuf) == cap(tbuf) {
-						b.touched.PushBatch(tbuf)
-						tbuf = tbuf[:0]
-					}
-				}
-				visitNext.Or(wv, d)
-				myActive |= d
-				base := wv * width
-				for t := d; t != 0; t &= t - 1 {
-					l := bits.TrailingZeros64(t)
-					parents[base+l] = uint32(v)
-					ws.laneReached[l]++
-				}
-			}
+		visit, bottomUp := b.visit, b.bottomUp
+		if bottomUp {
+			b.bottomUpLevel(ws, lo, hi)
+		} else {
+			b.topDownLevel(ws, lo, hi)
 		}
-		b.touched.PushBatch(tbuf)
-		tbuf = tbuf[:0]
-		ws.activeNext = myActive
-
 		if b.bar.wait() {
 			b.advanceBatch()
 		}
+		if bottomUp {
+			// A bottom-up level reads every worker's visit words, so none
+			// can be cleared during the sweep. Past the first barrier
+			// nobody reads them: each owner clears its own range with
+			// plain stores, and the second barrier orders the clear
+			// before the swapped-out vector returns as visitNext.
+			visit.ResetWords(lo, hi)
+		}
 		b.bar.wait()
 		if b.done.Load() {
-			ws.edges = myEdges
 			return
+		}
+	}
+}
+
+// topDownLevel expands the worker's range [lo, hi) top down: scan visit
+// for active lane masks and advance every lane across each vertex's
+// adjacency in one pass. The owner both reads and clears its visit
+// words, so after a full scan the vector is empty and becomes the next
+// level's visitNext at the swap — no O(n) zeroing between levels.
+func (b *BatchSearcher) topDownLevel(ws *batchWorker, lo, hi int) {
+	g := b.g
+	offsets := g.Offsets()
+	width := b.width
+	parents := b.parents
+	visit, visitNext := b.visit, b.visitNext
+	am := b.activeMask
+	tbuf := ws.tbuf
+	var active uint64
+	var scanned, allEdges, claimed int64
+	for v := lo; v < hi; v++ {
+		if v&(batchCancelStride-1) == 0 && b.ctx.Err() != nil {
+			b.cancelMask.Or(b.laneMask)
+			break
+		}
+		m := visit.Load(v)
+		if m == 0 {
+			continue
+		}
+		// Plain store: during a level only the owner of [lo, hi)
+		// reads or writes these visit words (the other workers OR
+		// into visitNext), and the level barrier orders this clear
+		// before the swap hands the vector back as visitNext.
+		visit.Clear(v)
+		m &= am
+		if m == 0 {
+			continue
+		}
+		nbrs := g.Neighbors(graph.Vertex(v))
+		deg := int64(len(nbrs))
+		scanned += deg
+		// Per-lane edge attribution: the full-mask fast path keeps
+		// the converged case at one add; partial masks pay one add
+		// per set bit.
+		if m == am {
+			allEdges += deg
+		} else {
+			for t := m; t != 0; t &= t - 1 {
+				ws.laneEdges[bits.TrailingZeros64(t)] += deg
+			}
+		}
+		for _, nb := range nbrs {
+			wv := int(nb)
+			// Double-checked claim on the shared seen words: the
+			// plain probe first; only lanes that look unseen pay
+			// the atomic OR, and the OR's returned previous value
+			// decides which bits this worker actually won.
+			d := m &^ b.seen.Load(wv)
+			if d == 0 {
+				continue
+			}
+			old := b.seen.Or(wv, d)
+			d &^= old
+			if d == 0 {
+				continue
+			}
+			if old == 0 {
+				tbuf = append(tbuf, nb)
+				if len(tbuf) == cap(tbuf) {
+					b.touched.PushBatch(tbuf)
+					tbuf = tbuf[:0]
+				}
+			}
+			visitNext.Or(wv, d)
+			// wv's row joins the next frontier's m_f once per lane
+			// that claimed it.
+			claimed += (offsets[wv+1] - offsets[wv]) * int64(bits.OnesCount64(d))
+			active |= d
+			base := wv * width
+			for t := d; t != 0; t &= t - 1 {
+				l := bits.TrailingZeros64(t)
+				parents[base+l] = uint32(v)
+				ws.laneReached[l]++
+			}
+		}
+	}
+	b.touched.PushBatch(tbuf)
+	ws.tbuf = tbuf[:0]
+	ws.endLevel(am, active, scanned, allEdges, claimed)
+}
+
+// bottomUpLevel expands the worker's range [lo, hi) bottom up: every
+// owned vertex that some active lane has not yet seen scans its row —
+// its in-edges, the graph being symmetric — for frontier members of the
+// lanes it misses, and stops once all of them are found. During the
+// level only the owner reads or writes its vertices' seen, visitNext
+// and parent words, so all three take plain stores and no atomic OR;
+// the other workers only read visit, which batchWorker clears after
+// the first barrier.
+func (b *BatchSearcher) bottomUpLevel(ws *batchWorker, lo, hi int) {
+	g := b.g
+	width := b.width
+	parents := b.parents
+	seen, visit, visitNext := b.seen, b.visit, b.visitNext
+	am := b.activeMask
+	tbuf := ws.tbuf
+	var active uint64
+	var scanned, allEdges, claimed int64
+	for v := lo; v < hi; v++ {
+		if v&(batchCancelStride-1) == 0 && b.ctx.Err() != nil {
+			b.cancelMask.Or(b.laneMask)
+			break
+		}
+		nbrs := g.Neighbors(graph.Vertex(v))
+		deg := int64(len(nbrs))
+		// m_a stays what the top-down sweep credits: v's row, once
+		// for each lane whose frontier holds v, whatever this level
+		// scans.
+		if m := visit.Load(v) & am; m == am {
+			allEdges += deg
+		} else {
+			for t := m; t != 0; t &= t - 1 {
+				ws.laneEdges[bits.TrailingZeros64(t)] += deg
+			}
+		}
+		s := seen.Load(v)
+		missing := am &^ s
+		if missing == 0 {
+			continue
+		}
+		want := missing
+		base := v * width
+		i := 0
+		for i < len(nbrs) && want != 0 {
+			u := nbrs[i]
+			i++
+			d := visit.Load(int(u)) & want
+			if d == 0 {
+				continue
+			}
+			want &^= d
+			for t := d; t != 0; t &= t - 1 {
+				parents[base+bits.TrailingZeros64(t)] = u
+			}
+		}
+		scanned += int64(i)
+		found := missing &^ want
+		if found == 0 {
+			continue
+		}
+		seen.Store(v, s|found)
+		visitNext.Store(v, found)
+		if s == 0 {
+			tbuf = append(tbuf, uint32(v))
+			if len(tbuf) == cap(tbuf) {
+				b.touched.PushBatch(tbuf)
+				tbuf = tbuf[:0]
+			}
+		}
+		claimed += deg * int64(bits.OnesCount64(found))
+		active |= found
+		for t := found; t != 0; t &= t - 1 {
+			ws.laneReached[bits.TrailingZeros64(t)]++
+		}
+	}
+	b.touched.PushBatch(tbuf)
+	ws.tbuf = tbuf[:0]
+	ws.endLevel(am, active, scanned, allEdges, claimed)
+}
+
+// endLevel deposits a level's counts for the coordinator and credits
+// allEdges — the rows of frontier vertices that every lane of am shared
+// — to each of those lanes. The credit is folded per level because am
+// loses the lanes that finish or are cancelled, and because the
+// coordinator reads each lane's m_a so far for the direction rule.
+func (ws *batchWorker) endLevel(am, active uint64, scanned, allEdges, claimed int64) {
+	ws.activeNext, ws.claimed = active, claimed
+	ws.edges += scanned
+	if allEdges != 0 {
+		for t := am; t != 0; t &= t - 1 {
+			ws.laneEdges[bits.TrailingZeros64(t)] += allEdges
 		}
 	}
 }
 
 // advanceBatch is the level transition, run by the coordinator elected
 // at the first barrier (its writes are published to the other workers
-// by the second): fold the workers' activity masks, poll cancellation,
-// stamp lane levels, and swap the frontier vectors.
+// by the second): fold the workers' activity masks and edge counts,
+// poll cancellation, stamp lane levels, swap the frontier vectors, and
+// pick the next level's direction.
 func (b *BatchSearcher) advanceBatch() {
 	var folded uint64
+	var mf int64
 	for w := range b.ws {
-		folded |= b.ws[w].activeNext
-		b.ws[w].activeNext = 0
+		ws := &b.ws[w]
+		folded |= ws.activeNext
+		mf += ws.claimed
+		ws.activeNext, ws.claimed = 0, 0
 	}
 	cm := b.cancelMask.Load()
 	if b.ctx.Err() != nil {
@@ -680,7 +868,40 @@ func (b *BatchSearcher) advanceBatch() {
 		b.laneLevels[bits.TrailingZeros64(t)] = b.depth + 1
 	}
 	b.visit, b.visitNext = b.visitNext, b.visit
-	b.activeMask = b.laneMask &^ cm
+	b.activeMask = active
+	bottomUp := b.bottomUpNext(mf, active)
+	if bottomUp != b.bottomUp {
+		b.turns++
+	}
+	if bottomUp {
+		b.bottomUpLevels++
+	}
+	b.bottomUp = bottomUp
+}
+
+// bottomUpNext picks the direction of the next level, which the lanes
+// of active expand, from its frontier's edges mf (see batchAlpha). A
+// lane has seen the rows it has expanded so far (its m_a, which the
+// workers' slots hold) and those of its next frontier, so m_u is every
+// row once per active lane less both.
+func (b *BatchSearcher) bottomUpNext(mf int64, active uint64) bool {
+	if !b.symmetric {
+		return false
+	}
+	switch BatchDirection(batchDirection.Load()) {
+	case DirectionTopDown:
+		return false
+	case DirectionBottomUp:
+		return true
+	}
+	mu := int64(bits.OnesCount64(active))*b.g.NumEdges() - mf
+	for t := active; t != 0; t &= t - 1 {
+		l := bits.TrailingZeros64(t)
+		for w := range b.ws {
+			mu -= b.ws[w].laneEdges[l]
+		}
+	}
+	return mf*batchAlpha > mu
 }
 
 // Close shuts down the worker pool and joins it, exactly as
@@ -734,8 +955,9 @@ type BatchResult struct {
 	// for a lane cancelled mid-traversal.
 	Err []error
 	// EdgesScanned is the adjacency entries the shared traversal
-	// actually loaded — each scanned once for all lanes whose frontier
-	// met it.
+	// examined: a top-down level scans each frontier row once for all
+	// lanes whose frontier holds it, and a bottom-up level counts the
+	// entries each scan reads before it has found every missing lane.
 	EdgesScanned int64
 	// Duration is the wall-clock time of the whole batch.
 	Duration time.Duration

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +21,71 @@ func batchRef(t *testing.T, g *graph.Graph, root graph.Vertex) *Result {
 		t.Fatalf("reference BFS(%d): %v", root, err)
 	}
 	return res
+}
+
+// batchRefs caches the sequential reference, and its depth array, per
+// root.
+type batchRefs struct {
+	g      *graph.Graph
+	res    map[graph.Vertex]*Result
+	depths map[graph.Vertex][]int32
+}
+
+func newBatchRefs(g *graph.Graph) *batchRefs {
+	return &batchRefs{g: g, res: map[graph.Vertex]*Result{}, depths: map[graph.Vertex][]int32{}}
+}
+
+func (r *batchRefs) get(t *testing.T, root graph.Vertex) (*Result, []int32) {
+	t.Helper()
+	if res, ok := r.res[root]; ok {
+		return res, r.depths[root]
+	}
+	res := batchRef(t, r.g, root)
+	r.res[root] = res
+	r.depths[root] = TreeDepths(res.Parents, root)
+	return res, r.depths[root]
+}
+
+// checkBatchLanes requires lanes [from, Lanes) of res to equal the
+// sequential reference from their roots: Reached, Levels and Edges
+// exactly, a tree that validates, and a byte-equal depth array.
+func checkBatchLanes(t *testing.T, label string, refs *batchRefs, res *BatchResult, from int) {
+	t.Helper()
+	var parents []uint32
+	for l := from; l < res.Lanes; l++ {
+		root := res.Roots[l]
+		ref, want := refs.get(t, root)
+		if res.Err[l] != nil {
+			t.Fatalf("%s lane %d: unexpected error %v", label, l, res.Err[l])
+		}
+		if res.Reached[l] != ref.Reached || res.Levels[l] != ref.Levels || res.Edges[l] != ref.EdgesTraversed {
+			t.Fatalf("%s lane %d (root %d): Reached/Levels/Edges = %d/%d/%d, want %d/%d/%d", label, l, root,
+				res.Reached[l], res.Levels[l], res.Edges[l], ref.Reached, ref.Levels, ref.EdgesTraversed)
+		}
+		parents = res.ExtractParents(l, parents)
+		if err := ValidateTree(refs.g, root, parents); err != nil {
+			t.Fatalf("%s lane %d (root %d): %v", label, l, root, err)
+		}
+		got := TreeDepths(parents, root)
+		for v := range got {
+			if got[v] != want[v] {
+				t.Fatalf("%s lane %d (root %d): depth[%d] = %d, want %d", label, l, root, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// spreadRoots returns width deterministic roots; lanes 0 and width-1
+// share a root when width > 1.
+func spreadRoots(n, width, pass int) []graph.Vertex {
+	roots := make([]graph.Vertex, width)
+	for i := range roots {
+		roots[i] = graph.Vertex((i*2654435761 + pass*7919) % n)
+	}
+	if width > 1 {
+		roots[width-1] = roots[0]
+	}
+	return roots
 }
 
 // TestBatchMatchesSingleSource is the central MS-BFS property test:
@@ -44,16 +110,7 @@ func TestBatchMatchesSingleSource(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := must(gen.RMAT(c.scale, c.edges, gen.GTgraphDefaults, c.seed))
-		n := g.NumVertices()
-		roots := make([]graph.Vertex, c.width)
-		for i := range roots {
-			// Deterministic spread, including duplicates: lanes 0 and
-			// width-1 share a root when width > 1.
-			roots[i] = graph.Vertex((i * 2654435761) % n)
-		}
-		if c.width > 1 {
-			roots[c.width-1] = roots[0]
-		}
+		roots := spreadRoots(g.NumVertices(), c.width, 0)
 		b, err := NewBatchSearcher(g, BatchOptions{Width: c.width, Threads: c.threads})
 		if err != nil {
 			t.Fatalf("NewBatchSearcher: %v", err)
@@ -65,39 +122,7 @@ func TestBatchMatchesSingleSource(t *testing.T) {
 		if res.EdgesScanned <= 0 && g.NumEdges() > 0 {
 			t.Errorf("scale %d: EdgesScanned = %d", c.scale, res.EdgesScanned)
 		}
-		var parents []uint32
-		for l := 0; l < res.Lanes; l++ {
-			ref := batchRef(t, g, roots[l])
-			if res.Err[l] != nil {
-				t.Fatalf("lane %d: unexpected error %v", l, res.Err[l])
-			}
-			if res.Reached[l] != ref.Reached {
-				t.Errorf("scale %d lane %d (root %d): Reached = %d, want %d",
-					c.scale, l, roots[l], res.Reached[l], ref.Reached)
-			}
-			if res.Levels[l] != ref.Levels {
-				t.Errorf("scale %d lane %d (root %d): Levels = %d, want %d",
-					c.scale, l, roots[l], res.Levels[l], ref.Levels)
-			}
-			if res.Edges[l] != ref.EdgesTraversed {
-				t.Errorf("scale %d lane %d (root %d): Edges = %d, want %d",
-					c.scale, l, roots[l], res.Edges[l], ref.EdgesTraversed)
-			}
-			parents = res.ExtractParents(l, parents)
-			if err := ValidateTree(g, roots[l], parents); err != nil {
-				t.Errorf("scale %d lane %d (root %d): %v", c.scale, l, roots[l], err)
-			}
-			// Depth-by-depth equivalence, not just tree validity.
-			got := TreeDepths(parents, roots[l])
-			want := TreeDepths(ref.Parents, ref.Root)
-			for v := range got {
-				if got[v] != want[v] {
-					t.Errorf("scale %d lane %d: depth[%d] = %d, want %d",
-						c.scale, l, v, got[v], want[v])
-					break
-				}
-			}
-		}
+		checkBatchLanes(t, fmt.Sprintf("scale %d width %d", c.scale, c.width), newBatchRefs(g), res, 0)
 		if err := b.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}

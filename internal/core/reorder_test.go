@@ -15,12 +15,15 @@ var reorderTestOrderings = []graph.Ordering{
 
 // reorderTestGraphs pairs a scale-free and a mesh workload: R-MAT's
 // power law exercises the hub prefix, the grid's banded structure the
-// BFS-level ordering.
+// BFS-level ordering. The Undirected R-MAT is flagged Symmetric, so the
+// relabeled graph keeps the flag: MS-BFS takes bottom-up levels on it
+// and the direction-optimizing tier uses it as its own transpose.
 func reorderTestGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	return map[string]*graph.Graph{
-		"rmat": must(gen.RMAT(10, 1<<13, gen.GTgraphDefaults, 7)),
-		"grid": must(gen.Grid(40, 40, 4)),
+		"rmat":            must(gen.RMAT(10, 1<<13, gen.GTgraphDefaults, 7)),
+		"grid":            must(gen.Grid(40, 40, 4)),
+		"rmat-undirected": must(gen.RMAT(10, 1<<13, gen.GTgraphDefaults, 8)).Undirected(),
 	}
 }
 
@@ -122,10 +125,10 @@ func TestReorderedSearchEquivalence(t *testing.T) {
 }
 
 // TestReorderedBatchEquivalence runs MS-BFS batches through a reordered
-// session and checks every extraction surface speaks original ids:
-// per-lane parents validate against the original graph, SeenMask
-// matches the natural reached set, and Touched returns original-id
-// vertices.
+// session, with each level direction setting, and checks every
+// extraction surface speaks original ids: per-lane parents validate
+// against the original graph with the natural depths, SeenMask matches
+// the natural reached set, and Touched returns original-id vertices.
 func TestReorderedBatchEquivalence(t *testing.T) {
 	for gname, g := range reorderTestGraphs(t) {
 		roots := sampleReorderRoots(g, 8)
@@ -133,82 +136,108 @@ func TestReorderedBatchEquivalence(t *testing.T) {
 			t.Fatalf("%s: too few roots", gname)
 		}
 		baseline := make([]*Result, len(roots))
+		depths := make([][]int32, len(roots))
 		for i, root := range roots {
 			res, err := BFS(g, root, Options{Algorithm: AlgSequential, Threads: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			baseline[i] = res
+			depths[i] = TreeDepths(res.Parents, root)
 		}
 		for _, o := range reorderTestOrderings {
 			rd, err := g.Reorder(o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs, err := NewBatchSearcher(g, BatchOptions{
-				Width:     len(roots),
-				Threads:   3,
-				Ordering:  o,
-				Reordered: rd,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", gname, o, err)
+			if rd.Graph.Symmetric() != g.Symmetric() {
+				t.Fatalf("%s/%s: reordering changed the Symmetric flag", gname, o)
 			}
-			// Two batches back to back exercise the touched-list reset of
-			// the translated lane state.
-			var parents []uint32
-			for pass := 0; pass < 2; pass++ {
-				res, err := bs.Search(roots)
-				if err != nil {
-					t.Fatalf("%s/%s pass %d: %v", gname, o, pass, err)
-				}
-				for l, root := range roots {
-					if res.Err[l] != nil {
-						t.Fatalf("%s/%s lane %d: %v", gname, o, l, res.Err[l])
-					}
-					if res.Reached[l] != baseline[l].Reached {
-						t.Fatalf("%s/%s lane %d: reached %d, want %d", gname, o, l, res.Reached[l], baseline[l].Reached)
-					}
-					parents = res.ExtractParents(l, parents)
-					if err := ValidateTree(g, root, parents); err != nil {
-						t.Fatalf("%s/%s lane %d: translated tree invalid: %v", gname, o, l, err)
-					}
-					if p := res.ParentOf(l, root); p != uint32(root) {
-						t.Fatalf("%s/%s lane %d: ParentOf(root) = %d, want %d", gname, o, l, p, root)
-					}
-				}
-				// SeenMask over every vertex must match the union of the
-				// natural reached sets, lane by lane.
-				for v := 0; v < g.NumVertices(); v++ {
-					mask := res.SeenMask(graph.Vertex(v))
-					for l := range roots {
-						want := baseline[l].Parents[v] != NoParent
-						if got := mask&(1<<uint(l)) != 0; got != want {
-							t.Fatalf("%s/%s: SeenMask(%d) lane %d = %v, want %v", gname, o, v, l, got, want)
-						}
-					}
-				}
-				// Touched must be exactly the union of reached vertices, in
-				// original ids.
-				seen := make(map[uint32]bool)
-				for _, v := range res.Touched() {
-					seen[v] = true
-				}
-				for v := 0; v < g.NumVertices(); v++ {
-					want := false
-					for l := range roots {
-						if baseline[l].Parents[v] != NoParent {
-							want = true
-							break
-						}
-					}
-					if seen[uint32(v)] != want {
-						t.Fatalf("%s/%s: Touched contains %d = %v, want %v", gname, o, v, seen[uint32(v)], want)
-					}
-				}
+			for _, dc := range batchDirections {
+				reorderedBatchPasses(t, gname+"/"+o.String()+"/"+dc.name, g, rd, dc.dir, roots, baseline, depths)
 			}
-			bs.Close()
 		}
+	}
+}
+
+// reorderedBatchPasses runs two batches of roots on one reordered
+// session under direction dir and checks them against the natural
+// baseline.
+func reorderedBatchPasses(t *testing.T, label string, g *graph.Graph, rd *graph.Reordered, dir BatchDirection,
+	roots []graph.Vertex, baseline []*Result, depths [][]int32) {
+	t.Helper()
+	defer SetBatchDirection(SetBatchDirection(dir))
+	bs, err := NewBatchSearcher(g, BatchOptions{
+		Width:     len(roots),
+		Threads:   3,
+		Ordering:  rd.Order,
+		Reordered: rd,
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer bs.Close()
+	// Two batches back to back exercise the touched-list reset of the
+	// translated lane state.
+	var parents []uint32
+	for pass := 0; pass < 2; pass++ {
+		res, err := bs.Search(roots)
+		if err != nil {
+			t.Fatalf("%s pass %d: %v", label, pass, err)
+		}
+		for l, root := range roots {
+			if res.Err[l] != nil {
+				t.Fatalf("%s lane %d: %v", label, l, res.Err[l])
+			}
+			if res.Reached[l] != baseline[l].Reached {
+				t.Fatalf("%s lane %d: reached %d, want %d", label, l, res.Reached[l], baseline[l].Reached)
+			}
+			parents = res.ExtractParents(l, parents)
+			if err := ValidateTree(g, root, parents); err != nil {
+				t.Fatalf("%s lane %d: translated tree invalid: %v", label, l, err)
+			}
+			got := TreeDepths(parents, root)
+			for v := range got {
+				if got[v] != depths[l][v] {
+					t.Fatalf("%s lane %d: depth of %d is %d, want %d", label, l, v, got[v], depths[l][v])
+				}
+			}
+			if p := res.ParentOf(l, root); p != uint32(root) {
+				t.Fatalf("%s lane %d: ParentOf(root) = %d, want %d", label, l, p, root)
+			}
+		}
+		// SeenMask over every vertex must match the union of the natural
+		// reached sets, lane by lane.
+		for v := 0; v < g.NumVertices(); v++ {
+			mask := res.SeenMask(graph.Vertex(v))
+			for l := range roots {
+				want := baseline[l].Parents[v] != NoParent
+				if got := mask&(1<<uint(l)) != 0; got != want {
+					t.Fatalf("%s: SeenMask(%d) lane %d = %v, want %v", label, v, l, got, want)
+				}
+			}
+		}
+		// Touched must be exactly the union of reached vertices, in
+		// original ids.
+		seen := make(map[uint32]bool)
+		for _, v := range res.Touched() {
+			seen[v] = true
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			want := false
+			for l := range roots {
+				if baseline[l].Parents[v] != NoParent {
+					want = true
+					break
+				}
+			}
+			if seen[uint32(v)] != want {
+				t.Fatalf("%s: Touched contains %d = %v, want %v", label, v, seen[uint32(v)], want)
+			}
+		}
+	}
+	if g.Symmetric() && dir == DirectionBottomUp && bs.bottomUpLevels == 0 {
+		t.Fatalf("%s: no bottom-up level ran", label)
 	}
 }
 

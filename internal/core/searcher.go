@@ -297,13 +297,20 @@ func (s *Searcher) ensureTier(alg Algorithm) error {
 			}
 			if s.gt == nil {
 				gt := s.o.Transpose
-				if gt == nil {
+				switch {
+				case gt != nil && (gt.NumVertices() != s.n || gt.NumEdges() != s.g.NumEdges()):
+					return errors.New("core: Options.Transpose does not match the graph")
+				case s.g.Symmetric():
+					// A symmetric graph is its own transpose. s.g is the
+					// relabeled graph when the session reorders, and
+					// Relabel keeps the flag, so this holds in either id
+					// space and needs neither a transpose nor a relabel.
+					gt = s.g
+				case gt == nil:
 					// s.g is already the relabeled graph when the session
 					// reorders, so the lazily computed transpose is too.
 					gt = s.g.Transpose()
-				} else if gt.NumVertices() != s.n || gt.NumEdges() != s.g.NumEdges() {
-					return errors.New("core: Options.Transpose does not match the graph")
-				} else if s.perm != nil {
+				case s.perm != nil:
 					// A caller-supplied transpose is in original id space;
 					// carry it into the session's relabeled space.
 					rgt, err := gt.Relabel(s.perm)

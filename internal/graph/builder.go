@@ -191,7 +191,7 @@ func (g *Graph) Transpose() *Graph {
 				out[p] = Vertex(u)
 			}
 		})
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: g.symmetric}
 }
 
 func (g *Graph) transposeSerial() *Graph {
@@ -212,13 +212,14 @@ func (g *Graph) transposeSerial() *Graph {
 		}
 	}
 	restoreOffsets(offsets, n)
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: g.symmetric}
 }
 
 // Undirected returns a graph in which every edge of g is paired with its
 // reverse. Duplicate pairs are not removed: if g already contains both
 // directions of an edge, the result contains both twice. Use
-// Deduplicate afterwards if a simple graph is needed.
+// Deduplicate afterwards if a simple graph is needed. The result is
+// flagged Symmetric.
 func (g *Graph) Undirected() *Graph {
 	n := g.NumVertices()
 	m2 := 2 * g.NumEdges()
@@ -256,7 +257,7 @@ func (g *Graph) Undirected() *Graph {
 				out[q] = Vertex(u)
 			}
 		})
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: true}
 }
 
 func (g *Graph) undirectedSerial() *Graph {
@@ -283,7 +284,7 @@ func (g *Graph) undirectedSerial() *Graph {
 		}
 	}
 	restoreOffsets(offsets, n)
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: true}
 }
 
 // Deduplicate returns a copy of g with each adjacency list sorted and
@@ -342,7 +343,7 @@ func (g *Graph) Deduplicate() *Graph {
 		}(r)
 	}
 	wg.Wait()
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: g.symmetric}
 }
 
 func (g *Graph) deduplicateSerial() *Graph {
@@ -354,7 +355,7 @@ func (g *Graph) deduplicateSerial() *Graph {
 		targets, scratch = appendDeduped(targets, scratch, Vertex(u), g.Neighbors(Vertex(u)))
 		offsets[u+1] = int64(len(targets))
 	}
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: g.symmetric}
 }
 
 // appendDeduped appends u's neighbours to dst sorted, with duplicates
@@ -433,7 +434,7 @@ func (g *Graph) Relabel(perm []Vertex) (*Graph, error) {
 				out[p] = perm[g.targets[i]]
 			}
 		})
-	return &Graph{offsets: offsets, targets: targets}, nil
+	return &Graph{offsets: offsets, targets: targets, symmetric: g.symmetric}, nil
 }
 
 func (g *Graph) relabelSerial(perm []Vertex) *Graph {
@@ -453,5 +454,5 @@ func (g *Graph) relabelSerial(perm []Vertex) *Graph {
 			pos++
 		}
 	}
-	return &Graph{offsets: offsets, targets: targets}
+	return &Graph{offsets: offsets, targets: targets, symmetric: g.symmetric}
 }

@@ -34,7 +34,19 @@ const MaxVertices = 1 << 31
 type Graph struct {
 	offsets []int64  // offsets[v]..offsets[v+1] index targets; len n+1
 	targets []Vertex // adjacency array; len m
+	// symmetric records that every edge (u, v) is matched by (v, u) with
+	// the same multiplicity, so the graph is its own transpose. Only
+	// constructions that guarantee it set it (see Symmetric).
+	symmetric bool
 }
+
+// Symmetric reports whether g is known to hold every edge in both
+// directions, so that its rows serve as in-edge lists. Undirected sets
+// it; Relabel, Reorder, Deduplicate and Transpose keep it. Every other
+// constructor leaves it unset, even when the edges it was given happen
+// to be symmetric, and graph files do not carry it: a false result
+// means "not known", not "asymmetric".
+func (g *Graph) Symmetric() bool { return g.symmetric }
 
 // NumVertices returns the number of vertices n. Valid vertex ids are
 // [0, n).

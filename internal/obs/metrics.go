@@ -35,10 +35,12 @@ type Metrics struct {
 	// BatchTraversals counts MS-BFS batch traversals; BatchLanes the
 	// lanes (queries) they carried, so BatchLanes/BatchTraversals is the
 	// mean batch width. BatchEdges accumulates the adjacency entries the
-	// shared traversals actually scanned and BatchLaneEdges the entries
-	// the lanes would have scanned as single-source searches —
-	// BatchLaneEdges/BatchEdges is the live bandwidth-amortization
-	// factor. Fed by Telemetry.RecordBatch into the hub's Metrics.
+	// shared traversals examined (BatchResult.EdgesScanned: bottom-up
+	// levels count only the entries their scans read) and BatchLaneEdges
+	// the entries the lanes would have scanned as single-source
+	// top-down searches — BatchLaneEdges/BatchEdges is the live
+	// bandwidth-amortization factor. Fed by Telemetry.RecordBatch into
+	// the hub's Metrics.
 	BatchTraversals atomic.Int64
 	BatchLanes      atomic.Int64
 	BatchEdges      atomic.Int64

@@ -79,7 +79,9 @@ type PoolOptions struct {
 	// traversals instead of borrowing per-query Searchers: up to Lanes
 	// queries ride one pass over the adjacency. Queries with per-query
 	// overrides (Search with a non-zero Query) and QueryFunc calls still
-	// use the Searcher pool.
+	// use the Searcher pool. The batch engine always searches to full
+	// depth, so NewPool rejects Batching together with a non-zero
+	// Search.MaxLevels rather than answer batched queries unbounded.
 	Batching BatchingOptions
 	// RebuildThreshold, when positive, turns Ingest into a
 	// self-rebuilding pipeline: once at least that many edges are
@@ -226,6 +228,9 @@ type batchReply struct {
 func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 	if g == nil {
 		return nil, errors.New("mcbfs: nil graph")
+	}
+	if opt.Batching.Lanes > 0 && opt.Search.MaxLevels != 0 {
+		return nil, errors.New("mcbfs: Batching cannot honor Search.MaxLevels: batched queries always search to full depth")
 	}
 	size := opt.Size
 	if size <= 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mcbfs"
+	"mcbfs/internal/core"
 )
 
 // TestPoolBatchingConcurrentAdmission is the batching mode's core
@@ -469,5 +470,101 @@ func TestPoolBatchedQueryZeroAlloc(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("warm batched query allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestPoolBatchingRejectsMaxLevels: the batch engine runs every lane to
+// full depth, so a batching pool must refuse a depth bound rather than
+// ignore it. Ignored, the bound would give one root two answers on one
+// pool: on a 32x32 grid with Search.MaxLevels 2, a batched Query(0)
+// reaches 1024 vertices in 63 levels, QueryFunc 6 in 2.
+func TestPoolBatchingRejectsMaxLevels(t *testing.T) {
+	g, err := mcbfs.GridGraph(32, 32, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := mcbfs.Options{Threads: 2, MaxLevels: 2}
+	if pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{Search: search, Batching: mcbfs.BatchingOptions{Lanes: 4}}); err == nil {
+		pool.Close()
+		t.Fatal("NewPool accepted Batching with Search.MaxLevels 2")
+	}
+	// The bound itself stays valid without batching.
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{Search: search})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	res, err := pool.Query(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reached != 6 || res.Levels != 2 {
+		t.Errorf("depth-bounded query: Reached/Levels = %d/%d, want 6/2", res.Reached, res.Levels)
+	}
+}
+
+// TestPoolBatchingUndirectedDirections serves concurrent batched
+// queries on an Undirected R-MAT, which is flagged Symmetric so the
+// batch engine may expand levels bottom up, in natural order and
+// reordered, with the engine's direction rule, every level forced top
+// down, and every level forced bottom up. Every answer's scalars must
+// equal a single-source search's.
+func TestPoolBatchingUndirectedDirections(t *testing.T) {
+	g0, err := mcbfs.RMATGraph(11, 1<<14, mcbfs.GTgraphDefaults, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := g0.Undirected()
+	n := g.NumVertices()
+	var roots []mcbfs.Vertex
+	for v := 0; len(roots) < 24; v += 37 {
+		if g.Degree(mcbfs.Vertex(v%n)) > 0 {
+			roots = append(roots, mcbfs.Vertex(v%n))
+		}
+	}
+	want := make(map[mcbfs.Vertex]*mcbfs.Result)
+	for _, root := range roots {
+		res, err := mcbfs.BFS(g, root, mcbfs.Options{Algorithm: mcbfs.AlgSequential, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[root] = res
+	}
+	for _, dir := range []core.BatchDirection{core.DirectionAuto, core.DirectionTopDown, core.DirectionBottomUp} {
+		for _, order := range []mcbfs.Ordering{mcbfs.OrderNatural, mcbfs.OrderDegreeGroup} {
+			prev := core.SetBatchDirection(dir)
+			pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+				Size:     1,
+				Search:   mcbfs.Options{Threads: 2, Ordering: order},
+				Batching: mcbfs.BatchingOptions{Lanes: 16, Window: time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < 8; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < len(roots); i++ {
+						root := roots[(c*5+i)%len(roots)]
+						res, err := pool.Query(context.Background(), root)
+						if err != nil {
+							t.Errorf("direction %d %s root %d: %v", dir, order, root, err)
+							return
+						}
+						w := want[root]
+						if res.Reached != w.Reached || res.Levels != w.Levels || res.EdgesTraversed != w.EdgesTraversed {
+							t.Errorf("direction %d %s root %d: Reached/Levels/Edges %d/%d/%d, want %d/%d/%d", dir, order, root,
+								res.Reached, res.Levels, res.EdgesTraversed, w.Reached, w.Levels, w.EdgesTraversed)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			pool.Close()
+			core.SetBatchDirection(prev)
+		}
 	}
 }

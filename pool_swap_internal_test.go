@@ -62,3 +62,42 @@ func TestSwapClosesOldSearchers(t *testing.T) {
 		t.Errorf("query on new epoch: %v", err)
 	}
 }
+
+// TestRebuildLeavesSymmetricFlagUnset: a Rebuild merges the pending
+// edges into the serving graph through the plain CSR builder, which
+// cannot know whether the caller ingested both directions of every
+// edge, so the rebuilt snapshot is not flagged Symmetric even when the
+// graph it replaced was, and even when the ingested edges are
+// symmetric. Batched queries on it run top down.
+func TestRebuildLeavesSymmetricFlagUnset(t *testing.T) {
+	g0, err := GridGraph(8, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := g0.Undirected()
+	pool, err := NewPool(g, PoolOptions{Size: 1, Search: Options{Threads: 1}, Batching: BatchingOptions{Lanes: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if !pool.snap.Load().g.Symmetric() {
+		t.Fatal("the serving graph lost its flag before any rebuild")
+	}
+	if _, err := pool.Ingest([]Edge{{Src: 0, Dst: 64}, {Src: 64, Dst: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := pool.snap.Load().g
+	if rebuilt.NumVertices() != 65 || rebuilt.Symmetric() {
+		t.Errorf("rebuilt graph: %d vertices, Symmetric %v; want 65 and false", rebuilt.NumVertices(), rebuilt.Symmetric())
+	}
+	res, err := pool.Query(context.Background(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reached != 65 {
+		t.Errorf("batched query on the rebuilt graph reached %d vertices, want 65", res.Reached)
+	}
+}
