@@ -74,8 +74,9 @@ func ConnectedComponents(g *graph.Graph, symmetric bool, opt core.Options) (*Com
 	}
 	// One session covers every batch: after the giant component's
 	// batch, later batches pay only an O(touched) reset each instead
-	// of re-zeroing n-sized arrays.
-	bs, err := core.NewBatchSearcher(u, core.BatchOptions{
+	// of re-zeroing n-sized arrays. Labels come from SeenMask and
+	// Touched alone, so the session records no parents.
+	bs, err := core.NewBatchSearcherWithoutParents(u, core.BatchOptions{
 		Width:          core.MaxLanes,
 		Threads:        opt.Threads,
 		PinThreads:     opt.PinThreads,

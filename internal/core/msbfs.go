@@ -34,12 +34,20 @@ import (
 //	visit[v]     — lanes whose current frontier contains v
 //	visitNext[v] — lanes discovering v in this level
 //
-// and a lane-strided parent array. A top-down level's per-neighbour
-// claim is the paper's double-checked pattern lifted to lane masks: a
-// plain read of seen[w] first (d = visit[v] &^ seen[w]), and only when
-// some lane bit looks clear the atomic OR — whose returned previous
-// value, not the probe, decides which lane bits this worker actually
-// won.
+// plus the touched list the reset walks. A session built by
+// NewBatchSearcher also keeps a lane-strided parent array, Width
+// parents per vertex, for the callers that read trees (ParentOf,
+// ExtractParents, BatchQuery). One built by
+// NewBatchSearcherWithoutParents, for callers that read only the lane
+// scalars, the seen masks and the touched list, allocates and writes
+// no parents: the paper's Fig. 2 argument (a visited bit instead of a
+// parent word in the random-access working set) applied to the batch.
+//
+// A top-down level's per-neighbour claim is the paper's double-checked
+// pattern lifted to lane masks: a plain read of seen[w] first
+// (d = visit[v] &^ seen[w]), and only when some lane bit looks clear
+// the atomic OR — whose returned previous value, not the probe, decides
+// which lane bits this worker actually won.
 //
 // On a graph flagged Symmetric, the dense middle levels run bottom up
 // instead (Beamer et al.'s direction-optimizing step, applied to lane
@@ -109,7 +117,8 @@ func SetBatchDirection(d BatchDirection) BatchDirection {
 type BatchOptions struct {
 	// Width is the maximum number of lanes (sources) per traversal,
 	// 1..64. It sizes the lane-strided parent array, so sessions that
-	// only ever batch 8 queries can pay an 8th of the parent memory.
+	// only ever batch 8 queries can pay an 8th of the parent memory
+	// (sessions built by NewBatchSearcherWithoutParents have none).
 	// 0 means 64.
 	Width int
 	// Threads is the number of worker goroutines; 0 means
@@ -180,7 +189,8 @@ type batchWorker struct {
 
 // BatchSearcher is a reusable MS-BFS session bound to one graph: a
 // persistent worker pool plus pooled lane state — seen/visit/visitNext
-// lane vectors, the lane-strided parent array, and the touched list —
+// lane vectors, the touched list and, unless the session was built by
+// NewBatchSearcherWithoutParents, the lane-strided parent array —
 // sized once and reused, so a warm Search performs zero per-batch heap
 // allocations and pays an O(touched) reset rather than an O(n)
 // reinitialization, exactly the Searcher contract.
@@ -202,8 +212,11 @@ type BatchSearcher struct {
 	seen      *bitmap.Lanes
 	visit     *bitmap.Lanes
 	visitNext *bitmap.Lanes
-	parents   []uint32          // n*width, vertex-major: parents[v*width+lane]
 	touched   *queue.ChunkQueue // vertices with any seen bit — the O(touched) reset list
+	// parents is n*width, vertex-major: parents[v*width+lane]. It is
+	// nil in a session built by NewBatchSearcherWithoutParents, and
+	// every store to it sits behind a nil check.
+	parents []uint32
 
 	// Ordering translation layer, as in Searcher: the lane vectors and
 	// parent stride are indexed by relabeled ids; perm/inv translate at
@@ -279,6 +292,24 @@ func (c *laneCancel) Or(m uint64) {
 // full configured width is allocated eagerly, so the first Search pays
 // only the traversal itself.
 func NewBatchSearcher(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) {
+	return newBatchSearcher(g, opt, true)
+}
+
+// NewBatchSearcherWithoutParents builds an MS-BFS session over g that
+// records no BFS trees: it allocates no parent array (4×Width bytes
+// per vertex) and its traversals store no parents, so their random
+// writes touch only the lane words. Every lane scalar, SeenMask and
+// Touched are as for NewBatchSearcher; ParentOf and ExtractParents
+// panic. It serves callers that never read a tree, such as the
+// serving pool's batch runners. It is a function, not an option,
+// because mcbfs.BatchSearcher and mcbfs.BatchOptions alias this
+// package's types, whose fields and methods are public API.
+func NewBatchSearcherWithoutParents(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) {
+	return newBatchSearcher(g, opt, false)
+}
+
+// newBatchSearcher builds a session for either constructor.
+func newBatchSearcher(g *graph.Graph, opt BatchOptions, withParents bool) (*BatchSearcher, error) {
 	if g == nil {
 		return nil, errors.New("core: nil graph")
 	}
@@ -317,12 +348,14 @@ func NewBatchSearcher(g *graph.Graph, opt BatchOptions) (*BatchSearcher, error) 
 		seen:      bitmap.NewLanes(n),
 		visit:     bitmap.NewLanes(n),
 		visitNext: bitmap.NewLanes(n),
-		parents:   make([]uint32, n*o.Width),
 		touched:   queue.NewChunkQueue(n),
 		ws:        make([]batchWorker, o.Threads),
 		bar:       newBarrier(o.Threads),
 		gate:      newBarrier(o.Threads + 1),
 		symmetric: workGraph.Symmetric(),
+	}
+	if withParents {
+		b.parents = make([]uint32, n*o.Width)
 	}
 	for w := range b.ws {
 		b.ws[w].tbuf = make([]uint32, 0, 64)
@@ -502,7 +535,9 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 			b.touched.Push(uint32(ir))
 		}
 		b.visit.Or(ir, bit)
-		b.parents[ir*b.width+i] = uint32(ir)
+		if b.parents != nil {
+			b.parents[ir*b.width+i] = uint32(ir)
+		}
 		b.laneLevels[i] = 1
 		b.laneReached[i] = 1
 		b.laneEdges[i] = 0
@@ -720,11 +755,14 @@ func (b *BatchSearcher) topDownLevel(ws *batchWorker, lo, hi int) {
 			// that claimed it.
 			claimed += (offsets[wv+1] - offsets[wv]) * int64(bits.OnesCount64(d))
 			active |= d
-			base := wv * width
+			if parents != nil {
+				base := wv * width
+				for t := d; t != 0; t &= t - 1 {
+					parents[base+bits.TrailingZeros64(t)] = uint32(v)
+				}
+			}
 			for t := d; t != 0; t &= t - 1 {
-				l := bits.TrailingZeros64(t)
-				parents[base+l] = uint32(v)
-				ws.laneReached[l]++
+				ws.laneReached[bits.TrailingZeros64(t)]++
 			}
 		}
 	}
@@ -783,8 +821,10 @@ func (b *BatchSearcher) bottomUpLevel(ws *batchWorker, lo, hi int) {
 				continue
 			}
 			want &^= d
-			for t := d; t != 0; t &= t - 1 {
-				parents[base+bits.TrailingZeros64(t)] = u
+			if parents != nil {
+				for t := d; t != 0; t &= t - 1 {
+					parents[base+bits.TrailingZeros64(t)] = u
+				}
 			}
 		}
 		scanned += int64(i)
@@ -992,8 +1032,10 @@ func (r *BatchResult) SeenMask(v graph.Vertex) uint64 {
 
 // ParentOf returns v's parent in lane l's BFS tree, or NoParent when
 // lane l did not reach v. The root's parent is the root itself. Both v
-// and the returned parent are caller ids.
+// and the returned parent are caller ids. It panics on a session built
+// by NewBatchSearcherWithoutParents, which records no trees.
 func (r *BatchResult) ParentOf(l int, v graph.Vertex) uint32 {
+	r.mustHaveParents("ParentOf")
 	iv := int(v)
 	if r.b.perm != nil {
 		iv = int(r.b.perm[v])
@@ -1032,8 +1074,10 @@ func (r *BatchResult) Touched() []uint32 {
 // unreached vertices, everything in caller ids) into dst, allocating
 // when dst is too small. The fill is O(n) plus O(touched) for the
 // reached entries — the price of detaching a lane's tree from the
-// pooled state.
+// pooled state. It panics on a session built by
+// NewBatchSearcherWithoutParents, which records no trees.
 func (r *BatchResult) ExtractParents(l int, dst []uint32) []uint32 {
+	r.mustHaveParents("ExtractParents")
 	n := r.b.n
 	if cap(dst) < n {
 		dst = make([]uint32, n)
@@ -1055,6 +1099,14 @@ func (r *BatchResult) ExtractParents(l int, dst []uint32) []uint32 {
 		}
 	}
 	return dst
+}
+
+// mustHaveParents panics unless the session records parents, so a
+// parent-free session never hands out a tree it did not build.
+func (r *BatchResult) mustHaveParents(method string) {
+	if r.b.parents == nil {
+		panic("core: BatchResult." + method + " on a session built by NewBatchSearcherWithoutParents, which records no parents")
+	}
 }
 
 // LaneResult renders lane l as a scalar core.Result (Parents, PerLevel

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mcbfs/internal/gen"
@@ -41,6 +42,16 @@ func lollipop(scale, tail int) *graph.Graph {
 	return must(graph.FromEdges(n+tail, edges)).Undirected()
 }
 
+// batchConstructors are the two kinds of MS-BFS session: one that
+// records parents and one that does not.
+var batchConstructors = []struct {
+	name string
+	new  func(*graph.Graph, BatchOptions) (*BatchSearcher, error)
+}{
+	{"parents", NewBatchSearcher},
+	{"parent-free", NewBatchSearcherWithoutParents},
+}
+
 // TestBatchDirectionsMatchSingleSource runs the MS-BFS property test
 // with the level direction chosen by the α rule, forced top down, and
 // forced bottom up: on Undirected R-MAT graphs of scale 8–12, on an
@@ -49,7 +60,9 @@ func lollipop(scale, tail int) *graph.Graph {
 // turns back to top down), and on a directed R-MAT, which is not
 // flagged Symmetric and must never take a bottom-up level. Two batches
 // run on each session, so the reset after bottom-up levels is covered
-// too.
+// too. Every batch runs on a session that records parents and on a
+// parent-free one: both must match the reference, and each other lane
+// by lane, with the same direction choices.
 func TestBatchDirectionsMatchSingleSource(t *testing.T) {
 	type shape struct{ width, threads int }
 	graphs := []struct {
@@ -73,7 +86,12 @@ func TestBatchDirectionsMatchSingleSource(t *testing.T) {
 		for _, sh := range gc.shapes {
 			for _, dc := range batchDirections {
 				prev := SetBatchDirection(dc.dir)
-				b, err := NewBatchSearcher(gc.g, BatchOptions{Width: sh.width, Threads: sh.threads})
+				opt := BatchOptions{Width: sh.width, Threads: sh.threads}
+				b, err := NewBatchSearcher(gc.g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				free, err := NewBatchSearcherWithoutParents(gc.g, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,6 +103,16 @@ func TestBatchDirectionsMatchSingleSource(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					checkBatchLanes(t, label, refs, res, 0)
+					freeRes, err := free.Search(roots)
+					if err != nil {
+						t.Fatalf("%s parent-free: %v", label, err)
+					}
+					checkBatchLanes(t, label+" parent-free", refs, freeRes, 0)
+					checkSameLanes(t, label+" parent-free", res, freeRes)
+					if free.bottomUpLevels != b.bottomUpLevels || free.turns != b.turns {
+						t.Fatalf("%s: parent-free session ran %d bottom-up levels with %d turns, want %d and %d",
+							label, free.bottomUpLevels, free.turns, b.bottomUpLevels, b.turns)
+					}
 					switch {
 					case !gc.g.Symmetric() || dc.dir == DirectionTopDown:
 						if b.bottomUpLevels != 0 {
@@ -101,6 +129,7 @@ func TestBatchDirectionsMatchSingleSource(t *testing.T) {
 					}
 				}
 				b.Close()
+				free.Close()
 				SetBatchDirection(prev)
 			}
 		}
@@ -133,12 +162,14 @@ func truncatedLane(g *graph.Graph, depth []int32, k int32) (reached, edges int64
 }
 
 // TestBatchBottomUpLaneCancel cancels one lane of a duplicate-root pair
-// at a deterministic level transition, in each direction: the cancelled
-// lane must report exactly the truncated search (its m_a counts only
-// the rows it expanded, although its twin lane keeps expanding the
-// same vertices), its twin and the third lane must complete exactly,
-// and the next batch on the session must equal the sequential
-// reference, as a fresh session's does.
+// at a deterministic level transition, in each direction and on both
+// kinds of session: the cancelled lane must report exactly the
+// truncated search (its m_a counts only the rows it expanded, although
+// its twin lane keeps expanding the same vertices), its twin and the
+// third lane must complete exactly, the parent-free session must match
+// the one with parents lane by lane, cancelled lane included, and the
+// next batch on each session must equal the sequential reference, as a
+// fresh session's does.
 func TestBatchBottomUpLaneCancel(t *testing.T) {
 	g := must(gen.Grid(20, 20, 4)).Undirected()
 	refs := newBatchRefs(g)
@@ -147,36 +178,49 @@ func TestBatchBottomUpLaneCancel(t *testing.T) {
 	wantReached, wantEdges, wantLevels := truncatedLane(g, depth0, 2)
 	for _, dc := range batchDirections {
 		prev := SetBatchDirection(dc.dir)
-		b, err := NewBatchSearcher(g, BatchOptions{Width: 3, Threads: 2})
-		if err != nil {
-			t.Fatal(err)
+		var sessions []*BatchSearcher
+		var cancelled, next []*BatchResult
+		for _, bc := range batchConstructors {
+			label := dc.name + " " + bc.name
+			b, err := bc.new(g, BatchOptions{Width: 3, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions = append(sessions, b)
+			// Poll 1 is at seeding and polls 2–4 at the first three level
+			// transitions: the lane expands levels 0–2 and is cancelled
+			// at the transition after level 2.
+			ctx := &stepCancelCtx{threshold: 3}
+			res, err := b.SearchLanes(context.Background(), roots, []context.Context{ctx, nil, nil})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !errors.Is(res.Err[0], context.Canceled) {
+				t.Fatalf("%s: lane 0 error = %v, want context.Canceled", label, res.Err[0])
+			}
+			if res.Reached[0] != wantReached || res.Edges[0] != wantEdges || res.Levels[0] != wantLevels {
+				t.Errorf("%s: cancelled lane Reached/Edges/Levels = %d/%d/%d, want %d/%d/%d", label,
+					res.Reached[0], res.Edges[0], res.Levels[0], wantReached, wantEdges, wantLevels)
+			}
+			if dc.dir == DirectionBottomUp && b.bottomUpLevels == 0 {
+				t.Errorf("%s: no bottom-up level ran", label)
+			}
+			checkBatchLanes(t, label+" survivors", refs, res, 1)
+			cancelled = append(cancelled, res)
 		}
-		// Poll 1 is at seeding and polls 2–4 at the first three level
-		// transitions: the lane expands levels 0–2 and is cancelled at
-		// the transition after level 2.
-		ctx := &stepCancelCtx{threshold: 3}
-		res, err := b.SearchLanes(context.Background(), roots, []context.Context{ctx, nil, nil})
-		if err != nil {
-			t.Fatalf("%s: %v", dc.name, err)
+		checkSameLanes(t, dc.name+" lane-cancelled batch", cancelled[0], cancelled[1])
+		for i, b := range sessions {
+			got, err := b.Search([]graph.Vertex{5, 399, 5})
+			if err != nil {
+				t.Fatalf("%s %s: next batch: %v", dc.name, batchConstructors[i].name, err)
+			}
+			checkBatchLanes(t, dc.name+" "+batchConstructors[i].name+" next batch", refs, got, 0)
+			next = append(next, got)
 		}
-		if !errors.Is(res.Err[0], context.Canceled) {
-			t.Fatalf("%s: lane 0 error = %v, want context.Canceled", dc.name, res.Err[0])
+		checkSameLanes(t, dc.name+" next batch", next[0], next[1])
+		for _, b := range sessions {
+			b.Close()
 		}
-		if res.Reached[0] != wantReached || res.Edges[0] != wantEdges || res.Levels[0] != wantLevels {
-			t.Errorf("%s: cancelled lane Reached/Edges/Levels = %d/%d/%d, want %d/%d/%d", dc.name,
-				res.Reached[0], res.Edges[0], res.Levels[0], wantReached, wantEdges, wantLevels)
-		}
-		if dc.dir == DirectionBottomUp && b.bottomUpLevels == 0 {
-			t.Errorf("%s: no bottom-up level ran", dc.name)
-		}
-		checkBatchLanes(t, dc.name+" survivors", refs, res, 1)
-		next := []graph.Vertex{5, 399, 5}
-		got, err := b.Search(next)
-		if err != nil {
-			t.Fatalf("%s: next batch: %v", dc.name, err)
-		}
-		checkBatchLanes(t, dc.name+" next batch", refs, got, 0)
-		b.Close()
 		SetBatchDirection(prev)
 	}
 }
@@ -184,27 +228,12 @@ func TestBatchBottomUpLaneCancel(t *testing.T) {
 // TestBatchBottomUpWholeCancel cancels the whole batch in the middle of
 // a bottom-up sweep (the context fails at a worker's in-sweep poll,
 // not at a transition), then checks that the next batch on the session
-// equals a fresh session's answer vertex by vertex.
+// equals a fresh session's answer vertex by vertex, on both kinds of
+// session.
 func TestBatchBottomUpWholeCancel(t *testing.T) {
 	g := must(gen.RMAT(14, 1<<17, gen.GTgraphDefaults, 17)).Undirected()
 	defer SetBatchDirection(SetBatchDirection(DirectionBottomUp))
-	b, err := NewBatchSearcher(g, BatchOptions{Width: 16, Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	// Poll 1 is the dead-on-arrival check; the workers poll at every
-	// 2^12th vertex of their ranges, so polls 2–5 fall inside the root
-	// level's sweep.
-	ctx := &stepCancelCtx{threshold: 3}
-	if _, err := b.SearchContext(ctx, spreadRoots(g.NumVertices(), 16, 0)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-sweep error = %v, want context.Canceled", err)
-	}
 	roots := spreadRoots(g.NumVertices(), 16, 1)
-	res, err := b.Search(roots)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := NewBatchSearcher(g, BatchOptions{Width: 16, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -214,46 +243,98 @@ func TestBatchBottomUpWholeCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if got, w := res.SeenMask(graph.Vertex(v)), want.SeenMask(graph.Vertex(v)); got != w {
-			t.Fatalf("SeenMask(%d) = %#x after the cancelled batch, fresh session %#x", v, got, w)
+	refs := newBatchRefs(g)
+	for _, bc := range batchConstructors {
+		b, err := bc.new(g, BatchOptions{Width: 16, Threads: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for l := range roots {
-		if res.Reached[l] != want.Reached[l] || res.Levels[l] != want.Levels[l] || res.Edges[l] != want.Edges[l] {
-			t.Fatalf("lane %d: Reached/Levels/Edges = %d/%d/%d, fresh session %d/%d/%d", l,
-				res.Reached[l], res.Levels[l], res.Edges[l], want.Reached[l], want.Levels[l], want.Edges[l])
+		// Poll 1 is the dead-on-arrival check; the workers poll at every
+		// 2^12th vertex of their ranges, so polls 2–5 fall inside the
+		// root level's sweep.
+		ctx := &stepCancelCtx{threshold: 3}
+		if _, err := b.SearchContext(ctx, spreadRoots(g.NumVertices(), 16, 0)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: mid-sweep error = %v, want context.Canceled", bc.name, err)
 		}
+		res, err := b.Search(roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameLanes(t, bc.name+" after whole-batch cancel", want, res)
+		checkBatchLanes(t, bc.name+" after whole-batch cancel", refs, res, 0)
+		b.Close()
 	}
-	checkBatchLanes(t, "after whole-batch cancel", newBatchRefs(g), res, 0)
 }
 
 // TestBatchBottomUpWarmAllocs pins the zero-allocation warm batch with
-// bottom-up levels in it, under the α rule and forced.
+// bottom-up levels in it, under the α rule and forced, on both kinds of
+// session.
 func TestBatchBottomUpWarmAllocs(t *testing.T) {
 	g := must(gen.RMAT(10, 1<<13, gen.GTgraphDefaults, 7)).Undirected()
 	for _, dir := range []BatchDirection{DirectionAuto, DirectionBottomUp} {
 		prev := SetBatchDirection(dir)
-		b, err := NewBatchSearcher(g, BatchOptions{Width: 16, Threads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		roots := spreadRoots(g.NumVertices(), 16, 0)
-		if _, err := b.Search(roots); err != nil { // absorb the cold batch
-			t.Fatal(err)
-		}
-		if b.bottomUpLevels == 0 {
-			t.Errorf("direction %d: no bottom-up level ran", dir)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, err := b.Search(roots); err != nil {
+		for _, bc := range batchConstructors {
+			b, err := bc.new(g, BatchOptions{Width: 16, Threads: 2})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > 0 {
-			t.Errorf("direction %d: warm batch allocates %.1f times per op", dir, allocs)
+			roots := spreadRoots(g.NumVertices(), 16, 0)
+			if _, err := b.Search(roots); err != nil { // absorb the cold batch
+				t.Fatal(err)
+			}
+			if b.bottomUpLevels == 0 {
+				t.Errorf("direction %d %s: no bottom-up level ran", dir, bc.name)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := b.Search(roots); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("direction %d %s: warm batch allocates %.1f times per op", dir, bc.name, allocs)
+			}
+			b.Close()
 		}
-		b.Close()
 		SetBatchDirection(prev)
+	}
+}
+
+// TestBatchWithoutParentsPanics: a parent-free session records no
+// trees, so ParentOf and ExtractParents panic, naming the constructor,
+// rather than return a wrong tree. SeenMask still answers.
+func TestBatchWithoutParentsPanics(t *testing.T) {
+	g := must(gen.Chain(3))
+	b, err := NewBatchSearcherWithoutParents(g, BatchOptions{Width: 2, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if b.parents != nil {
+		t.Fatalf("parent-free session holds a %d-entry parent array", len(b.parents))
+	}
+	res, err := b.Search([]graph.Vertex{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.SeenMask(2); m != 0b11 {
+		t.Errorf("SeenMask(2) = %#b, want 0b11", m)
+	}
+	for _, tc := range []struct {
+		method string
+		call   func()
+	}{
+		{"ParentOf", func() { res.ParentOf(0, 1) }},
+		{"ExtractParents", func() { res.ExtractParents(0, nil) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.method) || !strings.Contains(msg, "NewBatchSearcherWithoutParents") {
+					t.Errorf("%s on a parent-free session: panic %q, want one naming %s and NewBatchSearcherWithoutParents",
+						tc.method, msg, tc.method)
+				}
+			}()
+			tc.call()
+		}()
 	}
 }

@@ -48,7 +48,9 @@ func (r *batchRefs) get(t *testing.T, root graph.Vertex) (*Result, []int32) {
 
 // checkBatchLanes requires lanes [from, Lanes) of res to equal the
 // sequential reference from their roots: Reached, Levels and Edges
-// exactly, a tree that validates, and a byte-equal depth array.
+// exactly, then, on a session that records parents, a tree that
+// validates and a byte-equal depth array, and on a parent-free one a
+// lane seen set that is exactly the reference's reached set.
 func checkBatchLanes(t *testing.T, label string, refs *batchRefs, res *BatchResult, from int) {
 	t.Helper()
 	var parents []uint32
@@ -62,6 +64,14 @@ func checkBatchLanes(t *testing.T, label string, refs *batchRefs, res *BatchResu
 			t.Fatalf("%s lane %d (root %d): Reached/Levels/Edges = %d/%d/%d, want %d/%d/%d", label, l, root,
 				res.Reached[l], res.Levels[l], res.Edges[l], ref.Reached, ref.Levels, ref.EdgesTraversed)
 		}
+		if res.b.parents == nil {
+			for v, d := range want {
+				if seen := res.SeenMask(graph.Vertex(v))&(1<<uint(l)) != 0; seen != (d >= 0) {
+					t.Fatalf("%s lane %d (root %d): seen[%d] = %v, reference depth %d", label, l, root, v, seen, d)
+				}
+			}
+			continue
+		}
 		parents = res.ExtractParents(l, parents)
 		if err := ValidateTree(refs.g, root, parents); err != nil {
 			t.Fatalf("%s lane %d (root %d): %v", label, l, root, err)
@@ -72,6 +82,45 @@ func checkBatchLanes(t *testing.T, label string, refs *batchRefs, res *BatchResu
 				t.Fatalf("%s lane %d (root %d): depth[%d] = %d, want %d", label, l, root, v, got[v], want[v])
 			}
 		}
+	}
+}
+
+// checkSameLanes requires a batch to equal the same batch run on a
+// session of the other kind (one with parents, one without): every
+// lane's Reached, Levels, Edges and error, the seen mask of every
+// vertex, and the touched list as a set.
+func checkSameLanes(t *testing.T, label string, want, got *BatchResult) {
+	t.Helper()
+	if got.Lanes != want.Lanes {
+		t.Fatalf("%s: %d lanes, want %d", label, got.Lanes, want.Lanes)
+	}
+	for l := 0; l < want.Lanes; l++ {
+		if got.Reached[l] != want.Reached[l] || got.Levels[l] != want.Levels[l] ||
+			got.Edges[l] != want.Edges[l] || !errors.Is(got.Err[l], want.Err[l]) {
+			t.Fatalf("%s lane %d: Reached/Levels/Edges/Err = %d/%d/%d/%v, want %d/%d/%d/%v", label, l,
+				got.Reached[l], got.Levels[l], got.Edges[l], got.Err[l],
+				want.Reached[l], want.Levels[l], want.Edges[l], want.Err[l])
+		}
+	}
+	n := want.b.n
+	for v := 0; v < n; v++ {
+		if g, w := got.SeenMask(graph.Vertex(v)), want.SeenMask(graph.Vertex(v)); g != w {
+			t.Fatalf("%s: SeenMask(%d) = %#x, want %#x", label, v, g, w)
+		}
+	}
+	in := make([]bool, n)
+	for _, v := range want.Touched() {
+		in[v] = true
+	}
+	gotTouched := got.Touched()
+	if len(gotTouched) != len(want.Touched()) {
+		t.Fatalf("%s: %d touched vertices, want %d", label, len(gotTouched), len(want.Touched()))
+	}
+	for _, v := range gotTouched {
+		if !in[v] {
+			t.Fatalf("%s: touched vertex %d is not touched in the other session, or twice", label, v)
+		}
+		in[v] = false
 	}
 }
 

@@ -234,7 +234,11 @@ func (ws *searchWorker) expand(u uint32, nbrs []uint32) {
 		}
 		// Double check: probe every target first, local or remote. A set
 		// bit proves the target claimed (bits only go from 0 to 1 within
-		// a search), so it is neither claimed nor sent.
+		// a search), so it is neither claimed nor sent. The claim stores
+		// through s.parents, not the parents local: with the local's
+		// pointer and length held in registers across this loop, the
+		// compiler ran out of them and spilled and reloaded v on every
+		// edge (go tool objdump of expand).
 		reads = int64(len(nbrs))
 		for _, v := range nbrs {
 			if visited.Get(int(v)) {
@@ -246,7 +250,7 @@ func (ws *searchWorker) expand(u uint32, nbrs []uint32) {
 			}
 			atomics++
 			if !visited.TestAndSet(int(v)) {
-				parents[v] = u
+				s.parents[v] = u
 				ws.push(v)
 			}
 		}

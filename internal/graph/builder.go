@@ -129,6 +129,59 @@ func fromArraysSerial(n int, srcs, dsts []Vertex) *Graph {
 	return &Graph{offsets: offsets, targets: targets}
 }
 
+// AppendEdges returns a new graph that holds g's edges followed by the
+// edges srcs[i] -> dsts[i], grown to cover any endpoint beyond g's
+// vertex range. It builds through FromArrays, so each row lists g's
+// targets in g's order and then the appended ones in theirs. The
+// result is flagged Symmetric when g is and the appended edges equal
+// their own reverse as a multiset: every (u, v) matched by a (v, u)
+// with the same multiplicity, a self-loop matching itself. The check
+// sorts two key copies of the appended edges, O(k log k) in their
+// count k; an unflagged g skips it. It is a function, not a method,
+// because mcbfs.Graph aliases Graph, whose methods are public API.
+func AppendEdges(g *Graph, srcs, dsts []Vertex) (*Graph, error) {
+	if len(srcs) != len(dsts) {
+		return nil, fmt.Errorf("graph: source count %d != target count %d", len(srcs), len(dsts))
+	}
+	n := g.NumVertices()
+	for i := range srcs {
+		n = max(n, int(srcs[i])+1, int(dsts[i])+1)
+	}
+	m := g.NumEdges()
+	allS := make([]Vertex, m+int64(len(srcs)))
+	allD := make([]Vertex, len(allS))
+	for v := 0; v < g.NumVertices(); v++ {
+		row := allS[g.offsets[v]:g.offsets[v+1]]
+		for i := range row {
+			row[i] = Vertex(v)
+		}
+	}
+	copy(allD, g.targets)
+	copy(allS[m:], srcs)
+	copy(allD[m:], dsts)
+	out, err := FromArrays(n, allS, allD)
+	if err != nil {
+		return nil, err
+	}
+	out.symmetric = g.symmetric && pairsUp(srcs, dsts)
+	return out, nil
+}
+
+// pairsUp reports whether the edge multiset srcs[i] -> dsts[i] equals
+// its reverse: sorted, its u<<32|v keys and its v<<32|u keys are the
+// same sequence.
+func pairsUp(srcs, dsts []Vertex) bool {
+	fwd := make([]uint64, len(srcs))
+	rev := make([]uint64, len(srcs))
+	for i := range srcs {
+		u, v := uint64(srcs[i]), uint64(dsts[i])
+		fwd[i], rev[i] = u<<32|v, v<<32|u
+	}
+	slices.Sort(fwd)
+	slices.Sort(rev)
+	return slices.Equal(fwd, rev)
+}
+
 // FromAdjacency builds a graph from explicit adjacency lists. It is a
 // convenience for tests and examples; adj[v] lists the out-neighbours of
 // v. It returns an error if a neighbour id is out of range.

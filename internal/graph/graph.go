@@ -42,7 +42,8 @@ type Graph struct {
 
 // Symmetric reports whether g is known to hold every edge in both
 // directions, so that its rows serve as in-edge lists. Undirected sets
-// it; Relabel, Reorder, Deduplicate and Transpose keep it. Every other
+// it; Relabel, Reorder, Deduplicate and Transpose keep it, and so does
+// AppendEdges when the appended edges pair up. Every other
 // constructor leaves it unset, even when the edges it was given happen
 // to be symmetric, and graph files do not carry it: a false result
 // means "not known", not "asymmetric".

@@ -125,3 +125,58 @@ func TestSymmetricFlagNotClaimedByOtherConstructors(t *testing.T) {
 		}
 	})
 }
+
+// TestAppendEdgesSymmetricFlag checks AppendEdges on both build paths:
+// the result holds exactly the CSR that FromArrays builds from g's
+// edges followed by the appended ones, and it keeps the Symmetric flag
+// only when g has it and the appended multiset equals its reverse.
+func TestAppendEdgesSymmetricFlag(t *testing.T) {
+	symmetricPaths(t, func(t *testing.T, path string) {
+		r := rng.New(7)
+		directed := must(t)(FromEdges(200, randomEdges(r, 200, 1500)))
+		und := directed.Undirected()
+		for _, tc := range []struct {
+			name       string
+			g          *Graph
+			srcs, dsts []Vertex
+			want       bool
+		}{
+			// Pairs in any order, a repeated pair, a self-loop, and a new
+			// vertex 250 that grows the graph.
+			{"paired", und, []Vertex{3, 250, 9, 3, 250, 7, 9}, []Vertex{9, 7, 3, 9, 250, 250, 3}, true},
+			{"one direction only", und, []Vertex{3, 250}, []Vertex{9, 7}, false},
+			{"unequal multiplicities", und, []Vertex{3, 3, 9}, []Vertex{9, 9, 3}, false},
+			{"unflagged base", directed, []Vertex{3, 9}, []Vertex{9, 3}, false},
+			{"nothing appended", und, nil, nil, true},
+		} {
+			label := fmt.Sprintf("%s %s", path, tc.name)
+			got, err := AppendEdges(tc.g, tc.srcs, tc.dsts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var srcs, dsts []Vertex
+			for u := 0; u < tc.g.NumVertices(); u++ {
+				for _, v := range tc.g.Neighbors(Vertex(u)) {
+					srcs, dsts = append(srcs, Vertex(u)), append(dsts, v)
+				}
+			}
+			n := tc.g.NumVertices()
+			for i := range tc.srcs {
+				n = max(n, int(tc.srcs[i])+1, int(tc.dsts[i])+1)
+			}
+			want := must(t)(FromArrays(n, append(srcs, tc.srcs...), append(dsts, tc.dsts...)))
+			if !identical(got, want) {
+				t.Fatalf("%s: the result differs from FromArrays over the concatenated edges", label)
+			}
+			if got.Symmetric() != tc.want {
+				t.Errorf("%s: Symmetric() = %v, want %v", label, got.Symmetric(), tc.want)
+			}
+			if got.Symmetric() && !sameGraphUnordered(got, got.Transpose()) {
+				t.Errorf("%s: a flagged graph is not its own transpose", label)
+			}
+		}
+		if _, err := AppendEdges(und, []Vertex{1}, nil); err == nil {
+			t.Errorf("%s: mismatched source and target counts accepted", path)
+		}
+	})
+}

@@ -340,9 +340,13 @@ func (p *Pool) startBatching() error {
 }
 
 // newBatchSearcher builds one runner's MS-BFS session over a given
-// snapshot's graph, wired to the pool's telemetry hub.
+// snapshot's graph, wired to the pool's telemetry hub. The runner
+// returns only each lane's scalars (LaneResult), never a tree, so the
+// session records no parents: that saves n×Lanes×4 bytes per runner,
+// at NewPool and at every rebind and panic rebuild, and the parent
+// stores in every traversal.
 func (p *Pool) newBatchSearcher(runner int, sn *poolSnapshot) (*core.BatchSearcher, error) {
-	return core.NewBatchSearcher(sn.g, core.BatchOptions{
+	return core.NewBatchSearcherWithoutParents(sn.g, core.BatchOptions{
 		Width:          p.batching.Lanes,
 		Threads:        p.opt.Search.Threads,
 		PinThreads:     p.opt.Search.PinThreads,

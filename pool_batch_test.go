@@ -3,6 +3,7 @@ package mcbfs_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -566,5 +567,54 @@ func TestPoolBatchingUndirectedDirections(t *testing.T) {
 			pool.Close()
 			core.SetBatchDirection(prev)
 		}
+	}
+}
+
+// TestPoolBatchingSessionsHoldNoParents: a batch runner returns only
+// lane scalars, so its MS-BFS session records no parents. A 64-lane
+// parent array on a 2^16-vertex graph is n×64×4 B = 16 MiB, and the
+// heap a batching pool retains stays below that, both at NewPool and
+// after a Swap has made the runner rebind to a new session.
+func TestPoolBatchingSessionsHoldNoParents(t *testing.T) {
+	g, err := mcbfs.GridGraph(256, 256, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parentBytes := int64(g.NumVertices()) * mcbfs.MaxBatchLanes * 4
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+		Size:     1,
+		Search:   mcbfs.Options{Threads: 2},
+		Batching: mcbfs.BatchingOptions{Lanes: mcbfs.MaxBatchLanes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if got := heap() - base; got >= parentBytes {
+		t.Errorf("NewPool retains %d B, not below one runner's parent array (%d B)", got, parentBytes)
+	}
+	if err := pool.Swap(g); err != nil {
+		t.Fatal(err)
+	}
+	// The runner rebinds to the new snapshot before it runs this batch.
+	if _, err := pool.Query(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for pool.Draining() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("old snapshot never finished draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := heap() - base; got >= parentBytes {
+		t.Errorf("after a Swap rebind the pool retains %d B, not below one runner's parent array (%d B)", got, parentBytes)
 	}
 }

@@ -253,7 +253,10 @@ func (p *Pool) Ingest(edges []Edge) (pending int, err error) {
 
 // Rebuild merges every buffered Ingest edge with the serving graph
 // through the parallel CSR builder and hot-swaps the result in,
-// returning the new serving epoch. With nothing buffered it is a no-op
+// returning the new serving epoch. The merged graph stays flagged
+// Symmetric, so batched queries keep their bottom-up levels, when the
+// serving graph was and the buffered edges pair up: every (u, v)
+// ingested with a matching (v, u). With nothing buffered it is a no-op
 // returning the current epoch. On failure the buffered edges are
 // restored (ahead of anything ingested meanwhile) and the old epoch
 // keeps serving.
@@ -276,7 +279,7 @@ func (p *Pool) Rebuild() (epoch int64, err error) {
 		p.pendDsts = append(dsts, p.pendDsts...)
 		p.pendMu.Unlock()
 	}
-	merged, err := mergeEdges(p.snap.Load().g, srcs, dsts)
+	merged, err := graph.AppendEdges(p.snap.Load().g, srcs, dsts)
 	if err != nil {
 		restore()
 		return 0, fmt.Errorf("mcbfs: rebuild merge of %d pending edges: %w", len(srcs), err)
@@ -286,36 +289,4 @@ func (p *Pool) Rebuild() (epoch int64, err error) {
 		return 0, err
 	}
 	return p.snap.Load().epoch, nil
-}
-
-// mergeEdges materializes g's edges plus the pending batch as parallel
-// source/target arrays and rebuilds one CSR via the parallel builder.
-// The vertex count grows to cover any endpoint beyond g's range.
-func mergeEdges(g *Graph, srcs, dsts []Vertex) (*Graph, error) {
-	n := g.NumVertices()
-	for i := range srcs {
-		if v := int(srcs[i]) + 1; v > n {
-			n = v
-		}
-		if v := int(dsts[i]) + 1; v > n {
-			n = v
-		}
-	}
-	m := g.NumEdges()
-	total := m + int64(len(srcs))
-	allS := make([]Vertex, total)
-	allD := make([]Vertex, total)
-	offs := g.Offsets()
-	targets := g.Targets()
-	idx := int64(0)
-	for v := 0; v < g.NumVertices(); v++ {
-		for i := offs[v]; i < offs[v+1]; i++ {
-			allS[idx] = Vertex(v)
-			allD[idx] = targets[i]
-			idx++
-		}
-	}
-	copy(allS[m:], srcs)
-	copy(allD[m:], dsts)
-	return graph.FromArrays(n, allS, allD)
 }

@@ -63,41 +63,66 @@ func TestSwapClosesOldSearchers(t *testing.T) {
 	}
 }
 
-// TestRebuildLeavesSymmetricFlagUnset: a Rebuild merges the pending
-// edges into the serving graph through the plain CSR builder, which
-// cannot know whether the caller ingested both directions of every
-// edge, so the rebuilt snapshot is not flagged Symmetric even when the
-// graph it replaced was, and even when the ingested edges are
-// symmetric. Batched queries on it run top down.
-func TestRebuildLeavesSymmetricFlagUnset(t *testing.T) {
-	g0, err := GridGraph(8, 8, 4)
+// TestPoolIngestRebuildSymmetricFlag: a Rebuild keeps the serving
+// graph's Symmetric flag, and with it the batched queries' bottom-up
+// levels, exactly when the graph it replaces is flagged and the
+// ingested edges pair up. In every case the rebuilt graph grows to the
+// ingested vertex 64, and batched answers on it equal a fresh
+// Searcher's.
+func TestPoolIngestRebuildSymmetricFlag(t *testing.T) {
+	grid, err := GridGraph(8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := g0.Undirected()
-	pool, err := NewPool(g, PoolOptions{Size: 1, Search: Options{Threads: 1}, Batching: BatchingOptions{Lanes: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	if !pool.snap.Load().g.Symmetric() {
-		t.Fatal("the serving graph lost its flag before any rebuild")
-	}
-	if _, err := pool.Ingest([]Edge{{Src: 0, Dst: 64}, {Src: 64, Dst: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Rebuild(); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := pool.snap.Load().g
-	if rebuilt.NumVertices() != 65 || rebuilt.Symmetric() {
-		t.Errorf("rebuilt graph: %d vertices, Symmetric %v; want 65 and false", rebuilt.NumVertices(), rebuilt.Symmetric())
-	}
-	res, err := pool.Query(context.Background(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reached != 65 {
-		t.Errorf("batched query on the rebuilt graph reached %d vertices, want 65", res.Reached)
+	for _, tc := range []struct {
+		name  string
+		g     *Graph
+		edges []Edge
+		want  bool
+	}{
+		{"paired ingest", grid.Undirected(), []Edge{{Src: 0, Dst: 64}, {Src: 9, Dst: 64}, {Src: 64, Dst: 0}, {Src: 64, Dst: 9}}, true},
+		{"one direction only", grid.Undirected(), []Edge{{Src: 0, Dst: 64}, {Src: 64, Dst: 9}}, false},
+		{"unequal multiplicities", grid.Undirected(), []Edge{{Src: 0, Dst: 64}, {Src: 0, Dst: 64}, {Src: 64, Dst: 0}}, false},
+		{"unflagged base graph", grid, []Edge{{Src: 0, Dst: 64}, {Src: 64, Dst: 0}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := NewPool(tc.g, PoolOptions{Size: 1, Search: Options{Threads: 2}, Batching: BatchingOptions{Lanes: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			if got := pool.snap.Load().g.Symmetric(); got != tc.g.Symmetric() {
+				t.Fatalf("the serving graph's flag is %v before any rebuild, want %v", got, tc.g.Symmetric())
+			}
+			if _, err := pool.Ingest(tc.edges); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pool.Rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			rebuilt := pool.snap.Load().g
+			if rebuilt.NumVertices() != 65 || rebuilt.Symmetric() != tc.want {
+				t.Fatalf("rebuilt graph: %d vertices, Symmetric %v; want 65 and %v", rebuilt.NumVertices(), rebuilt.Symmetric(), tc.want)
+			}
+			fresh, err := NewSearcher(rebuilt, Options{Algorithm: AlgSequential, Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			for _, root := range []Vertex{0, 9, 27, 63, 64} {
+				got, err := pool.Query(context.Background(), root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.BFS(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Reached != want.Reached || got.Levels != want.Levels || got.EdgesTraversed != want.EdgesTraversed {
+					t.Errorf("root %d: batched Reached/Levels/Edges %d/%d/%d, fresh Searcher %d/%d/%d", root,
+						got.Reached, got.Levels, got.EdgesTraversed, want.Reached, want.Levels, want.EdgesTraversed)
+				}
+			}
+		})
 	}
 }
