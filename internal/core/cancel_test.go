@@ -244,32 +244,35 @@ func TestSearchContextDeadlineBounded(t *testing.T) {
 }
 
 // TestSearcherCloseJoinsWorkers is the Close-join regression (the
-// PinThreads unpin race): churn pinned sessions back to back and check
-// no pool goroutine outlives its Close.
+// PinThreads unpin race): churn pinned sessions of both kinds back to
+// back and check no pool goroutine outlives its Close.
 func TestSearcherCloseJoinsWorkers(t *testing.T) {
 	g := must(gen.Uniform(5000, 8, 3))
 	base := runtime.NumGoroutine()
-	for i := 0; i < 8; i++ {
-		s, err := NewSearcher(g, Options{Algorithm: AlgSingleSocket, Threads: 4, PinThreads: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.BFS(graph.Vertex(i * 97 % 5000)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Close joins: every worker has run its deferred unpin before
-		// the next, equally pinned session starts. A worker past its
-		// deferred wg.Done is still counted until it exits, so wait for
-		// the count to return to baseline; one that never exits fails.
-		deadline := time.Now().Add(5 * time.Second)
-		for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
-			if time.Now().After(deadline) {
-				t.Fatalf("iteration %d: %d goroutines alive 5s after Close, started with %d", i, n, base)
+	for _, k := range sessionKinds {
+		for i := 0; i < 8; i++ {
+			s, err := k.open(g, 4, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
+			if err := s.query(graph.Vertex(i * 97 % 5000)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Close joins: every worker has run its deferred unpin before
+			// the next, equally pinned session starts. A worker past its
+			// deferred wg.Done is still counted until it exits, so wait
+			// for the count to return to baseline; one that never exits
+			// fails.
+			deadline := time.Now().Add(5 * time.Second)
+			for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s iteration %d: %d goroutines alive 5s after Close, started with %d", k.name, i, n, base)
+				}
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}
 }

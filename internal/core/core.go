@@ -112,8 +112,8 @@ type Options struct {
 	// alone exceeds it is split into edge-range sub-tasks expanded by
 	// several workers, and an early-finishing multi-socket worker steals
 	// budgeted chunks from the busiest sibling socket's queue. The
-	// direction-optimizing bottom-up sweep and the MS-BFS frontier scan
-	// partition by edge prefix sums under the same flag.
+	// direction-optimizing bottom-up sweep partitions by edge prefix sums
+	// under the same flag.
 	//
 	// 0 picks an automatic budget from the graph's average degree and
 	// ChunkSize (the default). A positive value sets the budget in
@@ -123,14 +123,6 @@ type Options struct {
 	// vertices as hubs and cost one pooled cache line per hub for the
 	// session's lifetime.
 	EdgeBudget int64
-	// HybridAlpha and HybridBeta are the direction-optimizing switch
-	// thresholds (Beamer's alpha/beta rule): a top-down level switches
-	// to bottom-up when the next frontier exceeds n/HybridAlpha
-	// vertices, and back to top-down when it falls below n/HybridBeta.
-	// 0 means the defaults (14 and 24); negative values are rejected.
-	// Larger values make the respective switch happen sooner.
-	HybridAlpha int
-	HybridBeta  int
 	// DisableDoubleCheck forces the atomic read-and-set on every
 	// neighbour, skipping the plain bitmap probe. Ablation knob for the
 	// paper's Fig. 5 "impact of optimizations". In the multi-socket
@@ -218,12 +210,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 128
-	}
-	if o.HybridAlpha == 0 {
-		o.HybridAlpha = defaultHybridAlpha
-	}
-	if o.HybridBeta == 0 {
-		o.HybridBeta = defaultHybridBeta
 	}
 	if o.Algorithm == AlgAuto {
 		switch {
@@ -354,9 +340,8 @@ func newParents(n int) []uint32 {
 }
 
 // fillNoParent fills p with NoParent, in parallel for large arrays
-// using the CSR builder's worker count — before the session refactor
-// this serial O(n) fill ran ahead of every search; now it runs once per
-// session but still dominates one-shot setup at large n.
+// using the CSR builder's worker count. It runs once per session, and
+// still dominates one-shot setup at large n.
 func fillNoParent(p []uint32) {
 	workers := graph.BuildParallelism()
 	const serialCutoff = 1 << 17

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 )
@@ -23,18 +25,60 @@ import (
 //     lock-prefixed operations.
 //
 // The switch heuristic follows Beamer's alpha/beta rule on frontier
-// size. Because bottom-up scans in-edges with early exit, the
-// EdgesTraversed of a hybrid run counts the edges actually examined,
-// which is typically far below the m_a of a top-down run — that gap IS
-// the optimization.
+// size (bottomUpNext). Because bottom-up scans in-edges with early
+// exit, the EdgesTraversed of a hybrid run counts the edges actually
+// examined, which is typically far below the m_a of a top-down run —
+// that gap IS the optimization.
 
-// The default alpha/beta thresholds: switch to bottom-up when the
-// frontier exceeds n/alpha vertices, back below n/beta. Tunable per
-// session via Options.HybridAlpha / Options.HybridBeta.
+// The alpha/beta thresholds: switch to bottom-up when the frontier
+// exceeds n/hybridAlpha vertices, back below n/hybridBeta.
 const (
-	defaultHybridAlpha = 14
-	defaultHybridBeta  = 24
+	hybridAlpha = 14
+	hybridBeta  = 24
 )
+
+// Direction overrides the direction rule of every level in the process
+// that could run bottom up: the alpha/beta rule of the
+// direction-optimizing tier and the batchAlpha rule of MS-BFS. It is a
+// test hook: the equivalence tests run the same searches with each
+// setting against one reference. Nothing outside tests changes it, and
+// the public API does not expose it.
+type Direction int32
+
+const (
+	// DirectionAuto applies each tier's own rule.
+	DirectionAuto Direction = iota
+	// DirectionTopDown runs every level top down.
+	DirectionTopDown
+	// DirectionBottomUp runs every direction-optimizing level after the
+	// root's bottom up, and every MS-BFS level on a symmetric graph;
+	// batches on other graphs stay top down.
+	DirectionBottomUp
+)
+
+var direction atomic.Int32
+
+// SetDirection installs d process-wide and returns the setting it
+// replaced. Tests only; see Direction.
+func SetDirection(d Direction) Direction {
+	return Direction(direction.Swap(int32(d)))
+}
+
+// bottomUpNext is the direction-optimizing tier's alpha/beta rule: from
+// the size of the next frontier, it picks whether the next level runs
+// bottom up. The level coordinator calls it.
+func (s *Searcher) bottomUpNext(next int64) bool {
+	switch Direction(direction.Load()) {
+	case DirectionTopDown:
+		return false
+	case DirectionBottomUp:
+		return true
+	}
+	if s.bottomUp.Load() {
+		return next >= int64(s.n/hybridBeta)
+	}
+	return next > int64(s.n/hybridAlpha)
+}
 
 // bottomUpLevel runs worker w's share of one bottom-up level of the
 // direction-optimizing tier. The current frontier is the queue window
@@ -51,18 +95,10 @@ func (s *Searcher) bottomUpLevel(w int, ws *searchWorker) {
 	// word's vertices with a neighbour's range. With edge budgeting the
 	// boundaries come from an edge-prefix-sum partition of the transpose
 	// (s.buPart), giving each worker ~equal in-edge mass instead of
-	// ~equal vertex count; without it the legacy uniform vertex split
-	// applies.
-	var lo, hi int
+	// ~equal vertex count; without it the uniform word split applies.
+	lo, hi := s.wordShard(w)
 	if s.buPart != nil {
 		lo, hi = s.buPart[w], s.buPart[w+1]
-	} else {
-		words := (s.n + 63) / 64
-		lo = words * w / workers * 64
-		hi = words * (w + 1) / workers * 64
-		if hi > s.n {
-			hi = s.n
-		}
 	}
 
 	// Build the frontier bitmap from an index partition of the current

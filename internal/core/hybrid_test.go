@@ -5,6 +5,7 @@ import (
 
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
+	"mcbfs/internal/obs"
 )
 
 // hybridFamilies are graphs that exercise both directions of the
@@ -217,48 +218,44 @@ func TestDirectionOptimizingString(t *testing.T) {
 	}
 }
 
-func TestHybridKnobsProduceValidTrees(t *testing.T) {
-	// Extreme switch thresholds force degenerate policies — alpha=1
-	// flips to bottom-up almost immediately, a huge beta makes the
-	// return to top-down very late — and every one of them must still
-	// deliver a correct tree with the reference vertex count.
-	knobs := []struct {
-		name        string
-		alpha, beta int
-	}{
-		{"eager-bottom-up", 1, 2},
-		{"sticky-bottom-up", 2, 1 << 20},
-		{"reluctant", 1 << 20, 1 << 30},
-		{"custom-moderate", 7, 48},
-	}
+// TestHybridDirectionsProduceValidTrees runs the direction-optimizing
+// tier under each setting of the Direction hook — the alpha/beta rule,
+// every level top down, and every level after the root's bottom up —
+// and requires the reference vertex count, level count and a valid tree
+// from each. Instrument's per-level phases show which levels ran bottom
+// up: forced bottom up runs at least one such level, forced top down
+// none, and then scans exactly the reference's edges.
+func TestHybridDirectionsProduceValidTrees(t *testing.T) {
 	for _, f := range hybridFamilies(t) {
 		ref := run(t, f.g, f.root, Options{Algorithm: AlgSequential})
-		for _, k := range knobs {
-			res := run(t, f.g, f.root, Options{
-				Algorithm:   AlgDirectionOptimizing,
-				Threads:     4,
-				HybridAlpha: k.alpha,
-				HybridBeta:  k.beta,
-			})
+		for _, dc := range directions {
+			prev := SetDirection(dc.dir)
+			res := run(t, f.g, f.root, Options{Algorithm: AlgDirectionOptimizing, Threads: 4, Instrument: true})
+			SetDirection(prev)
 			validate(t, f.g, res)
-			if res.Reached != ref.Reached {
-				t.Errorf("%s/%s: Reached = %d, want %d", f.name, k.name, res.Reached, ref.Reached)
+			if res.Reached != ref.Reached || res.Levels != ref.Levels {
+				t.Errorf("%s/%s: Reached/Levels = %d/%d, want %d/%d",
+					f.name, dc.name, res.Reached, res.Levels, ref.Reached, ref.Levels)
 			}
-			if res.Levels != ref.Levels {
-				t.Errorf("%s/%s: Levels = %d, want %d", f.name, k.name, res.Levels, ref.Levels)
+			bottomUp := 0
+			for _, lb := range res.PerLevel {
+				if lb.Phases[obs.PhaseBottomUpScan] > 0 {
+					bottomUp++
+				}
 			}
-		}
-	}
-}
-
-func TestHybridKnobsRejectNegatives(t *testing.T) {
-	g := must(gen.Chain(10))
-	for _, o := range []Options{
-		{Algorithm: AlgDirectionOptimizing, HybridAlpha: -1},
-		{Algorithm: AlgDirectionOptimizing, HybridBeta: -3},
-	} {
-		if _, err := NewSearcher(g, o); err == nil {
-			t.Errorf("NewSearcher(%+v) accepted a negative hybrid knob", o)
+			switch dc.dir {
+			case DirectionTopDown:
+				if bottomUp != 0 {
+					t.Errorf("%s/%s: %d bottom-up levels ran", f.name, dc.name, bottomUp)
+				}
+				if res.EdgesTraversed != ref.EdgesTraversed {
+					t.Errorf("%s/%s: EdgesTraversed = %d, want %d", f.name, dc.name, res.EdgesTraversed, ref.EdgesTraversed)
+				}
+			case DirectionBottomUp:
+				if bottomUp == 0 {
+					t.Errorf("%s/%s: no bottom-up level ran", f.name, dc.name)
+				}
+			}
 		}
 	}
 }

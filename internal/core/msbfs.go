@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"mcbfs/internal/affinity"
 	"mcbfs/internal/bitmap"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
@@ -59,12 +57,7 @@ import (
 // the next frontier's edges m_f and the unexplored edges m_u (see
 // batchAlpha).
 //
-// Parallelism reuses the level-barrier machinery of the session tiers:
-// workers own static vertex ranges of the frontier vectors, a
-// coordinator elected at the level barrier folds activity masks and
-// decides termination, and the whole engine is a persistent worker pool
-// with pooled state and an O(touched) reset, mirroring the Searcher
-// contract.
+// Its worker pool, barriers and full clear are the engine (engine.go).
 
 // MaxLanes is the number of concurrent sources one batch traversal can
 // carry: the lane words are 64 bits wide.
@@ -87,30 +80,6 @@ const BatchAlgorithmName = "msbfs"
 // permuted R-MAT graphs (EXPERIMENTS.md, "Bottom-up lane sweeps in
 // MS-BFS"), not from the single-source tier's constants.
 const batchAlpha = 4
-
-// BatchDirection overrides the direction rule of every MS-BFS level in
-// the process. It is a test hook: the equivalence tests run the same
-// batches with each setting against one reference. Nothing outside
-// tests changes it, and the public API does not expose it.
-type BatchDirection int32
-
-const (
-	// DirectionAuto applies the batchAlpha rule on symmetric graphs.
-	DirectionAuto BatchDirection = iota
-	// DirectionTopDown runs every level top down.
-	DirectionTopDown
-	// DirectionBottomUp runs every level bottom up on symmetric graphs;
-	// batches on other graphs stay top down.
-	DirectionBottomUp
-)
-
-var batchDirection atomic.Int32
-
-// SetBatchDirection installs d process-wide and returns the setting it
-// replaced. Tests only; see BatchDirection.
-func SetBatchDirection(d BatchDirection) BatchDirection {
-	return BatchDirection(batchDirection.Swap(int32(d)))
-}
 
 // BatchOptions configures a BatchSearcher. The zero value is a 64-lane
 // engine with GOMAXPROCS workers.
@@ -135,14 +104,6 @@ type BatchOptions struct {
 	// TelemetryShard selects the latency-histogram shard the per-lane
 	// samples record into.
 	TelemetryShard int
-	// EdgeBudget selects the worker partition of the frontier vectors:
-	// 0 or positive (the default) splits [0, n) by edge prefix sums so
-	// each worker's scan range carries ~equal adjacency mass; a
-	// negative value (core.EdgeBudgetOff) restores the legacy uniform
-	// vertex split. MS-BFS scans its whole range every level, so the
-	// partition is static and the budget's magnitude is irrelevant —
-	// only its sign participates, mirroring Options.EdgeBudget.
-	EdgeBudget int64
 	// Ordering and Reordered select a locality-optimized vertex
 	// relabeling exactly as for Options: the traversal runs on the
 	// relabeled graph, roots are translated in, and every extraction
@@ -199,14 +160,13 @@ type batchWorker struct {
 // be called concurrently. For concurrent batch streams, create one
 // BatchSearcher per stream (or use mcbfs.Pool's batching mode).
 type BatchSearcher struct {
-	g       *graph.Graph
-	o       BatchOptions
-	n       int
-	width   int // lane capacity; stride of parents
-	workers int
+	engine
+	o     BatchOptions
+	width int // lane capacity; stride of parents
 
-	// bounds is the edge-prefix-sum worker partition of [0, n] (nil
-	// under BatchOptions.EdgeBudget < 0, selecting the uniform split).
+	// bounds is the edge-prefix-sum worker partition of [0, n]: worker w
+	// owns the lane words of [bounds[w], bounds[w+1]), and each range
+	// carries ~equal adjacency mass.
 	bounds []int
 
 	seen      *bitmap.Lanes
@@ -219,20 +179,13 @@ type BatchSearcher struct {
 	parents []uint32
 
 	// Ordering translation layer, as in Searcher: the lane vectors and
-	// parent stride are indexed by relabeled ids; perm/inv translate at
-	// the API boundary. extTouched is the pooled caller-id copy of the
-	// touched list, filled lazily by BatchResult.Touched. All nil in
-	// natural order.
-	perm, inv  []graph.Vertex
+	// parent stride are indexed by relabeled ids; the engine's perm/inv
+	// translate at the API boundary. extTouched is the pooled caller-id
+	// copy of the touched list, filled lazily by BatchResult.Touched.
+	// nil in natural order.
 	extTouched []uint32
 
 	ws []batchWorker
-
-	bar    *barrier
-	gate   *barrier
-	wg     sync.WaitGroup
-	closed bool
-	job    jobKind
 
 	// symmetric caches g.Symmetric(): only then may a level run bottom
 	// up, because the bottom-up scan reads a vertex's row as its
@@ -310,58 +263,29 @@ func NewBatchSearcherWithoutParents(g *graph.Graph, opt BatchOptions) (*BatchSea
 
 // newBatchSearcher builds a session for either constructor.
 func newBatchSearcher(g *graph.Graph, opt BatchOptions, withParents bool) (*BatchSearcher, error) {
-	if g == nil {
-		return nil, errors.New("core: nil graph")
-	}
 	o := opt.withDefaults()
 	if o.Width > MaxLanes {
 		return nil, fmt.Errorf("core: batch width %d exceeds %d lanes", o.Width, MaxLanes)
 	}
-	n := g.NumVertices()
-	rd := o.Reordered
-	if rd == nil && o.Ordering != graph.OrderNatural {
-		var err error
-		if rd, err = g.Reorder(o.Ordering); err != nil {
-			return nil, err
-		}
-	}
-	workGraph := g
-	var perm, inv []graph.Vertex
-	if rd != nil {
-		if rd.Graph == nil || rd.Graph.NumVertices() != n || rd.Graph.NumEdges() != g.NumEdges() {
-			return nil, errors.New("core: BatchOptions.Reordered does not match the graph")
-		}
-		if rd.Perm != nil && (len(rd.Perm) != n || len(rd.Inv) != n) {
-			return nil, errors.New("core: BatchOptions.Reordered permutation length mismatch")
-		}
-		workGraph = rd.Graph
-		perm, inv = rd.Perm, rd.Inv
-	}
 	b := &BatchSearcher{
-		g:         workGraph,
-		perm:      perm,
-		inv:       inv,
-		o:         o,
-		n:         n,
-		width:     o.Width,
-		workers:   o.Threads,
-		seen:      bitmap.NewLanes(n),
-		visit:     bitmap.NewLanes(n),
-		visitNext: bitmap.NewLanes(n),
-		touched:   queue.NewChunkQueue(n),
-		ws:        make([]batchWorker, o.Threads),
-		bar:       newBarrier(o.Threads),
-		gate:      newBarrier(o.Threads + 1),
-		symmetric: workGraph.Symmetric(),
+		engine: engine{workers: o.Threads},
+		o:      o,
+		width:  o.Width,
+		ws:     make([]batchWorker, o.Threads),
 	}
+	if err := b.bindOrdering(g, o.Ordering, o.Reordered); err != nil {
+		return nil, err
+	}
+	n := b.n
+	b.bounds = graph.EdgePartition(b.g.Offsets(), b.workers, 1)
+	b.seen, b.visit, b.visitNext = bitmap.NewLanes(n), bitmap.NewLanes(n), bitmap.NewLanes(n)
+	b.touched = queue.NewChunkQueue(n)
+	b.symmetric = b.g.Symmetric()
 	if withParents {
 		b.parents = make([]uint32, n*o.Width)
 	}
 	for w := range b.ws {
 		b.ws[w].tbuf = make([]uint32, 0, 64)
-	}
-	if o.EdgeBudget >= 0 && b.workers > 1 {
-		b.bounds = graph.EdgePartition(workGraph.Offsets(), b.workers, 1)
 	}
 	b.res = BatchResult{
 		b:       b,
@@ -371,62 +295,16 @@ func newBatchSearcher(g *graph.Graph, opt BatchOptions, withParents bool) (*Batc
 		Levels:  make([]int, 0, o.Width),
 		Err:     make([]error, 0, o.Width),
 	}
-	b.wg.Add(b.workers)
-	for w := 0; w < b.workers; w++ {
-		go b.workerLoop(w)
-	}
+	b.start(o.PinThreads, b)
 	return b, nil
 }
 
 // Width returns the session's lane capacity.
 func (b *BatchSearcher) Width() int { return b.width }
 
-// workerLoop is one persistent pool worker, parked on the gate between
-// jobs exactly as a Searcher worker is.
-func (b *BatchSearcher) workerLoop(w int) {
-	defer b.wg.Done()
-	if b.o.PinThreads {
-		if unpin, err := affinity.PinToCPU(w); err == nil {
-			defer unpin()
-		}
-	}
-	for {
-		b.gate.wait()
-		if b.closed {
-			return
-		}
-		switch b.job {
-		case jobSearch:
-			b.batchWorker(w)
-		case jobClear:
-			b.clearShard(w)
-		}
-		b.gate.wait()
-	}
-}
-
-// runJob hands the prepared job to the pool and blocks until every
-// worker has finished it.
-func (b *BatchSearcher) runJob(kind jobKind) {
-	b.job = kind
-	b.gate.wait()
-	b.gate.wait()
-}
-
-// vertexRange is worker w's static share of the frontier vectors:
-// edge-balanced boundaries when BatchOptions.EdgeBudget permits (the
-// default), the uniform vertex split otherwise. Lane words are one per
-// vertex, so no word alignment is needed.
-func (b *BatchSearcher) vertexRange(w int) (lo, hi int) {
-	if b.bounds != nil {
-		return b.bounds[w], b.bounds[w+1]
-	}
-	return b.n * w / b.workers, b.n * (w + 1) / b.workers
-}
-
 // clearShard is worker w's share of the parallel full-reset fallback.
 func (b *BatchSearcher) clearShard(w int) {
-	lo, hi := b.vertexRange(w)
+	lo, hi := b.bounds[w], b.bounds[w+1]
 	b.seen.ResetWords(lo, hi)
 	b.visit.ResetWords(lo, hi)
 	b.visitNext.ResetWords(lo, hi)
@@ -436,20 +314,14 @@ func (b *BatchSearcher) clearShard(w int) {
 // O(touched): every vertex with any lane bit set — in seen, and
 // therefore in visit/visitNext, which only ever hold subsets of seen —
 // is on the touched queue, so walking it and zeroing the three words
-// (plain stores; the pool is parked) restores pristine state. The
-// parent array needs no reset: entries are only ever read under a set
-// seen bit.
+// (plain stores; the pool is parked), or the engine's full clear,
+// restores pristine state. The parent array needs no reset: entries are
+// only ever read under a set seen bit.
 func (b *BatchSearcher) resetState() {
 	if !b.hasTouched {
 		return
 	}
-	touched := b.touched.Size()
-	switch {
-	case touched >= b.n/4 && b.workers > 1:
-		b.runJob(jobClear)
-	case touched >= b.n/4:
-		b.clearShard(0)
-	default:
+	if !b.fullClear(b.touched.Size()) {
 		for _, v := range b.touched.Slice() {
 			b.seen.Clear(int(v))
 			b.visit.Clear(int(v))
@@ -504,7 +376,10 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err // dead on arrival: no state dirtied
+		// Dead on arrival: nothing searched and no state dirtied, but
+		// every lane still counts as cancelled.
+		b.recordCancelled(roots, time.Now(), 0, false)
+		return nil, err
 	}
 
 	b.resetState()
@@ -588,6 +463,7 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		// Whole-batch abort mirrors Searcher.SearchContext: the partial
 		// lane state is not a result; reset happens lazily on the next
 		// Search.
+		b.recordCancelled(roots, start, dur, true)
 		return nil, ctx.Err()
 	}
 
@@ -615,6 +491,31 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 	res.Duration = dur
 	b.record(res, start)
 	return res, nil
+}
+
+// recordCancelled counts each lane of a batch cancelled as a whole as
+// one cancelled query, as Searcher counts a cancelled search. After a
+// traversal, each lane's sample carries what the lane reached before
+// the batch unwound; a batch dead on arrival reached nothing. The batch
+// itself is not counted in RecordBatch: it has no result.
+func (b *BatchSearcher) recordCancelled(roots []graph.Vertex, start time.Time, dur time.Duration, traversed bool) {
+	t := b.o.Telemetry
+	if t == nil {
+		return
+	}
+	for l, r := range roots {
+		q := obs.QuerySample{
+			Root:      uint32(r),
+			Start:     start,
+			Duration:  dur,
+			Outcome:   obs.OutcomeCancelled,
+			Algorithm: BatchAlgorithmName,
+		}
+		if traversed {
+			q.Levels, q.Reached, q.Edges = b.laneLevels[l], b.laneReached[l], b.laneEdges[l]
+		}
+		t.RecordQuery(b.o.TelemetryShard, q)
+	}
 }
 
 // record hands the finished batch to the session's telemetry sinks.
@@ -651,12 +552,12 @@ func (b *BatchSearcher) record(res *BatchResult, start time.Time) {
 // the coordinator at every level barrier.
 const batchCancelStride = 1 << 12
 
-// batchWorker runs one worker's share of the traversal: expand its
+// levelWorker runs one worker's share of the traversal: expand its
 // range of each level in the direction the coordinator chose, then meet
 // the others at the level barrier.
-func (b *BatchSearcher) batchWorker(w int) {
+func (b *BatchSearcher) levelWorker(w int) {
 	ws := &b.ws[w]
-	lo, hi := b.vertexRange(w)
+	lo, hi := b.bounds[w], b.bounds[w+1]
 	for {
 		visit, bottomUp := b.visit, b.bottomUp
 		if bottomUp {
@@ -777,7 +678,7 @@ func (b *BatchSearcher) topDownLevel(ws *batchWorker, lo, hi int) {
 // lanes it misses, and stops once all of them are found. During the
 // level only the owner reads or writes its vertices' seen, visitNext
 // and parent words, so all three take plain stores and no atomic OR;
-// the other workers only read visit, which batchWorker clears after
+// the other workers only read visit, which levelWorker clears after
 // the first barrier.
 func (b *BatchSearcher) bottomUpLevel(ws *batchWorker, lo, hi int) {
 	g := b.g
@@ -928,7 +829,7 @@ func (b *BatchSearcher) bottomUpNext(mf int64, active uint64) bool {
 	if !b.symmetric {
 		return false
 	}
-	switch BatchDirection(batchDirection.Load()) {
+	switch Direction(direction.Load()) {
 	case DirectionTopDown:
 		return false
 	case DirectionBottomUp:
@@ -943,24 +844,6 @@ func (b *BatchSearcher) bottomUpNext(mf int64, active uint64) bool {
 	}
 	return mf*batchAlpha > mu
 }
-
-// Close shuts down the worker pool and joins it, exactly as
-// Searcher.Close. Close is idempotent but must not run concurrently
-// with Search.
-func (b *BatchSearcher) Close() error {
-	if b.closed {
-		return nil
-	}
-	b.closed = true
-	b.gate.wait()
-	b.wg.Wait()
-	return nil
-}
-
-// Closed reports whether Close has completed on this BatchSearcher, for
-// owners verifying teardown (e.g. a serving pool rebinding its batch
-// runners to a new graph snapshot).
-func (b *BatchSearcher) Closed() bool { return b.closed }
 
 // laneAll returns the mask of the first lanes lane bits, handling the
 // full 64-lane case where 1<<64 would overflow.

@@ -11,11 +11,12 @@ import (
 	"mcbfs/internal/graph"
 )
 
-// batchDirections is the direction sweep of the MS-BFS tests: the α
-// rule, every level top down, and every level bottom up.
-var batchDirections = []struct {
+// directions is the direction sweep of the MS-BFS and
+// direction-optimizing tests: each tier's own rule, every level top
+// down, and every level bottom up.
+var directions = []struct {
 	name string
-	dir  BatchDirection
+	dir  Direction
 }{
 	{"auto", DirectionAuto},
 	{"top-down", DirectionTopDown},
@@ -84,8 +85,8 @@ func TestBatchDirectionsMatchSingleSource(t *testing.T) {
 		refs := newBatchRefs(gc.g)
 		var autoBottomUp, autoTurns int
 		for _, sh := range gc.shapes {
-			for _, dc := range batchDirections {
-				prev := SetBatchDirection(dc.dir)
+			for _, dc := range directions {
+				prev := SetDirection(dc.dir)
 				opt := BatchOptions{Width: sh.width, Threads: sh.threads}
 				b, err := NewBatchSearcher(gc.g, opt)
 				if err != nil {
@@ -130,7 +131,7 @@ func TestBatchDirectionsMatchSingleSource(t *testing.T) {
 				}
 				b.Close()
 				free.Close()
-				SetBatchDirection(prev)
+				SetDirection(prev)
 			}
 		}
 		if gc.g.Symmetric() && autoBottomUp == 0 {
@@ -176,8 +177,8 @@ func TestBatchBottomUpLaneCancel(t *testing.T) {
 	roots := []graph.Vertex{0, 0, 210}
 	_, depth0 := refs.get(t, 0)
 	wantReached, wantEdges, wantLevels := truncatedLane(g, depth0, 2)
-	for _, dc := range batchDirections {
-		prev := SetBatchDirection(dc.dir)
+	for _, dc := range directions {
+		prev := SetDirection(dc.dir)
 		var sessions []*BatchSearcher
 		var cancelled, next []*BatchResult
 		for _, bc := range batchConstructors {
@@ -221,7 +222,7 @@ func TestBatchBottomUpLaneCancel(t *testing.T) {
 		for _, b := range sessions {
 			b.Close()
 		}
-		SetBatchDirection(prev)
+		SetDirection(prev)
 	}
 }
 
@@ -232,7 +233,7 @@ func TestBatchBottomUpLaneCancel(t *testing.T) {
 // session.
 func TestBatchBottomUpWholeCancel(t *testing.T) {
 	g := must(gen.RMAT(14, 1<<17, gen.GTgraphDefaults, 17)).Undirected()
-	defer SetBatchDirection(SetBatchDirection(DirectionBottomUp))
+	defer SetDirection(SetDirection(DirectionBottomUp))
 	roots := spreadRoots(g.NumVertices(), 16, 1)
 	fresh, err := NewBatchSearcher(g, BatchOptions{Width: 16, Threads: 2})
 	if err != nil {
@@ -271,8 +272,8 @@ func TestBatchBottomUpWholeCancel(t *testing.T) {
 // session.
 func TestBatchBottomUpWarmAllocs(t *testing.T) {
 	g := must(gen.RMAT(10, 1<<13, gen.GTgraphDefaults, 7)).Undirected()
-	for _, dir := range []BatchDirection{DirectionAuto, DirectionBottomUp} {
-		prev := SetBatchDirection(dir)
+	for _, dir := range []Direction{DirectionAuto, DirectionBottomUp} {
+		prev := SetDirection(dir)
 		for _, bc := range batchConstructors {
 			b, err := bc.new(g, BatchOptions{Width: 16, Threads: 2})
 			if err != nil {
@@ -295,7 +296,7 @@ func TestBatchBottomUpWarmAllocs(t *testing.T) {
 			}
 			b.Close()
 		}
-		SetBatchDirection(prev)
+		SetDirection(prev)
 	}
 }
 

@@ -393,6 +393,50 @@ func TestBatchWholeCancel(t *testing.T) {
 	}
 }
 
+// TestBatchCancelRecordsOutcomes checks that a batch cancelled as a
+// whole, dead on arrival or at the coordinator's poll mid-traversal,
+// still records one cancelled outcome per lane, as a cancelled Searcher
+// search records one, and no batch sample, since it has no result.
+func TestBatchCancelRecordsOutcomes(t *testing.T) {
+	g := must(gen.Chain(50))
+	roots := []graph.Vertex{0, 1, 2}
+	for _, bc := range batchConstructors {
+		var m obs.Metrics
+		tel := obs.NewTelemetry(obs.TelemetryOptions{Shards: 1, Metrics: &m})
+		b, err := bc.new(g, BatchOptions{Width: 3, Threads: 2, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := b.SearchContext(dead, roots); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: dead-on-arrival error = %v", bc.name, err)
+		}
+		if got := tel.OutcomeCount(obs.OutcomeCancelled); got != 3 {
+			t.Errorf("%s: dead on arrival: %d cancelled outcomes, want 3 (one per lane)", bc.name, got)
+		}
+		if _, err := b.SearchLanes(&stepCancelCtx{threshold: 3}, roots, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: mid-flight error = %v", bc.name, err)
+		}
+		if got := tel.OutcomeCount(obs.OutcomeCancelled); got != 6 {
+			t.Errorf("%s: mid-flight: %d cancelled outcomes, want 6 (one per lane per batch)", bc.name, got)
+		}
+		if got := m.BatchTraversals.Load(); got != 0 {
+			t.Errorf("%s: %d batch samples after two cancelled batches, want 0", bc.name, got)
+		}
+		if _, err := b.Search(roots); err != nil {
+			t.Fatal(err)
+		}
+		if ok, cancelled := tel.OutcomeCount(obs.OutcomeOK), tel.OutcomeCount(obs.OutcomeCancelled); ok != 3 || cancelled != 6 {
+			t.Errorf("%s: after a full batch: %d ok and %d cancelled outcomes, want 3 and 6", bc.name, ok, cancelled)
+		}
+		if got := m.BatchTraversals.Load(); got != 1 {
+			t.Errorf("%s: %d batch samples after one full batch, want 1", bc.name, got)
+		}
+		b.Close()
+	}
+}
+
 func TestBatchSeenMaskAndParentOf(t *testing.T) {
 	// Chain 0->1->2: lane 0 from vertex 0 sees everything, lane 1 from
 	// vertex 2 sees only vertex 2.

@@ -153,7 +153,7 @@ func TestReorderedBatchEquivalence(t *testing.T) {
 			if rd.Graph.Symmetric() != g.Symmetric() {
 				t.Fatalf("%s/%s: reordering changed the Symmetric flag", gname, o)
 			}
-			for _, dc := range batchDirections {
+			for _, dc := range directions {
 				reorderedBatchPasses(t, gname+"/"+o.String()+"/"+dc.name, g, rd, dc.dir, roots, baseline, depths)
 			}
 		}
@@ -163,10 +163,10 @@ func TestReorderedBatchEquivalence(t *testing.T) {
 // reorderedBatchPasses runs two batches of roots on one reordered
 // session under direction dir and checks them against the natural
 // baseline.
-func reorderedBatchPasses(t *testing.T, label string, g *graph.Graph, rd *graph.Reordered, dir BatchDirection,
+func reorderedBatchPasses(t *testing.T, label string, g *graph.Graph, rd *graph.Reordered, dir Direction,
 	roots []graph.Vertex, baseline []*Result, depths [][]int32) {
 	t.Helper()
-	defer SetBatchDirection(SetBatchDirection(dir))
+	defer SetDirection(SetDirection(dir))
 	bs, err := NewBatchSearcher(g, BatchOptions{
 		Width:     len(roots),
 		Threads:   3,
@@ -242,7 +242,7 @@ func reorderedBatchPasses(t *testing.T, label string, g *graph.Graph, rd *graph.
 }
 
 // TestReorderedSearcherRejectsMismatch checks the Reordered-vs-graph
-// validation paths.
+// validation paths of both session kinds.
 func TestReorderedSearcherRejectsMismatch(t *testing.T) {
 	g := must(gen.Chain(64))
 	other := must(gen.Chain(65))
@@ -255,6 +255,23 @@ func TestReorderedSearcherRejectsMismatch(t *testing.T) {
 	}
 	if _, err := NewBatchSearcher(g, BatchOptions{Reordered: rd}); err == nil {
 		t.Error("NewBatchSearcher accepted a Reordered for a different graph")
+	}
+	// A Reordered whose Graph matches but whose permutation pair is
+	// truncated would index past the end of Perm or Inv.
+	good, err := g.Reorder(graph.OrderDegree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortPerm, shortInv := *good, *good
+	shortPerm.Perm = good.Perm[:len(good.Perm)-1]
+	shortInv.Inv = good.Inv[:len(good.Inv)-1]
+	for name, bad := range map[string]*graph.Reordered{"Perm": &shortPerm, "Inv": &shortInv} {
+		if _, err := NewSearcher(g, Options{Reordered: bad}); err == nil {
+			t.Errorf("NewSearcher accepted a Reordered with a truncated %s", name)
+		}
+		if _, err := NewBatchSearcher(g, BatchOptions{Reordered: bad}); err == nil {
+			t.Errorf("NewBatchSearcher accepted a Reordered with a truncated %s", name)
+		}
 	}
 }
 

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"mcbfs/internal/affinity"
 	"mcbfs/internal/bitmap"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
@@ -26,14 +24,6 @@ type Query struct {
 	// the session setting, a negative value forces unbounded.
 	MaxLevels int
 }
-
-// jobKind is what the worker pool is asked to run between gates.
-type jobKind int
-
-const (
-	jobSearch jobKind = iota
-	jobClear
-)
 
 // searchWorker is one pool worker's per-search state: the level scan's
 // claim mode, queue and counters (set by begin at the start of every
@@ -93,11 +83,9 @@ type searchWorker struct {
 // not be called concurrently. For concurrent query streams, create one
 // Searcher per stream — Searchers over the same graph are independent.
 type Searcher struct {
-	g       *graph.Graph
+	engine
 	gt      *graph.Graph // transpose; direction-optimizing tier only (lazy)
 	o       Options      // session options, resolved by withDefaults
-	n       int
-	workers int
 	sockets int
 	part    topology.Partition // multi-socket tier only
 
@@ -115,15 +103,13 @@ type Searcher struct {
 	buPart     []int
 
 	// Ordering translation layer (Options.Ordering / Options.Reordered):
-	// the session searches a relabeled copy of the caller's graph, so s.g
-	// is the relabeled CSR, perm maps caller ids into it, inv maps back,
+	// the engine binds s.g to a relabeled copy of the caller's graph,
 	// and extParents is the pooled caller-id parent array that results
 	// expose. A query translates its root in (one array read) and, when
 	// its caller reads parents, its parent tree out (one O(touched) walk
 	// of the monotone queues); the reset clears extParents only after
-	// such a translation, so warm queries stay allocation-free. All nil
-	// when the session runs in natural order.
-	perm, inv  []graph.Vertex
+	// such a translation, so warm queries stay allocation-free. nil when
+	// the session runs in natural order.
 	extParents []uint32
 
 	// q is the monotone queue of the shared-queue tiers (sequential,
@@ -138,22 +124,9 @@ type Searcher struct {
 
 	ws []searchWorker
 
-	// bar synchronizes the workers inside a search (workers parties);
-	// gate hands jobs between the caller and the pool (workers+1
-	// parties, used alternately as launch and finish). The gate's mutex
-	// is what publishes the caller's pre-launch writes to the workers
-	// and the workers' finish writes back. wg joins the pool goroutines
-	// in Close (each worker's deferred unpin must complete before Close
-	// returns, or it could race the pinning of a successor's workers).
-	bar    *barrier
-	gate   *barrier
-	wg     sync.WaitGroup
-	closed bool
-
 	// Per-search job description: written by Search before the launch
 	// gate, read by workers after it. coll is nil when nothing observes
 	// the search, else it points at collector.
-	job       jobKind
 	alg       Algorithm
 	maxLevels int
 	coll      *obs.Collector
@@ -209,9 +182,6 @@ type Searcher struct {
 // Search pays only the search itself, and state for other tiers
 // requested via Query.Algorithm is allocated on first use.
 func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
-	if g == nil {
-		return nil, errors.New("core: nil graph")
-	}
 	o := opt.withDefaults()
 	if err := o.Machine.Validate(); err != nil {
 		return nil, err
@@ -221,53 +191,25 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", opt.Algorithm)
 	}
-	if o.HybridAlpha < 0 || o.HybridBeta < 0 {
-		return nil, fmt.Errorf("core: HybridAlpha/HybridBeta must be positive (got %d/%d)",
-			opt.HybridAlpha, opt.HybridBeta)
-	}
-	n := g.NumVertices()
-	rd := o.Reordered
-	if rd == nil && o.Ordering != graph.OrderNatural {
-		var err error
-		if rd, err = g.Reorder(o.Ordering); err != nil {
-			return nil, err
-		}
-		o.Reordered = rd // sessions rebuilt from these options reuse it
-	}
-	workGraph := g
-	var perm, inv []graph.Vertex
-	if rd != nil {
-		if rd.Graph == nil || rd.Graph.NumVertices() != n || rd.Graph.NumEdges() != g.NumEdges() {
-			return nil, errors.New("core: Options.Reordered does not match the graph")
-		}
-		if rd.Perm != nil && (len(rd.Perm) != n || len(rd.Inv) != n) {
-			return nil, errors.New("core: Options.Reordered permutation length mismatch")
-		}
-		workGraph = rd.Graph
-		perm, inv = rd.Perm, rd.Inv
-	}
 	s := &Searcher{
-		g:       workGraph,
-		perm:    perm,
-		inv:     inv,
+		engine:  engine{workers: o.Threads},
 		o:       o,
-		n:       n,
-		workers: o.Threads,
 		sockets: o.Machine.SocketsForThreads(o.Threads),
-		parents: newParents(n),
-		visited: bitmap.NewAtomic(n),
 		ws:      make([]searchWorker, o.Threads),
-		bar:     newBarrier(o.Threads),
-		gate:    newBarrier(o.Threads + 1),
 	}
-	if perm != nil {
-		s.extParents = newParents(n)
+	if err := s.bindOrdering(g, o.Ordering, o.Reordered); err != nil {
+		return nil, err
 	}
-	s.edgeBudget = resolveEdgeBudget(o, workGraph)
+	s.parents = newParents(s.n)
+	s.visited = bitmap.NewAtomic(s.n)
+	if s.perm != nil {
+		s.extParents = newParents(s.n)
+	}
+	s.edgeBudget = resolveEdgeBudget(o, s.g)
 	if s.edgeBudget > 0 && s.workers > 1 {
 		// With one worker there is nobody to share a split hub with, so
 		// the board is skipped and over-budget vertices expand inline.
-		s.hubs = newHubBoard(workGraph, s.edgeBudget)
+		s.hubs = newHubBoard(s.g, s.edgeBudget)
 	}
 	for w := range s.ws {
 		s.ws[w].s = s
@@ -276,10 +218,7 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 	if err := s.ensureTier(o.Algorithm); err != nil {
 		return nil, err
 	}
-	s.wg.Add(s.workers)
-	for w := 0; w < s.workers; w++ {
-		go s.workerLoop(w)
-	}
+	s.start(o.PinThreads, s)
 	return s, nil
 }
 
@@ -371,54 +310,11 @@ func (s *Searcher) ensureTier(alg Algorithm) error {
 	return nil
 }
 
-// workerLoop is one persistent pool worker: pinned once for the
-// session's lifetime when PinThreads is set, then parked on the gate
-// between jobs.
-func (s *Searcher) workerLoop(w int) {
-	// Registered first so it runs last: the deferred unpin below must
-	// have restored the OS thread before Close's join returns.
-	defer s.wg.Done()
-	if s.o.PinThreads {
-		if unpin, err := affinity.PinToCPU(w); err == nil {
-			defer unpin()
-		}
-	}
-	for {
-		s.gate.wait()
-		if s.closed {
-			return
-		}
-		switch s.job {
-		case jobSearch:
-			s.levelWorker(w)
-		case jobClear:
-			s.clearShard(w)
-		}
-		s.gate.wait()
-	}
-}
-
-// runJob hands the prepared job to the pool and blocks until every
-// worker has finished it.
-func (s *Searcher) runJob(kind jobKind) {
-	s.job = kind
-	s.gate.wait()
-	s.gate.wait()
-}
-
 // clearShard is worker w's share of the parallel full-reset fallback:
 // restore a word-aligned shard of the parent array and of whichever of
-// the visited bitmap and the caller-id parent array are dirty. Word
-// alignment keeps two workers' bitmap stores off the same word.
+// the visited bitmap and the caller-id parent array are dirty.
 func (s *Searcher) clearShard(w int) {
-	words := (s.n + 63) / 64
-	wlo := words * w / s.workers
-	whi := words * (w + 1) / s.workers
-	lo := wlo * 64
-	hi := whi * 64
-	if hi > s.n {
-		hi = s.n
-	}
+	lo, hi := s.wordShard(w)
 	p := s.parents[lo:hi]
 	for i := range p {
 		p[i] = NoParent
@@ -432,7 +328,7 @@ func (s *Searcher) clearShard(w int) {
 		}
 	}
 	if s.visitedDirty {
-		s.visited.ResetWords(wlo, whi)
+		s.visited.ResetWords(lo/64, (hi+63)/64)
 	}
 }
 
@@ -460,10 +356,9 @@ func (s *Searcher) clearTouched(vs []uint32) {
 // resetState restores what the previous search dirtied, in O(touched)
 // rather than O(n): the monotone queues hold exactly the vertices it
 // reached, a cancelled search's partial set included, and every entry
-// it or its translation wrote belongs to one of them. When the search
-// touched a large fraction of the graph, a parallel full clear beats
-// the walk's random stores. The pool is parked while this runs, so
-// every clear is a plain store.
+// it or its translation wrote belongs to one of them, unless the
+// engine's full clear takes over (fullClear). The pool is parked while
+// this runs, so every clear is a plain store.
 func (s *Searcher) resetState() {
 	if !s.hasTouched {
 		return
@@ -475,12 +370,7 @@ func (s *Searcher) resetState() {
 	for _, q := range s.qs {
 		touched += q.Size()
 	}
-	switch {
-	case touched >= s.n/4 && s.workers > 1:
-		s.runJob(jobClear)
-	case touched >= s.n/4:
-		s.clearShard(0)
-	default:
+	if !s.fullClear(touched) {
 		if s.q != nil {
 			s.clearTouched(s.q.Slice())
 		}
@@ -794,25 +684,3 @@ func (s *Searcher) obsCollector(workers, sockets int, alg Algorithm) *obs.Collec
 	})
 	return &s.collector
 }
-
-// Close shuts down the worker pool and joins it: when Close returns,
-// every pool worker has finished and run its deferred unpin (under
-// PinThreads, restoring its OS thread's affinity), so a successor
-// Searcher's workers cannot race the unpinning. The goroutines may
-// still be exiting. Results returned earlier (and their Parents) remain
-// readable; further Search calls fail. Close is idempotent but must not
-// run concurrently with Search.
-func (s *Searcher) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	s.gate.wait() // release the pool; workers observe closed and exit
-	s.wg.Wait()   // join: unpin deferreds have run when this returns
-	return nil
-}
-
-// Closed reports whether Close has completed on this Searcher. It is
-// meant for owners verifying teardown (e.g. a serving pool draining a
-// retired snapshot), not for synchronizing with a concurrent Close.
-func (s *Searcher) Closed() bool { return s.closed }

@@ -326,24 +326,73 @@ func TestConcurrentSearchers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSearcherClose checks Close idempotence and the post-Close guard.
+// sessionKinds are the two kinds of session over the worker engine,
+// reduced to what the Close tests drive: open one with the given
+// workers, query one root, and close it.
+var sessionKinds = []struct {
+	name string
+	open func(g *graph.Graph, threads int, pin bool) (session, error)
+}{
+	{"searcher", func(g *graph.Graph, threads int, pin bool) (session, error) {
+		s, err := NewSearcher(g, Options{Algorithm: AlgSingleSocket, Threads: threads, PinThreads: pin})
+		if err != nil {
+			return nil, err
+		}
+		return searcherSession{s}, nil
+	}},
+	{"batch", func(g *graph.Graph, threads int, pin bool) (session, error) {
+		b, err := NewBatchSearcher(g, BatchOptions{Width: 4, Threads: threads, PinThreads: pin})
+		if err != nil {
+			return nil, err
+		}
+		return batchSession{b}, nil
+	}},
+}
+
+type session interface {
+	query(root graph.Vertex) error
+	Close() error
+	Closed() bool
+}
+
+type searcherSession struct{ *Searcher }
+
+func (s searcherSession) query(root graph.Vertex) error {
+	_, err := s.BFS(root)
+	return err
+}
+
+type batchSession struct{ *BatchSearcher }
+
+func (b batchSession) query(root graph.Vertex) error {
+	_, err := b.Search([]graph.Vertex{root})
+	return err
+}
+
+// TestSearcherClose checks Close idempotence and the post-Close guard
+// on both kinds of session.
 func TestSearcherClose(t *testing.T) {
 	g := must(gen.Chain(10))
-	s, err := NewSearcher(g, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.BFS(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := s.BFS(0); err == nil {
-		t.Error("Search on a closed Searcher succeeded")
+	for _, k := range sessionKinds {
+		s, err := k.open(g, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.query(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Closed() {
+			t.Errorf("%s: Closed() = false after Close", k.name)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("%s: second Close: %v", k.name, err)
+		}
+		if err := s.query(0); err == nil {
+			t.Errorf("%s: search on a closed session succeeded", k.name)
+		}
 	}
 }
 

@@ -334,11 +334,7 @@ func (s *Searcher) advanceLevel() {
 	switch {
 	case next == 0 || (s.maxLevels > 0 && s.levels >= s.maxLevels):
 		s.done.Store(true)
-	case s.bottomUp.Load():
-		if next < int64(s.n/s.o.HybridBeta) {
-			s.bottomUp.Store(false)
-		}
-	case s.alg == AlgDirectionOptimizing && next > int64(s.n/s.o.HybridAlpha):
-		s.bottomUp.Store(true)
+	case s.alg == AlgDirectionOptimizing:
+		s.bottomUp.Store(s.bottomUpNext(next))
 	}
 }

@@ -531,9 +531,9 @@ func TestPoolBatchingUndirectedDirections(t *testing.T) {
 		}
 		want[root] = res
 	}
-	for _, dir := range []core.BatchDirection{core.DirectionAuto, core.DirectionTopDown, core.DirectionBottomUp} {
+	for _, dir := range []core.Direction{core.DirectionAuto, core.DirectionTopDown, core.DirectionBottomUp} {
 		for _, order := range []mcbfs.Ordering{mcbfs.OrderNatural, mcbfs.OrderDegreeGroup} {
-			prev := core.SetBatchDirection(dir)
+			prev := core.SetDirection(dir)
 			pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
 				Size:     1,
 				Search:   mcbfs.Options{Threads: 2, Ordering: order},
@@ -565,7 +565,7 @@ func TestPoolBatchingUndirectedDirections(t *testing.T) {
 			}
 			wg.Wait()
 			pool.Close()
-			core.SetBatchDirection(prev)
+			core.SetDirection(prev)
 		}
 	}
 }
