@@ -143,6 +143,163 @@ func TestSearchContextCancelMidSearch(t *testing.T) {
 	}
 }
 
+// wideLeaves is the width of wideLevelPlusIsland's wide level.
+const wideLeaves = 499
+
+// wideLevelPlusIsland builds the in-level cancellation graph: root 0
+// joined to the leaves 1..wideLeaves, each leaf joined to one pendant
+// of its own (wideLeaves+1..2*wideLeaves), and the island edge
+// 1000-1001 of chainPlusIsland, so expectPristineAfter applies (vertex
+// 999 is isolated). The leaves form a level of far more than
+// cancelCheckMask+1 frontier vertices, each discovering one vertex, so
+// context polls land inside it, after some of its discoveries and
+// before others.
+func wideLevelPlusIsland(t *testing.T) *graph.Graph {
+	t.Helper()
+	edges := make([]graph.Edge, 0, 2*wideLeaves+1)
+	for i := 1; i <= wideLeaves; i++ {
+		edges = append(edges,
+			graph.Edge{Src: 0, Dst: graph.Vertex(i)},
+			graph.Edge{Src: graph.Vertex(i), Dst: graph.Vertex(wideLeaves + i)})
+	}
+	edges = append(edges, graph.Edge{Src: 1000, Dst: 1001})
+	directed, err := graph.FromEdges(1002, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return directed.Undirected()
+}
+
+// errPollPanic is what panicCtx panics with.
+var errPollPanic = errors.New("context poll panicked")
+
+// panicCtx is countdownCtx whose (after+1)-th Err call panics instead
+// of reporting cancellation.
+type panicCtx struct{ countdownCtx }
+
+func (c *panicCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		panic(errPollPanic)
+	}
+	return nil
+}
+
+// expectQueueIsTouchedSet checks the sequential tier's exit invariant
+// on an unwound session: its queue holds exactly the vertices whose
+// parent entries the search wrote.
+func expectQueueIsTouchedSet(t *testing.T, s *Searcher, when string) {
+	t.Helper()
+	queued := make(map[uint32]bool, s.q.Size())
+	for _, v := range s.q.Slice() {
+		if queued[v] {
+			t.Fatalf("%s: vertex %d queued twice", when, v)
+		}
+		queued[v] = true
+	}
+	for v, p := range s.parents {
+		if (p != NoParent) != queued[uint32(v)] {
+			t.Fatalf("%s: vertex %d has parent %d but queued=%v (queue holds %d vertices)",
+				when, v, p, queued[uint32(v)], len(queued))
+		}
+	}
+}
+
+// TestSearchContextCancelInWideLevel cancels every tier at context
+// polls inside a level wide enough to hold several of them, the exit
+// at which a tier must still leave every claimed vertex on its queue:
+// the sequential tier's unpublished appends, the parallel tiers'
+// unflushed batches. One-vertex chunks make the parallel tiers poll
+// per frontier vertex too, and the direction-optimizing tier runs top
+// down, since its bottom-up sweep polls once per 4096 vertices. After
+// each abort the session must be pristine and answer exactly; on the
+// sequential tier the abort must land inside the wide level, the
+// query's recorded Reached must equal its touched list, and a context
+// whose Err panics at the same poll must leave the same state.
+func TestSearchContextCancelInWideLevel(t *testing.T) {
+	g := wideLevelPlusIsland(t)
+	defer SetDirection(SetDirection(DirectionTopDown))
+	for _, v := range sessionVariants {
+		t.Run(v.name, func(t *testing.T) {
+			tel := obs.NewTelemetry(obs.TelemetryOptions{})
+			opt := v.opt(g)
+			opt.ChunkSize = 1
+			opt.Telemetry = tel
+			s, err := NewSearcher(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			sequential := v.name == "sequential"
+			// The entry poll and the one at the root level's barrier come
+			// first, so after=2 cancels at the first poll inside the leaf
+			// level and after=3 at the second.
+			for _, after := range []int64{2, 3} {
+				res, err := s.SearchContext(&countdownCtx{after: after}, 0, Query{})
+				if res != nil || !errors.Is(err, context.Canceled) {
+					t.Fatalf("after=%d: res=%v err=%v, want nil, context.Canceled", after, res, err)
+				}
+				// Every leaf is on the touched list; some pendants are, and
+				// others are not.
+				touched := int64(0)
+				if s.q != nil {
+					touched += int64(s.q.Size())
+				}
+				for _, q := range s.qs {
+					touched += int64(q.Size())
+				}
+				if touched <= 1+wideLeaves || touched >= 1+2*wideLeaves {
+					t.Fatalf("after=%d: abort left %d vertices touched, want one inside the leaf level's expansion (%d, %d)",
+						after, touched, 1+wideLeaves, 1+2*wideLeaves)
+				}
+				if sequential {
+					// The abort comes at frontier vertex (after-1)*64 of the
+					// search, before it is expanded: the root and the leaves
+					// before it have discovered their neighbours.
+					want := 1 + wideLeaves + (after-1)*(cancelCheckMask+1) - 2
+					if touched != want {
+						t.Fatalf("after=%d: touched list holds %d vertices, want %d", after, touched, want)
+					}
+					if rec := tel.Flight().Records()[0]; rec.Reached != touched {
+						t.Fatalf("after=%d: recorded Reached %d, touched list %d", after, rec.Reached, touched)
+					}
+					expectQueueIsTouchedSet(t, s, "after in-level cancel")
+				}
+				expectPristineAfter(t, s, "after in-level cancel")
+				full, err := s.BFS(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expectSameTree(t, g, full, true)
+			}
+			if !sequential {
+				return
+			}
+			// The sequential tier runs on the caller's goroutine, so a
+			// panic at the poll unwinds to this test.
+			for _, after := range []int64{2, 3} {
+				func() {
+					defer func() {
+						if r := recover(); r != errPollPanic {
+							t.Fatalf("after=%d: recovered %v, want the context's panic", after, r)
+						}
+					}()
+					s.SearchContext(&panicCtx{countdownCtx{after: after}}, 0, Query{})
+				}()
+				if got, want := int64(s.q.Size()), 1+wideLeaves+(after-1)*(cancelCheckMask+1)-2; got != want {
+					t.Fatalf("after=%d: touched list after the panic holds %d vertices, want %d", after, got, want)
+				}
+				expectQueueIsTouchedSet(t, s, "after a panicking poll")
+				expectPristineAfter(t, s, "after a panicking poll")
+				full, err := s.BFS(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expectSameTree(t, g, full, true)
+			}
+		})
+	}
+}
+
 // TestCancelAtLevelBoundaryFoldsLevel checks that a search cancelled
 // at a level boundary folds every level it counts before it unwinds:
 // the flight record of the cancelled query carries one per-level record

@@ -382,6 +382,18 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		return nil, err
 	}
 
+	// A lane whose context is already dead is cancelled before the
+	// first scan, so it deterministically reaches only its root. The
+	// lane contexts are polled before any state is dirtied, so the seed
+	// loop below calls nothing that can panic between its appends and
+	// their publish.
+	var cancelled uint64
+	for i, lc := range laneCtx {
+		if lc != nil && lc.Err() != nil {
+			cancelled |= uint64(1) << uint(i)
+		}
+	}
+
 	b.resetState()
 	b.hasTouched = true
 	b.ctx = ctx
@@ -392,12 +404,11 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 	b.done.Store(false)
 	b.depth = 0
 
-	// Seed the lanes. A lane whose context is already dead is cancelled
-	// before the first scan, so it deterministically reaches only its
-	// root; every other lane adds its root's row to the root level's
-	// m_f.
-	var cancelled uint64
+	// Seed the lanes; every live lane adds its root's row to the root
+	// level's m_f. The pool is parked and resetState emptied the
+	// touched queue, so the roots take its single-producer path.
 	var mf int64
+	tail := int64(0)
 	for i, r := range roots {
 		// The traversal runs in the session's id space; res.Roots echoes
 		// the caller's original ids.
@@ -407,7 +418,7 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		}
 		bit := uint64(1) << uint(i)
 		if old := b.seen.Or(ir, bit); old == 0 {
-			b.touched.Push(uint32(ir))
+			tail = b.touched.Append(tail, uint32(ir))
 		}
 		b.visit.Or(ir, bit)
 		if b.parents != nil {
@@ -417,12 +428,11 @@ func (b *BatchSearcher) SearchLanes(ctx context.Context, roots []graph.Vertex, l
 		b.laneReached[i] = 1
 		b.laneEdges[i] = 0
 		b.laneErr[i] = nil
-		if laneCtx != nil && laneCtx[i] != nil && laneCtx[i].Err() != nil {
-			cancelled |= bit
-		} else {
+		if cancelled&bit == 0 {
 			mf += int64(b.g.Degree(graph.Vertex(ir)))
 		}
 	}
+	b.touched.Publish(tail)
 	b.cancelMask.Store(cancelled)
 	b.activeMask = b.laneMask &^ cancelled
 	if b.activeMask == 0 {

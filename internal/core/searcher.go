@@ -515,8 +515,8 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	// parent/bitmap write (rather than after the search completes, as
 	// an earlier version did) means an abort on any path below still
 	// triggers a full reset of the partial state on the next query —
-	// including the root's seeded parent entry, which is why the queue
-	// push below precedes the s.parents[root] write.
+	// including the root's seeded parent entry, which is why the root
+	// is published on its queue before that entry is written.
 	s.hasTouched = true
 	usesVisited := alg == AlgSingleSocket || alg == AlgMultiSocket || alg == AlgDirectionOptimizing
 	if usesVisited {
@@ -548,16 +548,24 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 		iroot = s.perm[root]
 	}
 
+	// Seed the root: resetState emptied the queues and the pool is
+	// parked, so the root is its queue's one append, on the
+	// single-producer path, published before its parent entry is
+	// written.
+	rootQ := s.q
+	if alg == AlgMultiSocket {
+		rootQ = s.qs[s.part.DetermineSocket(uint32(iroot))]
+	}
+	rootQ.Publish(rootQ.Append(0, uint32(iroot)))
+	s.parents[iroot] = uint32(iroot)
+
 	start := time.Now()
 	var edges, reached int64
 	if alg == AlgSequential {
 		// The serial baseline runs inline on the caller's goroutine.
-		s.q.Push(uint32(iroot))
-		s.parents[iroot] = uint32(iroot)
 		edges, reached = s.sequentialSearch()
 	} else {
 		if alg == AlgMultiSocket {
-			s.qs[s.part.DetermineSocket(uint32(iroot))].Push(uint32(iroot))
 			for i := range s.sockLimit {
 				s.sockLimit[i] = int64(s.qs[i].Size())
 			}
@@ -570,11 +578,9 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 				}
 			}
 		} else {
-			s.q.Push(uint32(iroot))
 			s.prevLimit = 0
 			s.limit = 1
 		}
-		s.parents[iroot] = uint32(iroot)
 		if usesVisited {
 			s.visited.Set(int(iroot))
 		}

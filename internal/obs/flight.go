@@ -88,9 +88,9 @@ const flightRefreshEvery = 64
 // query deposits its scalar record; only queries at or above the
 // adaptive threshold — the histogram's current p99 — retain their full
 // per-level breakdown, so the ring stays cheap to feed (one short mutex
-// hold, no steady-state allocation: slow captures reuse each slot's
-// PerLevel capacity) while the pathological queries arrive with their
-// phase anatomy attached.
+// hold, no allocation for captures of up to flightCaptureLevels levels:
+// slow captures copy into each slot's reserved PerLevel room) while the
+// pathological queries arrive with their phase anatomy attached.
 //
 // The threshold starts at 0 (capture everything) and adapts after each
 // flightRefreshEvery recordings, so a cold recorder documents its first
@@ -104,13 +104,29 @@ type FlightRecorder struct {
 	hist         *Histogram // threshold source; may be nil (threshold stays put)
 }
 
+// flightCaptureLevels is the per-level capture room every ring slot
+// reserves when the recorder is built: a full BFS of an R-MAT scale-18
+// graph takes 6-7 levels, a bounded query fewer, so a slow query's
+// capture copies into reserved memory rather than allocating on the
+// serving path. A deeper capture grows its slot once. At 144 B per
+// LevelBreakdown the reservation is 1,152 B per slot, 288 KiB for the
+// default 256-slot ring.
+const flightCaptureLevels = 8
+
 // newFlightRecorder builds a recorder of the given ring size whose
-// adaptive threshold tracks hist's p99.
+// adaptive threshold tracks hist's p99. The slots' capture room comes
+// from one allocation, each slot capped to its own share of it.
 func newFlightRecorder(size int, hist *Histogram) *FlightRecorder {
 	if size < 1 {
 		size = 1
 	}
-	return &FlightRecorder{ring: make([]QueryRecord, size), hist: hist}
+	ring := make([]QueryRecord, size)
+	room := make([]LevelBreakdown, size*flightCaptureLevels)
+	for i := range ring {
+		lo := i * flightCaptureLevels
+		ring[i].PerLevel = room[lo : lo : lo+flightCaptureLevels]
+	}
+	return &FlightRecorder{ring: ring, hist: hist}
 }
 
 // note deposits one query into the ring. Called by Telemetry.RecordQuery.

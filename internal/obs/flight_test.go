@@ -49,6 +49,40 @@ func TestFlightRecorderCapturesAboveThreshold(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCaptureDoesNotAllocate fills every slot of a fresh
+// default-size ring with a captured query as deep as the reserved room:
+// the captures copy into memory reserved when the recorder was built,
+// so none allocates.
+func TestFlightRecorderCaptureDoesNotAllocate(t *testing.T) {
+	const size = 256
+	r := newFlightRecorder(size, nil) // threshold 0: every query is captured
+	s := sampleWithLevels(time.Millisecond, flightCaptureLevels)
+	// AllocsPerRun notes once to warm up, so size-1 runs reach the
+	// remaining never-used slots exactly once each.
+	if allocs := testing.AllocsPerRun(size-1, func() { r.note(s) }); allocs != 0 {
+		t.Fatalf("capturing into a fresh slot: %v allocs per query, want 0", allocs)
+	}
+	recs := r.Records()
+	if len(recs) != size {
+		t.Fatalf("records = %d, want %d", len(recs), size)
+	}
+	for _, rec := range recs {
+		if !rec.Captured || len(rec.PerLevel) != flightCaptureLevels {
+			t.Fatalf("slot %d: captured=%v with %d levels, want a %d-level capture",
+				rec.Seq, rec.Captured, len(rec.PerLevel), flightCaptureLevels)
+		}
+	}
+	// A deeper capture grows its slot without disturbing its neighbour.
+	r.note(sampleWithLevels(time.Second, flightCaptureLevels+3))
+	recs = r.Records()
+	if len(recs[0].PerLevel) != flightCaptureLevels+3 || recs[0].PerLevel[flightCaptureLevels].Level != flightCaptureLevels {
+		t.Fatalf("deep capture kept %d levels, want %d", len(recs[0].PerLevel), flightCaptureLevels+3)
+	}
+	if next := recs[size-1]; len(next.PerLevel) != flightCaptureLevels || next.PerLevel[0].Level != 0 {
+		t.Fatalf("the deep capture disturbed the next slot: %+v", next.PerLevel)
+	}
+}
+
 func TestFlightRecorderRingWrap(t *testing.T) {
 	r := newFlightRecorder(4, nil)
 	for i := 1; i <= 10; i++ {

@@ -14,6 +14,7 @@ type TelemetryOptions struct {
 	// Values below 1 become 1.
 	Shards int
 	// FlightSize is the flight recorder's ring length. 0 means 256.
+	// Each slot reserves room for an 8-level capture (1,152 B) up front.
 	FlightSize int
 	// Metrics is the counter set the hub counts its batch and swap
 	// totals into and exports on /metrics; nil makes the hub allocate

@@ -472,7 +472,7 @@ func TestQuickTuplePackRoundTrip(t *testing.T) {
 
 func TestChunkQueuePushPop(t *testing.T) {
 	q := NewChunkQueue(100)
-	q.Push(5)
+	q.Publish(q.Append(0, 5))
 	q.PushBatch([]uint32{6, 7, 8})
 	if q.Len() != 4 || q.Size() != 4 {
 		t.Fatalf("Len=%d Size=%d, want 4, 4", q.Len(), q.Size())
@@ -492,7 +492,7 @@ func TestChunkQueuePushPop(t *testing.T) {
 
 func TestChunkQueuePopChunkZeroMax(t *testing.T) {
 	q := NewChunkQueue(10)
-	q.Push(1)
+	q.Publish(q.Append(0, 1))
 	if q.PopChunk(0) != nil {
 		t.Error("PopChunk(0) returned data")
 	}
@@ -509,7 +509,7 @@ func TestChunkQueueReset(t *testing.T) {
 	if q.Len() != 0 || q.Size() != 0 {
 		t.Errorf("after Reset: Len=%d Size=%d", q.Len(), q.Size())
 	}
-	q.Push(9)
+	q.Publish(q.Append(0, 9))
 	chunk := q.PopChunk(5)
 	if len(chunk) != 1 || chunk[0] != 9 {
 		t.Errorf("after Reset PopChunk = %v", chunk)
@@ -524,7 +524,56 @@ func TestChunkQueueOverflowPanics(t *testing.T) {
 			t.Fatal("overflow did not panic")
 		}
 	}()
-	q.Push(3)
+	q.Append(2, 3)
+}
+
+// TestChunkQueueAppendPublish checks the single-producer path: an
+// appended element stays invisible to every reader until its tail is
+// published, and a publish exposes exactly the elements below it.
+func TestChunkQueueAppendPublish(t *testing.T) {
+	q := NewChunkQueue(8)
+	q.Publish(q.Append(0, 10))
+	tail := q.Append(int64(q.Size()), 11)
+	tail = q.Append(tail, 12)
+	if q.Size() != 1 || q.Len() != 1 {
+		t.Fatalf("before publish: Size=%d Len=%d, want 1, 1", q.Size(), q.Len())
+	}
+	if s := q.Slice(); len(s) != 1 || s[0] != 10 {
+		t.Fatalf("before publish: Slice = %v, want [10]", s)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Window past the published tail did not panic")
+			}
+		}()
+		q.Window(0, tail)
+	}()
+	if got := q.PopChunkBounded(8, tail); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("before publish: PopChunkBounded = %v, want [10]", got)
+	}
+	if got := q.PopChunk(8); got != nil {
+		t.Fatalf("before publish: PopChunk = %v, want nil", got)
+	}
+
+	q.Publish(tail)
+	if q.Size() != 3 || q.Len() != 2 {
+		t.Fatalf("after publish: Size=%d Len=%d, want 3, 2", q.Size(), q.Len())
+	}
+	if s := q.Slice(); len(s) != 3 || s[1] != 11 || s[2] != 12 {
+		t.Fatalf("after publish: Slice = %v, want [10 11 12]", s)
+	}
+	if w := q.Window(1, tail); len(w) != 2 || w[0] != 11 || w[1] != 12 {
+		t.Fatalf("after publish: Window(1, 3) = %v, want [11 12]", w)
+	}
+	if got := q.PopChunkBounded(8, tail); len(got) != 2 || got[0] != 11 || got[1] != 12 {
+		t.Fatalf("after publish: PopChunkBounded = %v, want [11 12]", got)
+	}
+	// A batching producer claims past the published tail.
+	q.PushBatch([]uint32{13})
+	if s := q.Slice(); len(s) != 4 || s[3] != 13 {
+		t.Fatalf("PushBatch after publish: Slice = %v, want [10 11 12 13]", s)
+	}
 }
 
 func TestChunkQueueSlice(t *testing.T) {
@@ -766,7 +815,7 @@ func TestChunkQueueOverflowPanicMessage(t *testing.T) {
 		f(q)
 	}
 	check("PushBatch", "tail=2", func(q *ChunkQueue) { q.PushBatch([]uint32{7, 8}) })
-	check("Push", "tail=3", func(q *ChunkQueue) { q.PushBatch([]uint32{7}); q.Push(9) })
+	check("Append", "tail=3", func(q *ChunkQueue) { q.PushBatch([]uint32{7}); q.Append(int64(q.Size()), 9) })
 }
 
 // edgeOffsets builds a CSR offsets array from per-vertex degrees.
@@ -838,9 +887,11 @@ func TestChunkQueuePopChunkEdgesConcurrent(t *testing.T) {
 	}
 	offs := edgeOffsets(degs...)
 	q := NewChunkQueue(n)
+	tail := int64(0)
 	for i := 0; i < n; i++ {
-		q.Push(uint32(i))
+		tail = q.Append(tail, uint32(i))
 	}
+	q.Publish(tail)
 	limit := int64(q.Size())
 
 	const consumers = 8

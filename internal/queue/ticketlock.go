@@ -13,7 +13,9 @@
 //     paper reports ~30 ns per vertex inserted, all costs included);
 //   - ChunkQueue: the shared current/next vertex queue (CQ/NQ) with
 //     atomic cursor claiming, the Go realization of the paper's
-//     LockedDequeue/LockedEnqueue.
+//     LockedDequeue/LockedEnqueue. Its producers either own the queue
+//     (plain-store appends, the tail published once per batch) or
+//     batch (one fetch-and-add per batch of claims).
 package queue
 
 import (
