@@ -1,15 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper, plus
-// ablations of the design choices DESIGN.md calls out.
-//
-// Two kinds of benchmark appear here:
-//
-//   - measured: real library runs on this host at host-appropriate
-//     sizes; b.N iterations are timed as usual and the achieved rate is
-//     reported as the custom metric "ME/s".
-//   - simulated: the calibrated machine model evaluated at the paper's
-//     full scale; the simulation itself is what is timed (it is
-//     microseconds), and the *reproduced paper figure* is reported as
-//     the custom metric "sim-ME/s".
+// Benchmarks of the library's measured paths and ablations of the
+// design choices DESIGN.md calls out. Each is a real library run on
+// this host; b.N iterations are timed as usual and the achieved rate
+// is reported as the custom metric "ME/s". The paper's tables and
+// figures are regenerated by cmd/bfsbench (bfsbench -experiment <id>),
+// not here.
 //
 // Run everything with:
 //
@@ -26,9 +20,7 @@ import (
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
 	"mcbfs/internal/graph500"
-	"mcbfs/internal/machine"
 	"mcbfs/internal/queue"
-	"mcbfs/internal/simbfs"
 	"mcbfs/internal/ssca2"
 	"mcbfs/internal/topology"
 )
@@ -87,204 +79,6 @@ func runBFS(b *testing.B, g *graph.Graph, opt core.Options) {
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(edges)/elapsed/1e6, "ME/s")
-	}
-}
-
-// reportSim runs one paper-scale simulation per iteration and reports
-// the simulated figure.
-func reportSim(b *testing.B, f func() simbfs.Result) {
-	b.Helper()
-	var last simbfs.Result
-	for i := 0; i < b.N; i++ {
-		last = f()
-	}
-	b.ReportMetric(last.RatePerSec/1e6, "sim-ME/s")
-}
-
-// --- Fig. 2: memory pipelining ---
-
-func BenchmarkFig2MemoryPipelining(b *testing.B) {
-	for _, ws := range []int64{32 << 10, 8 << 20, 64 << 20} {
-		for _, depth := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("ws=%dKB/depth=%d", ws>>10, depth), func(b *testing.B) {
-				var rate float64
-				for i := 0; i < b.N; i++ {
-					rate = machine.MeasureRandomReadRate(ws, depth, 30*time.Millisecond)
-				}
-				b.ReportMetric(rate/1e6, "Mreads/s")
-			})
-		}
-	}
-}
-
-// --- Fig. 3: fetch-and-add scaling ---
-
-func BenchmarkFig3FetchAndAdd(b *testing.B) {
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				rate = machine.MeasureFetchAddRate(4<<20, threads, 30*time.Millisecond)
-			}
-			b.ReportMetric(rate/1e6, "Mops/s")
-		})
-	}
-}
-
-// --- Fig. 4: bitmap accesses vs atomics ---
-
-func BenchmarkFig4InstrumentedBFS(b *testing.B) {
-	g := benchUniform(b, 1<<20, 8) // paper: 16M edges, arity 8 (scaled)
-	var atomics, reads int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.BFS(g, 0, core.Options{
-			Algorithm:  core.AlgSingleSocket,
-			Threads:    4,
-			Instrument: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		atomics, reads = 0, 0
-		for _, ls := range res.PerLevel {
-			atomics += ls.AtomicOps
-			reads += ls.BitmapReads
-		}
-	}
-	b.ReportMetric(float64(atomics)/float64(reads), "atomics/read")
-}
-
-// --- Fig. 5: impact of the optimizations ---
-
-func BenchmarkFig5Optimizations(b *testing.B) {
-	g := benchUniform(b, 1<<19, 8)
-	algs := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"simple", core.Options{Algorithm: core.AlgParallelSimple, Threads: 4, Machine: topology.NehalemEP}},
-		{"bitmap", core.Options{Algorithm: core.AlgSingleSocket, Threads: 4, Machine: topology.NehalemEP, DisableDoubleCheck: true}},
-		{"bitmap+dc", core.Options{Algorithm: core.AlgSingleSocket, Threads: 4, Machine: topology.NehalemEP}},
-		{"channels", core.Options{Algorithm: core.AlgMultiSocket, Threads: 8, Machine: topology.NehalemEP}},
-	}
-	for _, a := range algs {
-		b.Run(a.name, func(b *testing.B) { runBFS(b, g, a.opt) })
-	}
-}
-
-// --- Figs. 6-9: rates, scalability, size sensitivity ---
-
-// benchFig runs the measured (scaled) and simulated (paper-scale)
-// halves of one rate figure.
-func benchFig(b *testing.B, kind simbfs.GraphKind, model machine.Model, measuredThreads []int) {
-	// Measured at host scale.
-	for _, d := range []int{8, 16} {
-		var g *graph.Graph
-		if kind == simbfs.RMAT {
-			g = benchRMAT(b, 18, int64(d)<<18)
-		} else {
-			g = benchUniform(b, 1<<18, d)
-		}
-		for _, t := range measuredThreads {
-			b.Run(fmt.Sprintf("measured/d=%d/threads=%d", d, t), func(b *testing.B) {
-				runBFS(b, g, core.Options{Threads: t, Machine: topology.NehalemEP})
-			})
-		}
-	}
-	// Simulated at paper scale (n=32M, d=8..32).
-	for _, d := range []float64{8, 32} {
-		for _, t := range []int{1, model.Topo.TotalThreads()} {
-			b.Run(fmt.Sprintf("sim/d=%.0f/threads=%d", d, t), func(b *testing.B) {
-				w := simbfs.Workload{Kind: kind, N: 32e6, Degree: d}
-				reportSim(b, func() simbfs.Result { return simbfs.SimulateBest(w, model, t) })
-			})
-		}
-	}
-}
-
-func BenchmarkFig6UniformEP(b *testing.B) {
-	benchFig(b, simbfs.Uniform, machine.EP(), []int{1, 4})
-}
-
-func BenchmarkFig7RMATEP(b *testing.B) {
-	benchFig(b, simbfs.RMAT, machine.EP(), []int{1, 4})
-}
-
-func BenchmarkFig8UniformEX(b *testing.B) {
-	benchFig(b, simbfs.Uniform, machine.EX(), []int{1, 4})
-}
-
-func BenchmarkFig9RMATEX(b *testing.B) {
-	benchFig(b, simbfs.RMAT, machine.EX(), []int{1, 4})
-}
-
-// BenchmarkFig6cSizeSensitivity sweeps the vertex count at fixed degree
-// (the paper's 6c/7c/8c/9c panels), measured on the host.
-func BenchmarkFig6cSizeSensitivity(b *testing.B) {
-	for _, scale := range []int{14, 16, 18, 20} {
-		g := benchUniform(b, 1<<scale, 8)
-		b.Run(fmt.Sprintf("n=2^%d", scale), func(b *testing.B) {
-			runBFS(b, g, core.Options{Threads: 4, Machine: topology.NehalemEP})
-		})
-	}
-}
-
-// --- Fig. 10: throughput mode ---
-
-func BenchmarkFig10Throughput(b *testing.B) {
-	for _, instances := range []int{1, 2, 4} {
-		graphs := make([]*graph.Graph, instances)
-		for i := range graphs {
-			graphs[i] = benchUniform(b, 1<<17, 16)
-		}
-		b.Run(fmt.Sprintf("instances=%d", instances), func(b *testing.B) {
-			var edges int64
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				var mu sync.Mutex
-				for j := 0; j < instances; j++ {
-					wg.Add(1)
-					go func(j int) {
-						defer wg.Done()
-						res, err := core.BFS(graphs[j], 0, core.Options{
-							Algorithm: core.AlgSingleSocket, Threads: 2,
-						})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						mu.Lock()
-						edges += res.EdgesTraversed
-						mu.Unlock()
-					}(j)
-				}
-				wg.Wait()
-			}
-			elapsed := time.Since(start).Seconds()
-			b.ReportMetric(float64(edges)/elapsed/1e6, "ME/s")
-		})
-	}
-}
-
-// --- Table III: headline comparisons (simulated at paper scale) ---
-
-func BenchmarkTable3(b *testing.B) {
-	ex := machine.EX()
-	rows := []struct {
-		name string
-		w    simbfs.Workload
-	}{
-		{"uniform-64M-512M-vs-XMT128", simbfs.Workload{Kind: simbfs.Uniform, N: 64e6, Degree: 8}},
-		{"rmat-200M-1B-vs-MTA2-40", simbfs.Workload{Kind: simbfs.RMAT, N: 200e6, Degree: 5}},
-		{"uniform-d50-vs-BGL256", simbfs.Workload{Kind: simbfs.Uniform, N: 64e6, Degree: 50}},
-	}
-	for _, r := range rows {
-		b.Run(r.name, func(b *testing.B) {
-			reportSim(b, func() simbfs.Result { return simbfs.SimulateBest(r.w, ex, 64) })
-		})
 	}
 }
 
@@ -427,40 +221,6 @@ func BenchmarkAblationChannelKind(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDirectionOptimizing compares the paper's top-down
-// algorithm against the direction-optimizing hybrid extension; the
-// custom metric shows the scanned-edge reduction that bottom-up's early
-// exit buys on dense random graphs.
-func BenchmarkAblationDirectionOptimizing(b *testing.B) {
-	g := benchUniform(b, 1<<19, 16)
-	gt := g.Transpose()
-	b.Run("top-down", func(b *testing.B) {
-		runBFS(b, g, core.Options{Algorithm: core.AlgSingleSocket, Threads: 4})
-	})
-	b.Run("hybrid", func(b *testing.B) {
-		var scanned, topDownEdges int64
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			res, err := core.BFS(g, 0, core.Options{
-				Algorithm: core.AlgDirectionOptimizing,
-				Threads:   4,
-				Transpose: gt,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			scanned = res.EdgesTraversed
-			topDownEdges += res.EdgesTraversed
-		}
-		elapsed := time.Since(start).Seconds()
-		if elapsed > 0 {
-			b.ReportMetric(float64(topDownEdges)/elapsed/1e6, "ME/s")
-		}
-		b.ReportMetric(float64(scanned)/float64(g.NumEdges()), "scanned/m")
-	})
-}
-
 // BenchmarkSearchThroughput measures the amortized-session repeated-
 // search path: one Searcher, a search per iteration. -benchmem (or the
 // ReportAllocs below) is the acceptance gauge — warm searches must not
@@ -560,21 +320,6 @@ func BenchmarkSSCA2Kernel4(b *testing.B) {
 	elapsed := time.Since(start).Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N*len(sources))/elapsed, "sources/s")
-	}
-}
-
-// BenchmarkAblationChunkSize sweeps the current-queue dequeue chunk
-// (the granularity of the paper's LockedDequeue).
-func BenchmarkAblationChunkSize(b *testing.B) {
-	g := benchUniform(b, 1<<19, 8)
-	for _, chunk := range []int{1, 16, 128, 1024} {
-		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
-			runBFS(b, g, core.Options{
-				Algorithm: core.AlgSingleSocket,
-				Threads:   4,
-				ChunkSize: chunk,
-			})
-		})
 	}
 }
 
@@ -788,13 +533,11 @@ func BenchmarkAblationVertexOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLoadBalance isolates degree-aware scheduling: each
-// parallel tier runs warm searches over a skewed R-MAT graph with
-// edge-budgeted chunking + hub splitting on (the auto budget) and off
-// (legacy fixed-size vertex chunks). The delta is the load-balance win;
-// sub-benchmarks also assert the warm path stays allocation-free with
-// the hub board wired in.
-func BenchmarkAblationLoadBalance(b *testing.B) {
+// BenchmarkParallelTiersWarmZeroAlloc runs warm searches of each
+// parallel tier over a skewed R-MAT graph, with the edge-budgeted
+// chunks, the hub board and (in the multi-socket tier) the steal path
+// wired in, and fails unless the warm path settles at zero allocations.
+func BenchmarkParallelTiersWarmZeroAlloc(b *testing.B) {
 	scale := 20
 	if testing.Short() {
 		scale = 16
@@ -821,58 +564,47 @@ func BenchmarkAblationLoadBalance(b *testing.B) {
 			Machine: topology.Generic(2, 2, 1)}},
 		{"hybrid", core.Options{Algorithm: core.AlgDirectionOptimizing, Threads: 4}},
 	}
-	budgets := []struct {
-		name   string
-		budget int64
-	}{
-		{"budget=on", 0}, // auto: max(1024, avg-degree × chunk size)
-		{"budget=off", core.EdgeBudgetOff},
-	}
 	for _, tier := range tiers {
-		for _, bud := range budgets {
-			b.Run(tier.name+"/"+bud.name, func(b *testing.B) {
-				opt := tier.opt
-				opt.EdgeBudget = bud.budget
-				s, err := core.NewSearcher(g, opt)
+		b.Run(tier.name, func(b *testing.B) {
+			s, err := core.NewSearcher(g, tier.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.BFS(roots[0]); err != nil { // absorb the cold search
+				b.Fatal(err)
+			}
+			// The warm path must reach a zero-alloc steady state:
+			// scratch, hub board, and partition tables live in the
+			// Searcher, but the unbounded inter-socket channels grow
+			// to a steal-pattern-dependent segment high-water mark
+			// over the first few searches before recirculating. Give
+			// them a bounded number of searches to get there.
+			steady := false
+			for attempt := 0; attempt < 6 && !steady; attempt++ {
+				steady = testing.AllocsPerRun(2, func() {
+					if _, err := s.BFS(roots[1%len(roots)]); err != nil {
+						b.Fatal(err)
+					}
+				}) == 0
+			}
+			if !steady {
+				b.Fatal("warm searches still allocating after 6 settle rounds, want steady-state 0")
+			}
+			var edges int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				res, err := s.BFS(roots[i%len(roots)])
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer s.Close()
-				if _, err := s.BFS(roots[0]); err != nil { // absorb the cold search
-					b.Fatal(err)
-				}
-				// The warm path must reach a zero-alloc steady state:
-				// scratch, hub board, and partition tables live in the
-				// Searcher, but the unbounded inter-socket channels grow
-				// to a steal-pattern-dependent segment high-water mark
-				// over the first few searches before recirculating. Give
-				// them a bounded number of searches to get there.
-				steady := false
-				for attempt := 0; attempt < 6 && !steady; attempt++ {
-					steady = testing.AllocsPerRun(2, func() {
-						if _, err := s.BFS(roots[1%len(roots)]); err != nil {
-							b.Fatal(err)
-						}
-					}) == 0
-				}
-				if !steady {
-					b.Fatal("warm searches still allocating after 6 settle rounds, want steady-state 0")
-				}
-				var edges int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					res, err := s.BFS(roots[i%len(roots)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					edges += res.EdgesTraversed
-				}
-				if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-					b.ReportMetric(float64(edges)/elapsed/1e6, "ME/s")
-				}
-			})
-		}
+				edges += res.EdgesTraversed
+			}
+			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
+				b.ReportMetric(float64(edges)/elapsed/1e6, "ME/s")
+			}
+		})
 	}
 }

@@ -24,10 +24,6 @@ type harnessConfig struct {
 	Seed   uint64
 	Short  bool
 	Tracer obs.Tracer // observes every measured library run (nil = off)
-	// EdgeBudget configures degree-aware frontier scheduling for the
-	// measured library runs (-edge-budget): 0 auto, -1 off, positive
-	// an explicit per-chunk adjacency allowance.
-	EdgeBudget int64
 }
 
 func (c harnessConfig) sim() bool      { return c.Mode == "sim" || c.Mode == "both" }
@@ -277,20 +273,31 @@ func runFig5(w io.Writer, cfg harnessConfig) error {
 		if err != nil {
 			return err
 		}
-		algs := []core.Algorithm{core.AlgParallelSimple, core.AlgSingleSocket, core.AlgMultiSocket}
-		names := []string{"simple(Alg1)", "bitmap+dc(Alg2)", "channels(Alg3)"}
+		// The measured columns follow the simulated variants: "bitmap" is
+		// the single-socket tier without the double check.
+		cols := []struct {
+			name string
+			alg  core.Algorithm
+			noDC bool
+		}{
+			{"simple(Alg1)", core.AlgParallelSimple, false},
+			{"bitmap(Alg2)", core.AlgSingleSocket, true},
+			{"bitmap+dc(Alg2)", core.AlgSingleSocket, false},
+			{"channels(Alg3)", core.AlgMultiSocket, false},
+		}
 		fmt.Fprintf(w, "-- measured on this host (uniform n=%s d=8, logical EP topology), ME/s --\n",
 			stats.FormatCount(int64(n)))
 		fmt.Fprintf(w, "%-8s", "threads")
-		for _, nm := range names {
-			fmt.Fprintf(w, "  %-16s", nm)
+		for _, c := range cols {
+			fmt.Fprintf(w, "  %-16s", c.name)
 		}
 		fmt.Fprintln(w)
 		for _, t := range measuredThreads(cfg) {
 			fmt.Fprintf(w, "%-8d", t)
-			for _, a := range algs {
+			for _, c := range cols {
 				res, err := core.BFS(g, 0, core.Options{
-					Algorithm: a, Threads: t, Machine: topology.NehalemEP, Tracer: cfg.Tracer,
+					Algorithm: c.alg, Threads: t, Machine: topology.NehalemEP,
+					DisableDoubleCheck: c.noDC, Tracer: cfg.Tracer,
 				})
 				if err != nil {
 					return err

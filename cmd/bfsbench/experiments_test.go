@@ -68,6 +68,28 @@ func TestFig3OutputShowsSocketColumn(t *testing.T) {
 	}
 }
 
+// TestFig5MeasuredHeaderHasFourColumns checks that the measured half of
+// Fig. 5 prints the paper's four variants, in the simulated half's
+// order: simple, bitmap (no double check), bitmap+dc and channels.
+func TestFig5MeasuredHeaderHasFourColumns(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runFig5(&buf, measuredCfg); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	var header []string
+	for i, l := range lines {
+		if strings.HasPrefix(l, "-- measured") && i+1 < len(lines) {
+			header = strings.Fields(lines[i+1])
+			break
+		}
+	}
+	want := []string{"threads", "simple(Alg1)", "bitmap(Alg2)", "bitmap+dc(Alg2)", "channels(Alg3)"}
+	if strings.Join(header, " ") != strings.Join(want, " ") {
+		t.Errorf("fig5 measured header = %q, want %q:\n%s", header, want, buf.String())
+	}
+}
+
 func TestTable3OutputContainsHeadlines(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runTable3(&buf, simCfg); err != nil {

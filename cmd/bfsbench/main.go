@@ -54,7 +54,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and live expvar counters on this address (e.g. :6060)")
 		outPath   = flag.String("o", "", "write output to this file instead of stdout")
 		buildPar  = flag.Int("build-threads", 0, "CSR construction worker count (0 = GOMAXPROCS)")
-		edgeBud   = flag.Int64("edge-budget", 0, "degree-aware frontier scheduling for measured runs: 0 = auto budget, -1 = off (fixed 128-vertex chunks), >0 = explicit per-chunk edge budget")
 	)
 	flag.Parse()
 
@@ -63,11 +62,10 @@ func main() {
 	}
 
 	cfg := harnessConfig{
-		Mode:       *mode,
-		Scale:      *scale,
-		Seed:       *seed,
-		Short:      *short,
-		EdgeBudget: *edgeBud,
+		Mode:  *mode,
+		Scale: *scale,
+		Seed:  *seed,
+		Short: *short,
 	}
 	if cfg.Mode != "sim" && cfg.Mode != "measured" && cfg.Mode != "both" {
 		fmt.Fprintf(os.Stderr, "bfsbench: unknown mode %q\n", cfg.Mode)

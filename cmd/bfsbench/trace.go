@@ -59,7 +59,6 @@ func runTraced(w io.Writer, cfg harnessConfig, tracePath string, breakdown bool)
 		Instrument: true,
 		Trace:      true,
 		Tracer:     cfg.Tracer,
-		EdgeBudget: cfg.EdgeBudget,
 	})
 	if err != nil {
 		return err

@@ -222,9 +222,8 @@ func TestSearchContextCancelInWideLevel(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			tel := obs.NewTelemetry(obs.TelemetryOptions{})
 			opt := v.opt(g)
-			opt.ChunkSize = 1
 			opt.Telemetry = tel
-			s, err := NewSearcher(g, opt)
+			s, err := newSearcher(g, opt, schedule{chunk: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

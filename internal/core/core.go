@@ -100,29 +100,6 @@ type Options struct {
 	// before a channel send, and the receive buffer size (paper: batching
 	// amortizes the ticket lock to ~30 ns/vertex). 0 means 64.
 	BatchSize int
-	// ChunkSize is the number of vertices a worker claims from the
-	// current queue per atomic operation. 0 means 128. With edge
-	// budgeting active (see EdgeBudget) it caps the vertex count of a
-	// budgeted chunk, so low-degree stretches of the frontier still move
-	// in cheap batches.
-	ChunkSize int
-	// EdgeBudget makes frontier scheduling degree-aware in the parallel
-	// tiers: workers claim chunks whose summed out-degree stays within
-	// the budget rather than a fixed vertex count, a vertex whose degree
-	// alone exceeds it is split into edge-range sub-tasks expanded by
-	// several workers, and an early-finishing multi-socket worker steals
-	// budgeted chunks from the busiest sibling socket's queue. The
-	// direction-optimizing bottom-up sweep partitions by edge prefix sums
-	// under the same flag.
-	//
-	// 0 picks an automatic budget from the graph's average degree and
-	// ChunkSize (the default). A positive value sets the budget in
-	// adjacency entries. EdgeBudgetOff (any negative value) disables
-	// edge-aware scheduling entirely, restoring fixed vertex-count
-	// chunks — the ablation baseline. Very small budgets classify many
-	// vertices as hubs and cost one pooled cache line per hub for the
-	// session's lifetime.
-	EdgeBudget int64
 	// DisableDoubleCheck forces the atomic read-and-set on every
 	// neighbour, skipping the plain bitmap probe. Ablation knob for the
 	// paper's Fig. 5 "impact of optimizations". In the multi-socket
@@ -208,9 +185,6 @@ func (o Options) withDefaults() Options {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 64
 	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 128
-	}
 	if o.Algorithm == AlgAuto {
 		switch {
 		case o.Threads == 1:
@@ -222,42 +196,6 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	return o
-}
-
-// EdgeBudgetOff disables edge-aware frontier scheduling (see
-// Options.EdgeBudget); any negative value works, this one is the
-// readable spelling.
-const EdgeBudgetOff = -1
-
-// autoEdgeBudgetFloor bounds the automatic edge budget from below so
-// that near-edgeless graphs do not degenerate into per-vertex claims.
-const autoEdgeBudgetFloor = 1024
-
-// resolveEdgeBudget turns Options.EdgeBudget into the session's
-// effective budget: 0 means off, positive is the per-chunk adjacency
-// allowance. The automatic choice targets ChunkSize average-degree
-// vertices per chunk — on uniform graphs that reproduces the legacy
-// vertex-count chunking almost exactly, while on skewed graphs it cuts
-// chunks early around hubs.
-func resolveEdgeBudget(o Options, g *graph.Graph) int64 {
-	if o.EdgeBudget < 0 {
-		return 0
-	}
-	if o.EdgeBudget > 0 {
-		return o.EdgeBudget
-	}
-	n := g.NumVertices()
-	avg := int64(1)
-	if n > 0 {
-		if a := g.NumEdges() / int64(n); a > 1 {
-			avg = a
-		}
-	}
-	b := avg * int64(o.ChunkSize)
-	if b < autoEdgeBudgetFloor {
-		b = autoEdgeBudgetFloor
-	}
-	return b
 }
 
 // Result holds the output of a BFS run.

@@ -24,6 +24,23 @@ func run(t *testing.T, g *graph.Graph, root graph.Vertex, opt Options) *Result {
 	return res
 }
 
+// runSched is run with the frontier scheduler's chunk sizes set by sc
+// instead of derived from the graph.
+func runSched(t *testing.T, g *graph.Graph, root graph.Vertex, opt Options, sc schedule) *Result {
+	t.Helper()
+	s, err := newSearcher(g, opt, sc)
+	if err != nil {
+		t.Fatalf("newSearcher(%v): %v", opt.Algorithm, err)
+	}
+	defer s.Close()
+	r, err := s.Search(root, Query{})
+	if err != nil {
+		t.Fatalf("Search(%v): %v", opt.Algorithm, err)
+	}
+	res := *r // the session is closed, so the result is the caller's
+	return &res
+}
+
 // validate runs ValidateTree and fails on error.
 func validate(t *testing.T, g *graph.Graph, res *Result) {
 	t.Helper()
@@ -554,13 +571,12 @@ func TestBatchSizeVariants(t *testing.T) {
 	g := must(gen.RMAT(10, 8192, gen.GTgraphDefaults, 12))
 	ref := run(t, g, 0, Options{Algorithm: AlgSequential})
 	for _, batch := range []int{1, 2, 7, 1024} {
-		res := run(t, g, 0, Options{
+		res := runSched(t, g, 0, Options{
 			Algorithm: AlgMultiSocket,
 			Threads:   8,
 			Machine:   topology.NehalemEP,
 			BatchSize: batch,
-			ChunkSize: batch,
-		})
+		}, schedule{chunk: batch})
 		validate(t, g, res)
 		if res.Reached != ref.Reached {
 			t.Errorf("batch=%d: Reached=%d, want %d", batch, res.Reached, ref.Reached)
@@ -587,16 +603,17 @@ func TestRemoteSendsOnlyAcrossSockets(t *testing.T) {
 	if sends := sent(res); sends != 0 {
 		t.Errorf("single-socket multi-socket run sent %d remote tuples", sends)
 	}
-	// Two sockets, paper-literal send path: every neighbour in the other
-	// partition is sent, roughly half the edges. Both two-socket runs
-	// turn stealing off, so each frontier vertex is scanned on its
-	// owner's socket and which edges lead off-socket does not depend on
-	// timing.
+	// Two sockets, paper-literal send path: every neighbour outside the
+	// scanning worker's socket is sent. A worker that drains its own
+	// window steals frontier vertices from the other socket, so which
+	// socket scans a vertex depends on timing, but that does not move
+	// the fraction: a uniform graph's targets are spread evenly over
+	// both blocks, so seen from either socket about half of them are
+	// remote.
 	literal := run(t, g, 0, Options{
 		Algorithm:          AlgMultiSocket,
 		Threads:            8,
 		Machine:            topology.NehalemEP,
-		EdgeBudget:         EdgeBudgetOff,
 		DisableDoubleCheck: true,
 		Instrument:         true,
 	})
@@ -607,15 +624,15 @@ func TestRemoteSendsOnlyAcrossSockets(t *testing.T) {
 		t.Errorf("paper-literal remote fraction = %.2f, want ~0.5 for a uniform graph over 2 sockets", frac)
 	}
 	// With the double check, remote targets are probed before they are
-	// sent. Each level's frontier is the same set in both runs and the
-	// probe only removes sends, so the probed run sends strictly fewer
-	// tuples — the edges back into earlier levels alone see to that —
-	// but still some.
+	// sent. Each level's frontier is the same set in both runs, and the
+	// probe only removes sends: every edge back into an earlier level
+	// finds its target's bit set, on whichever socket it is scanned. So
+	// the probed run sends far fewer tuples than the literal run's half
+	// of the edges, but still some.
 	res2 := run(t, g, 0, Options{
 		Algorithm:  AlgMultiSocket,
 		Threads:    8,
 		Machine:    topology.NehalemEP,
-		EdgeBudget: EdgeBudgetOff,
 		Instrument: true,
 	})
 	validate(t, g, res2)

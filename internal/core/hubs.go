@@ -44,9 +44,8 @@ type hubTask struct {
 }
 
 // newHubBoard sizes a board for g under the given budget. The O(n)
-// degree scan runs once per session; a tiny budget makes many vertices
-// "hubs" and costs one cache line each, which Options.EdgeBudget
-// documents.
+// degree scan runs once per session; a tiny budget (as tests pass)
+// makes many vertices "hubs" and costs one cache line each.
 func newHubBoard(g *graph.Graph, budget int64) *hubBoard {
 	offs := g.Offsets()
 	count := 0

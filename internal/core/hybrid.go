@@ -88,18 +88,13 @@ func (s *Searcher) bottomUpLevel(w int, ws *searchWorker) {
 	wr := ws.wr
 	workers := s.workers
 
-	// Range partition of the sweep: worker w owns [lo, hi), so each
-	// unvisited vertex is examined by exactly one worker and claims
-	// itself with plain writes. Boundaries stay aligned to 64-vertex
-	// words so a worker's visited/parent updates never share a cache
-	// word's vertices with a neighbour's range. With edge budgeting the
-	// boundaries come from an edge-prefix-sum partition of the transpose
-	// (s.buPart), giving each worker ~equal in-edge mass instead of
-	// ~equal vertex count; without it the uniform word split applies.
+	// Range partition of the sweep: worker w owns the engine's uniform
+	// word split [lo, hi), so each unvisited vertex is examined by
+	// exactly one worker and claims itself with plain writes, and no two
+	// workers' visited/parent updates share a 64-vertex word. The split
+	// is by vertex count, not in-edge mass: the sweep's work follows the
+	// unvisited vertices and their early-exit scans (DESIGN.md §15).
 	lo, hi := s.wordShard(w)
-	if s.buPart != nil {
-		lo, hi = s.buPart[w], s.buPart[w+1]
-	}
 
 	// Build the frontier bitmap from an index partition of the current
 	// window: worker w sets the bits of its chunk, O(frontier/P) rather

@@ -277,7 +277,7 @@ func newBatchSearcher(g *graph.Graph, opt BatchOptions, withParents bool) (*Batc
 		return nil, err
 	}
 	n := b.n
-	b.bounds = graph.EdgePartition(b.g.Offsets(), b.workers, 1)
+	b.bounds = graph.EdgePartition(b.g.Offsets(), b.workers)
 	b.seen, b.visit, b.visitNext = bitmap.NewLanes(n), bitmap.NewLanes(n), bitmap.NewLanes(n)
 	b.touched = queue.NewChunkQueue(n)
 	b.symmetric = b.g.Symmetric()

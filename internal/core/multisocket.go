@@ -165,7 +165,7 @@ func (s *Searcher) stealChunk(this int) []uint32 {
 		if best < 0 {
 			return nil
 		}
-		if chunk := s.qs[best].PopChunkEdges(s.o.ChunkSize, s.edgeBudget, s.sockLimit[best], offs); chunk != nil {
+		if chunk := s.qs[best].PopChunkEdges(s.sched.chunk, s.sched.budget, s.sockLimit[best], offs); chunk != nil {
 			return chunk
 		}
 	}

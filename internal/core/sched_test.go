@@ -38,8 +38,8 @@ func schedTiers() []struct {
 
 // schedBudgets span the interesting regimes: a tiny budget that turns
 // every chunk into a handful of edges and every moderate-degree vertex
-// into a hub, the auto default, a budget so large it never splits, and
-// the explicit off switch (legacy vertex-count chunking).
+// into a hub, the derived default, and a budget so large it never
+// splits, so that chunks are cut by their vertex count alone.
 func schedBudgets(short bool) []struct {
 	name   string
 	budget int64
@@ -51,7 +51,6 @@ func schedBudgets(short bool) []struct {
 		{"tiny", 4},
 		{"auto", 0},
 		{"huge", 1 << 40},
-		{"off", EdgeBudgetOff},
 	}
 	if short {
 		return all[:2] // tiny stresses hubs hardest; auto is the shipping path
@@ -76,13 +75,12 @@ func TestSchedulingEquivalence(t *testing.T) {
 			for _, b := range schedBudgets(testing.Short()) {
 				for _, workers := range workerCounts {
 					name := fmt.Sprintf("%s/%s/%s/w%d", f.name, tier.name, b.name, workers)
-					res := run(t, f.g, f.root, Options{
+					res := runSched(t, f.g, f.root, Options{
 						Algorithm:          tier.alg,
 						Threads:            workers,
 						Machine:            tier.machine,
-						EdgeBudget:         b.budget,
 						DisableDoubleCheck: tier.noDC,
-					})
+					}, schedule{budget: b.budget})
 					validate(t, f.g, res)
 					if res.Reached != ref.Reached {
 						t.Fatalf("%s: Reached = %d, want %d", name, res.Reached, ref.Reached)
@@ -114,13 +112,12 @@ func TestSchedulingWarmSession(t *testing.T) {
 		refs[i] = run(t, g, r, Options{Algorithm: AlgSequential})
 	}
 	for _, tier := range schedTiers() {
-		s, err := NewSearcher(g, Options{
+		s, err := newSearcher(g, Options{
 			Algorithm:          tier.alg,
 			Threads:            4,
 			Machine:            tier.machine,
-			EdgeBudget:         4,
 			DisableDoubleCheck: tier.noDC,
-		})
+		}, schedule{budget: 4})
 		if err != nil {
 			t.Fatalf("%s: NewSearcher: %v", tier.name, err)
 		}
@@ -149,13 +146,12 @@ func TestSchedulingWarmSession(t *testing.T) {
 // show up in the instrumented counters across a few searches.
 func TestMultiSocketStealingObserved(t *testing.T) {
 	g := must(gen.RMAT(12, 1<<15, gen.GTgraphDefaults, 44))
-	s, err := NewSearcher(g, Options{
+	s, err := newSearcher(g, Options{
 		Algorithm:  AlgMultiSocket,
 		Threads:    8,
 		Machine:    topology.Generic(2, 4, 1),
-		EdgeBudget: 8,
 		Instrument: true,
-	})
+	}, schedule{budget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

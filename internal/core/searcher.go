@@ -93,14 +93,11 @@ type Searcher struct {
 	visited  *bitmap.Atomic
 	frontier *bitmap.Atomic // direction-optimizing tier only (lazy)
 
-	// Degree-aware scheduling (Options.EdgeBudget): edgeBudget is the
-	// session's effective per-chunk adjacency allowance (0 = off), hubs
-	// the shared over-budget-vertex split board, and buPart the
-	// edge-prefix-sum bottom-up partition of the transpose (lazy with
-	// the direction-optimizing tier, 64-aligned boundaries).
-	edgeBudget int64
-	hubs       *hubBoard
-	buPart     []int
+	// Frontier scheduling: sched holds the session's chunk sizes, hubs
+	// the shared board on which over-budget vertices are split (nil with
+	// one worker, who expands them inline).
+	sched schedule
+	hubs  *hubBoard
 
 	// Ordering translation layer (Options.Ordering / Options.Reordered):
 	// the engine binds s.g to a relabeled copy of the caller's graph,
@@ -182,6 +179,12 @@ type Searcher struct {
 // Search pays only the search itself, and state for other tiers
 // requested via Query.Algorithm is allocated on first use.
 func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
+	return newSearcher(g, opt, schedule{})
+}
+
+// newSearcher is NewSearcher with the frontier scheduler's chunk sizes
+// set by sched, whose zero value derives them from the graph.
+func newSearcher(g *graph.Graph, opt Options, sched schedule) (*Searcher, error) {
 	o := opt.withDefaults()
 	if err := o.Machine.Validate(); err != nil {
 		return nil, err
@@ -205,11 +208,11 @@ func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 	if s.perm != nil {
 		s.extParents = newParents(s.n)
 	}
-	s.edgeBudget = resolveEdgeBudget(o, s.g)
-	if s.edgeBudget > 0 && s.workers > 1 {
+	s.sched = sched.resolve(s.g)
+	if s.workers > 1 {
 		// With one worker there is nobody to share a split hub with, so
 		// the board is skipped and over-budget vertices expand inline.
-		s.hubs = newHubBoard(s.g, s.edgeBudget)
+		s.hubs = newHubBoard(s.g, s.sched.budget)
 	}
 	for w := range s.ws {
 		s.ws[w].s = s
@@ -259,13 +262,6 @@ func (s *Searcher) ensureTier(alg Algorithm) error {
 					gt = rgt
 				}
 				s.gt = gt
-			}
-			if s.edgeBudget > 0 && s.buPart == nil {
-				// Edge-prefix-sum partition of the bottom-up sweep: each
-				// worker scans ~equal in-edge mass of the transpose.
-				// 64-aligned boundaries keep a worker's plain bitmap
-				// writes word-exclusive, like the legacy uniform split.
-				s.buPart = graph.EdgePartition(s.gt.Offsets(), s.workers, 64)
 			}
 		}
 	case AlgMultiSocket:
@@ -402,8 +398,8 @@ func (s *Searcher) BFS(root graph.Vertex) (*Result, error) {
 // ctx.Err() once every cancelCheckMask+1 checkpoints (a checkpoint is
 // one claimed chunk, or one frontier vertex in the sequential tier);
 // between polls the only cost is one atomic load of the shared flag.
-// With the default ChunkSize that bounds the work between context
-// observations to a few thousand vertices per worker.
+// With chunks of at most chunkMax vertices that bounds the work between
+// context observations to a few thousand vertices per worker.
 const cancelCheckMask = 63
 
 // aborted is the per-checkpoint cancellation probe, called from the hot

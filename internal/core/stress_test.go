@@ -69,13 +69,12 @@ func TestStressRepeatedConcurrentRuns(t *testing.T) {
 	g := must(gen.RMAT(12, 1<<15, gen.GTgraphDefaults, 31))
 	ref := run(t, g, 0, Options{Algorithm: AlgSequential})
 	for i := 0; i < 30; i++ {
-		res := run(t, g, 0, Options{
+		res := runSched(t, g, 0, Options{
 			Algorithm: AlgMultiSocket,
 			Threads:   16,
 			Machine:   topology.NehalemEX,
 			BatchSize: 1 + i*7%128,
-			ChunkSize: 1 + i*13%256,
-		})
+		}, schedule{chunk: 1 + i*13%256})
 		if res.Reached != ref.Reached || res.EdgesTraversed != ref.EdgesTraversed {
 			t.Fatalf("run %d: Reached=%d/%d Edges=%d/%d", i,
 				res.Reached, ref.Reached, res.EdgesTraversed, ref.EdgesTraversed)

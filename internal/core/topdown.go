@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 )
 
@@ -104,16 +105,52 @@ func (ws *searchWorker) begin(w int) {
 	}
 }
 
+// chunkMax is the most vertices a top-down chunk holds, and budgetFloor
+// the least adjacency budget the session derives, so that near-edgeless
+// graphs do not degenerate into one-vertex claims.
+const (
+	chunkMax    = 128
+	budgetFloor = 1024
+)
+
+// schedule sizes the frontier scheduler's chunks: a worker claims up to
+// chunk vertices whose summed out-degree stays within budget
+// (queue.PopChunkEdges), and a vertex whose degree alone exceeds budget
+// is split on the hub board. The zero value derives both from the graph
+// (resolve); tests pass other values through newSearcher to stress the
+// hub board and the claim path.
+type schedule struct {
+	budget int64
+	chunk  int
+}
+
+// resolve fills the zero fields of sc: chunk becomes chunkMax and budget
+// max(budgetFloor, average degree × chunk), so a chunk of average-degree
+// vertices is cut by its vertex count and one that meets a hub by its
+// edges.
+func (sc schedule) resolve(g *graph.Graph) schedule {
+	if sc.chunk <= 0 {
+		sc.chunk = chunkMax
+	}
+	if sc.budget <= 0 {
+		avg := int64(1)
+		if n := g.NumVertices(); n > 0 {
+			avg = max(1, g.NumEdges()/int64(n))
+		}
+		sc.budget = max(budgetFloor, avg*int64(sc.chunk))
+	}
+	return sc
+}
+
 // scanLevel is the top-down scan of one level, shared by the four
-// parallel tiers: claim chunks of the current window (edge-budgeted
-// when Options.EdgeBudget is on, stealing from sibling sockets once the
-// own window drains in the multi-socket tier), post over-budget
-// vertices on the hub board and expand the rest, and help drain the
-// board.
+// parallel tiers: claim edge-budgeted chunks of the current window
+// (stealing from sibling sockets once the own window drains in the
+// multi-socket tier), post over-budget vertices on the hub board and
+// expand the rest, and help drain the board.
 func (ws *searchWorker) scanLevel() {
 	s := ws.s
 	offs, tgts := s.g.Offsets(), s.g.Targets()
-	budget, hubs := s.edgeBudget, s.hubs
+	budget, hubs := s.sched.budget, s.hubs
 	limit := s.limit
 	if ws.mode == claimOwned {
 		limit = s.sockLimit[ws.this]
@@ -122,18 +159,13 @@ func (ws *searchWorker) scanLevel() {
 	// flush and barriers — every claimed vertex is already in local or
 	// the queue, so the unwound session's touched list stays complete.
 	for !s.aborted(&ws.checkpoints) {
-		var chunk []uint32
-		if budget > 0 {
-			chunk = ws.q.PopChunkEdges(s.o.ChunkSize, budget, limit, offs)
-			if chunk == nil && ws.mode == claimOwned {
-				// Own window drained: steal from the busiest sibling
-				// socket instead of idling at the phase barrier.
-				if chunk = s.stealChunk(ws.this); chunk != nil {
-					ws.st.Steals++
-				}
+		chunk := ws.q.PopChunkEdges(s.sched.chunk, budget, limit, offs)
+		if chunk == nil && ws.mode == claimOwned {
+			// Own window drained: steal from the busiest sibling socket
+			// instead of idling at the phase barrier.
+			if chunk = s.stealChunk(ws.this); chunk != nil {
+				ws.st.Steals++
 			}
-		} else {
-			chunk = ws.q.PopChunkBounded(s.o.ChunkSize, limit)
 		}
 		posted := false
 		for _, u := range chunk {

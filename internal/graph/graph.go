@@ -267,21 +267,16 @@ func (g *Graph) MemoryFootprint() int64 {
 // pieces of approximately equal adjacency mass, using the CSR offsets
 // array (already the prefix sum of degrees) as the partition key: piece
 // k is [bounds[k], bounds[k+1]) and holds ~m/parts adjacency entries.
-// Interior boundaries are rounded down to a multiple of align (pass 64
-// to keep pieces word-exclusive on a bitmap, 1 for no rounding), so a
-// piece may be empty on extremely skewed graphs — callers must tolerate
-// lo == hi. The returned slice has parts+1 entries with bounds[0] == 0
-// and bounds[parts] == n.
-func EdgePartition(offsets []int64, parts, align int) []int {
+// A piece may be empty on extremely skewed graphs — callers must
+// tolerate lo == hi. The returned slice has parts+1 entries with
+// bounds[0] == 0 and bounds[parts] == n.
+func EdgePartition(offsets []int64, parts int) []int {
 	n := len(offsets) - 1
 	if n < 0 {
 		n = 0
 	}
 	if parts < 1 {
 		parts = 1
-	}
-	if align < 1 {
-		align = 1
 	}
 	bounds := make([]int, parts+1)
 	var m int64
@@ -302,11 +297,7 @@ func EdgePartition(offsets []int64, parts, align int) []int {
 				hi = mid
 			}
 		}
-		v := lo / align * align
-		if v < bounds[k-1] {
-			v = bounds[k-1]
-		}
-		bounds[k] = v
+		bounds[k] = lo
 	}
 	bounds[parts] = n
 	return bounds

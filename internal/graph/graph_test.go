@@ -495,7 +495,7 @@ func TestEdgePartition(t *testing.T) {
 		}
 		return offs
 	}
-	checkInvariants := func(t *testing.T, bounds []int, n, parts, align int) {
+	checkInvariants := func(t *testing.T, bounds []int, n, parts int) {
 		t.Helper()
 		if len(bounds) != parts+1 {
 			t.Fatalf("len(bounds) = %d, want %d", len(bounds), parts+1)
@@ -507,9 +507,6 @@ func TestEdgePartition(t *testing.T) {
 			if bounds[k] < bounds[k-1] {
 				t.Fatalf("bounds[%d]=%d < bounds[%d]=%d", k, bounds[k], k-1, bounds[k-1])
 			}
-			if k < parts && bounds[k]%align != 0 {
-				t.Fatalf("interior bound %d not %d-aligned", bounds[k], align)
-			}
 		}
 	}
 
@@ -517,8 +514,8 @@ func TestEdgePartition(t *testing.T) {
 		// One hub holds half the edges; the cut lands right after it
 		// rather than splitting vertices evenly.
 		offs := prefix(100, 1, 1, 1, 1, 96)
-		bounds := EdgePartition(offs, 2, 1)
-		checkInvariants(t, bounds, 6, 2, 1)
+		bounds := EdgePartition(offs, 2)
+		checkInvariants(t, bounds, 6, 2)
 		if bounds[1] != 1 {
 			t.Errorf("cut at vertex %d, want 1 (after the 100-degree hub)", bounds[1])
 		}
@@ -528,34 +525,26 @@ func TestEdgePartition(t *testing.T) {
 		for i := range degs {
 			degs[i] = 3
 		}
-		bounds := EdgePartition(prefix(degs...), 4, 1)
-		checkInvariants(t, bounds, 64, 4, 1)
+		bounds := EdgePartition(prefix(degs...), 4)
+		checkInvariants(t, bounds, 64, 4)
 		for k, want := range []int{0, 16, 32, 48, 64} {
 			if bounds[k] != want {
 				t.Errorf("bounds[%d] = %d, want %d", k, bounds[k], want)
 			}
 		}
 	})
-	t.Run("alignment rounds down", func(t *testing.T) {
-		degs := make([]int64, 200)
-		for i := range degs {
-			degs[i] = 1
-		}
-		bounds := EdgePartition(prefix(degs...), 3, 64)
-		checkInvariants(t, bounds, 200, 3, 64)
-	})
 	t.Run("more parts than vertices", func(t *testing.T) {
-		bounds := EdgePartition(prefix(5, 5), 8, 1)
-		checkInvariants(t, bounds, 2, 8, 1)
+		bounds := EdgePartition(prefix(5, 5), 8)
+		checkInvariants(t, bounds, 2, 8)
 	})
 	t.Run("empty graph", func(t *testing.T) {
-		bounds := EdgePartition([]int64{0}, 4, 64)
-		checkInvariants(t, bounds, 0, 4, 64)
+		bounds := EdgePartition([]int64{0}, 4)
+		checkInvariants(t, bounds, 0, 4)
 	})
 	t.Run("zero-degree run", func(t *testing.T) {
 		offs := prefix(0, 0, 0, 10, 0, 0, 10, 0)
-		bounds := EdgePartition(offs, 2, 1)
-		checkInvariants(t, bounds, 8, 2, 1)
+		bounds := EdgePartition(offs, 2)
+		checkInvariants(t, bounds, 8, 2)
 		// All of the first 10-edge vertex's work must land in part 0.
 		if bounds[1] < 4 {
 			t.Errorf("cut at %d splits nothing: first part would be empty of edges", bounds[1])

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 )
 
@@ -10,8 +9,9 @@ import (
 // NQ). It is a fixed-capacity array of vertex ids with two atomic
 // cursors:
 //
-//   - consumers claim read chunks with one fetch-and-add on the head
-//     (the paper's LockedDequeue, batched);
+//   - consumers claim read chunks with one compare-and-swap on the head
+//     (the paper's LockedDequeue, batched, and cut by an adjacency
+//     budget: PopChunkEdges);
 //   - every producer either owns the queue or batches. Concurrent
 //     producers claim write ranges with one fetch-and-add on the tail
 //     per batch (PushBatch: the paper's LockedEnqueue, batched). A
@@ -88,49 +88,21 @@ func (q *ChunkQueue) overflow(n int, tail int64) string {
 		n, q.head.Load(), tail, len(q.buf))
 }
 
-// PopChunk claims up to max elements and returns them as a subslice of
-// the queue's buffer (valid until Reset). It returns nil when the queue
-// is exhausted. The claimed elements are exclusively owned by the
-// caller.
-func (q *ChunkQueue) PopChunk(max int) []uint32 {
-	return q.PopChunkBounded(max, math.MaxInt64)
-}
-
-// PopChunkBounded claims up to max elements whose index is below limit
-// and the published tail. It is the primitive behind the monotone-queue
-// BFS: one queue holds every level of a search, producers append the
-// next level past limit while consumers pop the current level
-// [head, limit), and the level barrier advances limit. Returns nil once
-// the window is exhausted.
-func (q *ChunkQueue) PopChunkBounded(max int, limit int64) []uint32 {
-	if max <= 0 {
-		return nil
-	}
-	limit = min(limit, q.tail.Load())
-	for {
-		h := q.head.Load()
-		if h >= limit {
-			return nil
-		}
-		end := h + int64(max)
-		if end > limit {
-			end = limit
-		}
-		if q.head.CompareAndSwap(h, end) {
-			return q.buf[h:end]
-		}
-	}
-}
-
 // PopChunkEdges claims up to max elements whose index is below limit
-// and the published tail, additionally bounded by an adjacency budget: the chunk is cut as soon
-// as the claimed vertices' summed out-degrees (read from the CSR offsets
-// array) reach budget. It always claims at least one vertex when the
-// window is non-empty, so a vertex whose degree alone exceeds the budget
-// comes back as a single-element chunk — the caller's cue to split its
-// edge range across workers. Degrees are summed before the CAS, so a
-// lost race rescans from the new head; the head is monotone within a
-// level, making the loop ABA-free.
+// and the published tail, and returns them as a subslice of the queue's
+// buffer (valid until Reset), exclusively owned by the caller. It is
+// the primitive behind the monotone-queue BFS: one queue holds every
+// level of a search, producers append the next level past limit while
+// consumers pop the current level [head, limit), and the level barrier
+// advances limit. The chunk is also bounded by an adjacency budget: it
+// is cut as soon as the claimed vertices' summed out-degrees (read from
+// the CSR offsets array) reach budget. It always claims at least one
+// vertex when the window is non-empty, so a vertex whose degree alone
+// exceeds the budget comes back as a single-element chunk — the
+// caller's cue to split its edge range across workers. It returns nil
+// once the window is exhausted, and when max <= 0. Degrees are summed
+// before the CAS, so a lost race rescans from the new head; the head is
+// monotone within a level, making the loop ABA-free.
 func (q *ChunkQueue) PopChunkEdges(max int, budget, limit int64, offsets []int64) []uint32 {
 	if max <= 0 {
 		return nil
@@ -170,7 +142,7 @@ func (q *ChunkQueue) Head() int64 { return q.head.Load() }
 // SkipTo positions the consume cursor at index h, abandoning anything
 // before it. The direction-optimizing BFS uses it after bottom-up
 // levels, which read the frontier by Window rather than by popping. It
-// must not race with PopChunk; the level barrier provides exclusion.
+// must not race with a pop; the level barrier provides exclusion.
 func (q *ChunkQueue) SkipTo(h int64) {
 	q.head.Store(h)
 }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -470,49 +471,61 @@ func TestQuickTuplePackRoundTrip(t *testing.T) {
 
 // --- ChunkQueue ---
 
+// noEdges returns the CSR offsets of n zero-degree vertices. Under them
+// an adjacency budget never cuts a chunk, so PopChunkEdges claims by
+// count alone, up to max elements, the limit and the published tail.
+func noEdges(n int) []int64 { return make([]int64, n+1) }
+
+// untilTail is a level limit past any tail: pops stop at the published
+// tail alone.
+const untilTail = math.MaxInt64
+
 func TestChunkQueuePushPop(t *testing.T) {
 	q := NewChunkQueue(100)
+	offs := noEdges(100)
 	q.Publish(q.Append(0, 5))
 	q.PushBatch([]uint32{6, 7, 8})
 	if q.Len() != 4 || q.Size() != 4 {
 		t.Fatalf("Len=%d Size=%d, want 4, 4", q.Len(), q.Size())
 	}
-	chunk := q.PopChunk(2)
+	chunk := q.PopChunkEdges(2, 1, untilTail, offs)
 	if len(chunk) != 2 || chunk[0] != 5 || chunk[1] != 6 {
-		t.Fatalf("PopChunk = %v", chunk)
+		t.Fatalf("PopChunkEdges = %v", chunk)
 	}
-	chunk = q.PopChunk(10)
+	chunk = q.PopChunkEdges(10, 1, untilTail, offs)
 	if len(chunk) != 2 || chunk[0] != 7 || chunk[1] != 8 {
-		t.Fatalf("second PopChunk = %v", chunk)
+		t.Fatalf("second PopChunkEdges = %v", chunk)
 	}
-	if q.PopChunk(1) != nil {
-		t.Error("PopChunk on drained queue returned data")
+	if q.PopChunkEdges(1, 1, untilTail, offs) != nil {
+		t.Error("PopChunkEdges on drained queue returned data")
 	}
 }
 
 func TestChunkQueuePopChunkZeroMax(t *testing.T) {
 	q := NewChunkQueue(10)
+	offs := noEdges(10)
 	q.Publish(q.Append(0, 1))
-	if q.PopChunk(0) != nil {
-		t.Error("PopChunk(0) returned data")
+	if q.PopChunkEdges(0, 1, untilTail, offs) != nil {
+		t.Error("PopChunkEdges with max 0 returned data")
 	}
-	if q.PopChunk(-1) != nil {
-		t.Error("PopChunk(-1) returned data")
+	if q.PopChunkEdges(-1, 1, untilTail, offs) != nil {
+		t.Error("PopChunkEdges with max -1 returned data")
 	}
 }
 
 func TestChunkQueueReset(t *testing.T) {
 	q := NewChunkQueue(10)
+	offs := noEdges(10)
 	q.PushBatch([]uint32{1, 2, 3})
-	q.PopChunk(1)
+	q.PopChunkEdges(1, 1, untilTail, offs)
 	q.Reset()
 	if q.Len() != 0 || q.Size() != 0 {
 		t.Errorf("after Reset: Len=%d Size=%d", q.Len(), q.Size())
 	}
 	q.Publish(q.Append(0, 9))
-	chunk := q.PopChunk(5)
+	chunk := q.PopChunkEdges(5, 1, untilTail, offs)
 	if len(chunk) != 1 || chunk[0] != 9 {
-		t.Errorf("after Reset PopChunk = %v", chunk)
+		t.Errorf("after Reset PopChunkEdges = %v", chunk)
 	}
 }
 
@@ -532,6 +545,7 @@ func TestChunkQueueOverflowPanics(t *testing.T) {
 // published, and a publish exposes exactly the elements below it.
 func TestChunkQueueAppendPublish(t *testing.T) {
 	q := NewChunkQueue(8)
+	offs := noEdges(16)
 	q.Publish(q.Append(0, 10))
 	tail := q.Append(int64(q.Size()), 11)
 	tail = q.Append(tail, 12)
@@ -549,11 +563,11 @@ func TestChunkQueueAppendPublish(t *testing.T) {
 		}()
 		q.Window(0, tail)
 	}()
-	if got := q.PopChunkBounded(8, tail); len(got) != 1 || got[0] != 10 {
-		t.Fatalf("before publish: PopChunkBounded = %v, want [10]", got)
+	if got := q.PopChunkEdges(8, 1, tail, offs); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("before publish: PopChunkEdges to the limit = %v, want [10]", got)
 	}
-	if got := q.PopChunk(8); got != nil {
-		t.Fatalf("before publish: PopChunk = %v, want nil", got)
+	if got := q.PopChunkEdges(8, 1, untilTail, offs); got != nil {
+		t.Fatalf("before publish: PopChunkEdges to the tail = %v, want nil", got)
 	}
 
 	q.Publish(tail)
@@ -566,8 +580,8 @@ func TestChunkQueueAppendPublish(t *testing.T) {
 	if w := q.Window(1, tail); len(w) != 2 || w[0] != 11 || w[1] != 12 {
 		t.Fatalf("after publish: Window(1, 3) = %v, want [11 12]", w)
 	}
-	if got := q.PopChunkBounded(8, tail); len(got) != 2 || got[0] != 11 || got[1] != 12 {
-		t.Fatalf("after publish: PopChunkBounded = %v, want [11 12]", got)
+	if got := q.PopChunkEdges(8, 1, tail, offs); len(got) != 2 || got[0] != 11 || got[1] != 12 {
+		t.Fatalf("after publish: PopChunkEdges = %v, want [11 12]", got)
 	}
 	// A batching producer claims past the published tail.
 	q.PushBatch([]uint32{13})
@@ -610,8 +624,9 @@ func TestChunkQueueConcurrentProducers(t *testing.T) {
 		t.Fatalf("Size = %d, want %d", q.Size(), producers*per)
 	}
 	seen := make([]bool, producers*per)
+	offs := noEdges(producers * per)
 	for {
-		chunk := q.PopChunk(64)
+		chunk := q.PopChunkEdges(64, 1, untilTail, offs)
 		if chunk == nil {
 			break
 		}
@@ -637,6 +652,7 @@ func TestChunkQueueConcurrentConsumers(t *testing.T) {
 		vals[i] = uint32(i)
 	}
 	q.PushBatch(vals)
+	offs := noEdges(n)
 	const consumers = 8
 	var mu sync.Mutex
 	seen := make([]bool, n)
@@ -646,7 +662,7 @@ func TestChunkQueueConcurrentConsumers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				chunk := q.PopChunk(17)
+				chunk := q.PopChunkEdges(17, 1, untilTail, offs)
 				if chunk == nil {
 					return
 				}
@@ -718,10 +734,11 @@ func BenchmarkTicketLockUncontended(b *testing.B) {
 func BenchmarkChunkQueuePushPop(b *testing.B) {
 	q := NewChunkQueue(1 << 16)
 	batch := make([]uint32, 64)
+	offs := noEdges(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.PushBatch(batch)
-		for q.PopChunk(64) != nil {
+		for q.PopChunkEdges(64, 1, untilTail, offs) != nil {
 		}
 		q.Reset()
 	}
@@ -796,7 +813,7 @@ func TestChunkQueueOverflowPanicMessage(t *testing.T) {
 	check := func(name string, wantTail string, f func(q *ChunkQueue)) {
 		q := NewChunkQueue(3)
 		q.PushBatch([]uint32{1, 2})
-		q.PopChunk(1)
+		q.PopChunkEdges(1, 1, untilTail, noEdges(3))
 		defer func() {
 			r := recover()
 			if r == nil {
@@ -934,7 +951,7 @@ func TestChunkQueueHead(t *testing.T) {
 	if h := q.Head(); h != 0 {
 		t.Fatalf("Head = %d, want 0", h)
 	}
-	q.PopChunk(3)
+	q.PopChunkEdges(3, 1, untilTail, noEdges(5))
 	if h := q.Head(); h != 3 {
 		t.Fatalf("Head after pop = %d, want 3", h)
 	}

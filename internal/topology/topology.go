@@ -3,11 +3,12 @@
 // how vertices and worker threads map onto sockets.
 //
 // On the paper's hardware (Table I) the mapping is physical — pthreads
-// pinned with the affinity libraries. Go offers no thread pinning, so
-// here the topology is *logical*: it drives the same data partitioning,
-// queue layout and channel wiring as the paper's Algorithm 3, and it
-// parameterizes the machine-model simulator that reproduces the paper's
-// scaling figures at full scale.
+// pinned with the affinity libraries. Here the topology is *logical*:
+// it drives the same data partitioning, queue layout and channel wiring
+// as the paper's Algorithm 3, and it parameterizes the machine-model
+// simulator that reproduces the paper's scaling figures at full scale.
+// Pinning is optional and separate: core.Options.PinThreads binds each
+// worker to a CPU on Linux (internal/affinity).
 package topology
 
 import "fmt"

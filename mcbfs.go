@@ -30,10 +30,11 @@
 //		Machine: mcbfs.NehalemEP, // or mcbfs.Machine{...} for yours
 //	}
 //
-// The topology is logical: the library does not pin threads (Go offers
-// no portable pinning), but partitioning by socket is what removes the
-// cross-socket atomic traffic, and that effect follows the data layout
-// rather than the pinning.
+// The topology is logical: it drives the partitioning of the graph,
+// the queues and the channels by socket, which is what removes the
+// cross-socket atomic traffic, and that effect follows the data layout.
+// Options.PinThreads optionally pins as well: on Linux it binds worker
+// i to CPU i mod NumCPU.
 package mcbfs
 
 import (
@@ -183,10 +184,6 @@ const (
 
 // NoParent marks an unvisited vertex in Result.Parents.
 const NoParent = core.NoParent
-
-// EdgeBudgetOff disables degree-aware frontier scheduling
-// (Options.EdgeBudget); see core.EdgeBudgetOff.
-const EdgeBudgetOff = core.EdgeBudgetOff
 
 // Predefined machine topologies (the paper's Table I).
 var (
