@@ -87,8 +87,7 @@ func main() {
 	// graph without paying the reorder itself. The ordering tag and the
 	// inverse permutation travel in the file's version-2 metadata, so
 	// loaders can tell the layout is relabeled and translate vertex ids
-	// back to the generator's originals (previously Save recorded
-	// nothing and the relabeling was silently lost).
+	// back to the generator's originals.
 	var meta *graph.FileMeta
 	if ordering != graph.OrderNatural {
 		rd, err := g.Reorder(ordering)

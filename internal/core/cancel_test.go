@@ -189,8 +189,8 @@ func (c *panicCtx) Err() error {
 // parent entries the search wrote.
 func expectQueueIsTouchedSet(t *testing.T, s *Searcher, when string) {
 	t.Helper()
-	queued := make(map[uint32]bool, s.q.Size())
-	for _, v := range s.q.Slice() {
+	queued := make(map[uint32]bool, s.qs[0].Size())
+	for _, v := range s.qs[0].Slice() {
 		if queued[v] {
 			t.Fatalf("%s: vertex %d queued twice", when, v)
 		}
@@ -240,9 +240,6 @@ func TestSearchContextCancelInWideLevel(t *testing.T) {
 				// Every leaf is on the touched list; some pendants are, and
 				// others are not.
 				touched := int64(0)
-				if s.q != nil {
-					touched += int64(s.q.Size())
-				}
 				for _, q := range s.qs {
 					touched += int64(q.Size())
 				}
@@ -284,7 +281,7 @@ func TestSearchContextCancelInWideLevel(t *testing.T) {
 					}()
 					s.SearchContext(&panicCtx{countdownCtx{after: after}}, 0, Query{})
 				}()
-				if got, want := int64(s.q.Size()), 1+wideLeaves+(after-1)*(cancelCheckMask+1)-2; got != want {
+				if got, want := int64(s.qs[0].Size()), 1+wideLeaves+(after-1)*(cancelCheckMask+1)-2; got != want {
 					t.Fatalf("after=%d: touched list after the panic holds %d vertices, want %d", after, got, want)
 				}
 				expectQueueIsTouchedSet(t, s, "after a panicking poll")

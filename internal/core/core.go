@@ -59,8 +59,7 @@ const (
 	// BFS) that eliminates atomics entirely in the dense middle levels.
 	// It needs in-edges: a graph flagged Symmetric (graph.Undirected)
 	// serves as its own; otherwise supply the transpose via
-	// Options.Transpose, or the session computes it once, the first
-	// time it runs this tier.
+	// Options.Transpose, or NewSearcher computes it once.
 	AlgDirectionOptimizing
 )
 
@@ -118,9 +117,8 @@ type Options struct {
 	// It is not needed when the graph is flagged Symmetric, which makes
 	// the graph its own transpose; passing the graph itself also works
 	// for a symmetric graph that is not flagged. When nil on an
-	// unflagged graph, the session computes the transpose (O(n+m) time
-	// and memory) the first time it runs this tier; a one-shot BFS pays
-	// that on every call.
+	// unflagged graph, NewSearcher computes the transpose (O(n+m) time
+	// and memory); a one-shot BFS pays that on every call.
 	Transpose *graph.Graph
 	// MaxLevels stops the search after exploring that many levels
 	// (level 0 is the root). 0 means unbounded. Depth-bounded

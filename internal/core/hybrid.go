@@ -81,9 +81,9 @@ func (s *Searcher) bottomUpNext(next int64) bool {
 }
 
 // bottomUpLevel runs worker w's share of one bottom-up level of the
-// direction-optimizing tier. The current frontier is the queue window
-// [prevLimit, limit), read by Window without popping; the coordinator
-// realigns the consume cursor at the level transition.
+// direction-optimizing tier. The current frontier is the shared queue's
+// window [prevLimit, limit[0]), read by Window without popping; the
+// coordinator realigns the consume cursor at the level transition.
 func (s *Searcher) bottomUpLevel(w int, ws *searchWorker) {
 	wr := ws.wr
 	workers := s.workers
@@ -102,7 +102,7 @@ func (s *Searcher) bottomUpLevel(w int, ws *searchWorker) {
 	// (O(frontier*P) total). Chunks hold arbitrary vertices, so bits are
 	// set with the atomic bitmap's word-OR.
 	tp := wr.PhaseStart()
-	frontierVerts := s.q.Window(s.prevLimit, s.limit)
+	frontierVerts := s.qs[0].Window(s.prevLimit, s.limit[0])
 	flo := len(frontierVerts) * w / workers
 	fhi := len(frontierVerts) * (w + 1) / workers
 	for _, v := range frontierVerts[flo:fhi] {

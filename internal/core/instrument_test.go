@@ -10,9 +10,8 @@ import (
 // for an instrumented run of the given width.
 func armedCollector(t *testing.T, workers int) *obs.Collector {
 	t.Helper()
-	var s Searcher
-	s.o.Instrument = true
-	c := s.obsCollector(workers, 1, AlgSingleSocket)
+	s := Searcher{threads: workers, o: Options{Algorithm: AlgSingleSocket, Instrument: true}}
+	c := s.obsCollector()
 	if c == nil {
 		t.Fatal("Instrument did not arm the session collector")
 	}

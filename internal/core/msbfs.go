@@ -164,11 +164,6 @@ type BatchSearcher struct {
 	o     BatchOptions
 	width int // lane capacity; stride of parents
 
-	// bounds is the edge-prefix-sum worker partition of [0, n]: worker w
-	// owns the lane words of [bounds[w], bounds[w+1]), and each range
-	// carries ~equal adjacency mass.
-	bounds []int
-
 	seen      *bitmap.Lanes
 	visit     *bitmap.Lanes
 	visitNext *bitmap.Lanes
@@ -277,7 +272,6 @@ func newBatchSearcher(g *graph.Graph, opt BatchOptions, withParents bool) (*Batc
 		return nil, err
 	}
 	n := b.n
-	b.bounds = graph.EdgePartition(b.g.Offsets(), b.workers)
 	b.seen, b.visit, b.visitNext = bitmap.NewLanes(n), bitmap.NewLanes(n), bitmap.NewLanes(n)
 	b.touched = queue.NewChunkQueue(n)
 	b.symmetric = b.g.Symmetric()
@@ -304,7 +298,7 @@ func (b *BatchSearcher) Width() int { return b.width }
 
 // clearShard is worker w's share of the parallel full-reset fallback.
 func (b *BatchSearcher) clearShard(w int) {
-	lo, hi := b.bounds[w], b.bounds[w+1]
+	lo, hi := b.wordShard(w)
 	b.seen.ResetWords(lo, hi)
 	b.visit.ResetWords(lo, hi)
 	b.visitNext.ResetWords(lo, hi)
@@ -564,10 +558,12 @@ const batchCancelStride = 1 << 12
 
 // levelWorker runs one worker's share of the traversal: expand its
 // range of each level in the direction the coordinator chose, then meet
-// the others at the level barrier.
+// the others at the level barrier. The range is the engine's uniform
+// word split, by vertex count: a split by edge mass was no faster on
+// permuted ids and slower on natural order (DESIGN.md §15).
 func (b *BatchSearcher) levelWorker(w int) {
 	ws := &b.ws[w]
-	lo, hi := b.bounds[w], b.bounds[w+1]
+	lo, hi := b.wordShard(w)
 	for {
 		visit, bottomUp := b.visit, b.bottomUp
 		if bottomUp {

@@ -147,7 +147,7 @@ func (ws *searchWorker) claimTuples(ts []queue.Tuple) {
 // Stealing only moves which worker *expands* a frontier vertex; the
 // discovered children still go through claim-or-send, so data ownership
 // (parents, bitmap, channels) is untouched and phase-2 drains behave
-// exactly as without stealing. The sockLimit entries are written by the
+// exactly as without stealing. The limit entries are written by the
 // level coordinator and published by the barrier, so reading them here
 // is race-free.
 func (s *Searcher) stealChunk(this int) []uint32 {
@@ -158,24 +158,25 @@ func (s *Searcher) stealChunk(this int) []uint32 {
 			if sck == this {
 				continue
 			}
-			if rem := s.sockLimit[sck] - q.Head(); rem > bestRem {
+			if rem := s.limit[sck] - q.Head(); rem > bestRem {
 				best, bestRem = sck, rem
 			}
 		}
 		if best < 0 {
 			return nil
 		}
-		if chunk := s.qs[best].PopChunkEdges(s.sched.chunk, s.sched.budget, s.sockLimit[best], offs); chunk != nil {
+		if chunk := s.qs[best].PopChunkEdges(s.sched.chunk, s.sched.budget, s.limit[best], offs); chunk != nil {
 			return chunk
 		}
 	}
 }
 
 // sampleChannels records each channel's per-level traffic when the
-// session traces. The level coordinator calls it between the closing
-// barriers, when no sends are in flight, so the deltas are exact.
+// session traces (its channels count only then). The level coordinator
+// calls it between the closing barriers, when no sends are in flight,
+// so the deltas are exact.
 func (s *Searcher) sampleChannels() {
-	if !s.chanStats || s.coll == nil {
+	if !s.o.Trace {
 		return
 	}
 	for sck, c := range s.channels {

@@ -14,28 +14,27 @@ import (
 	"mcbfs/internal/topology"
 )
 
-// Query selects per-search overrides on a Searcher. The zero value
-// reruns the session's configuration.
+// Query bounds one search on a Searcher. The zero value reruns the
+// session's configuration.
 type Query struct {
-	// Algorithm overrides the session's tier for this search; AlgAuto
-	// (the zero value) keeps the session default.
-	Algorithm Algorithm
 	// MaxLevels overrides Options.MaxLevels for this search: 0 keeps
 	// the session setting, a negative value forces unbounded.
 	MaxLevels int
 }
 
-// searchWorker is one pool worker's per-search state: the level scan's
-// claim mode, queue and counters (set by begin at the start of every
-// search) and pooled scratch sized once (NewSearcher / ensureTier), so a
-// warm search allocates none of it. Only its own worker writes it during
-// a search, and the trailing pad keeps adjacent workers' fields off a
+// searchWorker is one pool worker's state: its claim mode, socket,
+// queue and vertex block and its pooled scratch, all fixed by
+// NewSearcher from the session's tier, plus the observation slot and
+// counters that begin re-arms at the start of every search. A warm
+// search allocates none of it. Only its own worker writes it during a
+// search, and the trailing pad keeps adjacent workers' fields off a
 // shared cache line.
 type searchWorker struct {
 	s    *Searcher
 	wr   *obs.WorkerRec
 	mode claimMode
-	// this is the worker's socket in the multi-socket tier and
+	// this is the worker's socket, the index of its queue and block in
+	// the session's partition (0 outside the multi-socket tier), and
 	// [lo, lo+size) the vertex block that socket owns; q is the queue
 	// the worker pops frontier chunks from and pushes claims to.
 	this     int
@@ -45,8 +44,7 @@ type searchWorker struct {
 	// the next-level window of q when full.
 	local []uint32
 	// remote and recvBuf are the multi-socket tier's per-destination
-	// send batches and channel receive buffer (nil until that tier is
-	// first used).
+	// send batches and channel receive buffer (nil in the other tiers).
 	remote  [][]queue.Tuple
 	recvBuf []queue.Tuple
 	// st holds the counts of the level in progress; checkpoints counts
@@ -68,30 +66,37 @@ type searchWorker struct {
 // of that state; the per-search cost is an O(touched) reset of what the
 // previous search dirtied, not an O(n) reinitialization.
 //
-// The reset stays O(touched) because each tier runs over a *monotone*
-// queue: the queue is never reset within a search, levels are windows
-// [prevLimit, limit) advanced by the level coordinator, and when the
-// search finishes the queue's contents are exactly the set of reached
-// vertices — a free "touched list" that the next Search walks to clear
-// the parent entries the last search wrote (falling back to a parallel
-// full clear when touched ≳ n/4). The visited-bitmap words and the
-// caller-id parent array are cleared only when a search since the last
-// reset wrote them, and every clear is a plain store: the worker pool
-// is parked on its gate while the reset runs.
+// The session's tier is fixed when NewSearcher builds it, and so is all
+// of that tier's state. The reset stays O(touched) because each tier
+// runs over *monotone* queues, one per block of the session's vertex
+// partition (one block outside the multi-socket tier): a queue is never
+// reset within a search, levels are windows [head, limit) advanced by
+// the level coordinator, and when the search finishes the queues'
+// contents are exactly the set of reached vertices — a free "touched
+// list" that the next Search walks to clear the parent entries and
+// visited words the last search wrote (falling back to a parallel full
+// clear when touched ≳ n/4). The caller-id parent array is cleared only
+// when a search since the last reset translated into it, and every clear
+// is a plain store: the worker pool is parked on its gate while the
+// reset runs.
 //
 // A Searcher serves one search at a time: Search, BFS and Close must
 // not be called concurrently. For concurrent query streams, create one
 // Searcher per stream — Searchers over the same graph are independent.
 type Searcher struct {
 	engine
-	gt      *graph.Graph // transpose; direction-optimizing tier only (lazy)
-	o       Options      // session options, resolved by withDefaults
-	sockets int
-	part    topology.Partition // multi-socket tier only
+	gt *graph.Graph // transpose; direction-optimizing tier only
+	o  Options      // session options, resolved by withDefaults
+	// threads is the worker count a search runs on: 1 in the sequential
+	// tier, which runs inline, else the pool's.
+	threads int
+	// part splits the vertex range into one block per socket in the
+	// multi-socket tier and into one block otherwise.
+	part topology.Partition
 
 	parents  []uint32
-	visited  *bitmap.Atomic
-	frontier *bitmap.Atomic // direction-optimizing tier only (lazy)
+	visited  *bitmap.Atomic // the tiers that claim through it; nil in the others
+	frontier *bitmap.Atomic // direction-optimizing tier only
 
 	// Frontier scheduling: sched holds the session's chunk sizes, hubs
 	// the shared board on which over-budget vertices are split (nil with
@@ -109,22 +114,19 @@ type Searcher struct {
 	// the session runs in natural order.
 	extParents []uint32
 
-	// q is the monotone queue of the shared-queue tiers (sequential,
-	// simple, single-socket, direction-optimizing); qs the per-socket
-	// queues of the multi-socket tier. At most one of them holds data
-	// after a search — the previous search's touched list.
-	q         *queue.ChunkQueue
-	qs        []*queue.ChunkQueue
-	channels  []*queue.Channel
-	chanStats bool
-	prevChan  []queue.ChannelStats
+	// qs are the monotone queues, one per block of part: after a search
+	// they hold its touched list. channels and prevChan are the
+	// multi-socket tier's inter-socket channels and their last sampled
+	// counters (nil in the other tiers).
+	qs       []*queue.ChunkQueue
+	channels []*queue.Channel
+	prevChan []queue.ChannelStats
 
 	ws []searchWorker
 
 	// Per-search job description: written by Search before the launch
 	// gate, read by workers after it. coll is nil when nothing observes
 	// the search, else it points at collector.
-	alg       Algorithm
 	maxLevels int
 	coll      *obs.Collector
 
@@ -148,36 +150,33 @@ type Searcher struct {
 	// Level-coordination state: written by the coordinator elected at
 	// the first level barrier, read by workers after the second (done
 	// and bottomUp are atomic because workers also poll them at level
-	// boundaries).
+	// boundaries). limit[i] ends the current level's window of qs[i],
+	// and prevLimit starts the shared queue's, which the bottom-up sweep
+	// reads without popping.
 	done      atomic.Bool
 	bottomUp  atomic.Bool
-	limit     int64
+	limit     []int64
 	prevLimit int64
-	sockLimit []int64
 	levels    int
 
 	// Dirty flags: what the last search wrote, and so what the next
 	// resetState must restore. Each is set before the first write it
 	// covers and cleared only by the reset, so a search that is
 	// cancelled or panics midway stays covered, and the reset follows
-	// what was written, not what the next query's tier or caller will
-	// use. hasTouched covers the parent array and the queues (every
-	// search), visitedDirty the visited bitmap (the single-socket,
-	// multi-socket and direction-optimizing tiers; sequential and
-	// parallel-simple claim through parents alone), and extDirty the
-	// caller-id parent array (a translated result).
-	hasTouched   bool
-	visitedDirty bool
-	extDirty     bool
+	// what was written, not whether the next caller translates.
+	// hasTouched covers the parent array, the visited bitmap and the
+	// queues (every search), and extDirty the caller-id parent array (a
+	// translated result).
+	hasTouched bool
+	extDirty   bool
 
 	res Result
 }
 
 // NewSearcher builds a search session over g. The algorithm tier, its
 // worker count and all tuning knobs come from opt exactly as they do
-// for BFS; state for the default tier is allocated eagerly so the first
-// Search pays only the search itself, and state for other tiers
-// requested via Query.Algorithm is allocated on first use.
+// for BFS, and are fixed for the session's lifetime: the tier's state
+// is allocated here, so the first Search pays only the search itself.
 func NewSearcher(g *graph.Graph, opt Options) (*Searcher, error) {
 	return newSearcher(g, opt, schedule{})
 }
@@ -189,24 +188,59 @@ func newSearcher(g *graph.Graph, opt Options, sched schedule) (*Searcher, error)
 	if err := o.Machine.Validate(); err != nil {
 		return nil, err
 	}
+	blocks, threads := 1, o.Threads
 	switch o.Algorithm {
-	case AlgSequential, AlgParallelSimple, AlgSingleSocket, AlgMultiSocket, AlgDirectionOptimizing:
+	case AlgSequential:
+		threads = 1
+	case AlgParallelSimple, AlgSingleSocket, AlgDirectionOptimizing:
+	case AlgMultiSocket:
+		blocks = o.Machine.SocketsForThreads(o.Threads)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", opt.Algorithm)
 	}
 	s := &Searcher{
 		engine:  engine{workers: o.Threads},
 		o:       o,
-		sockets: o.Machine.SocketsForThreads(o.Threads),
+		threads: threads,
 		ws:      make([]searchWorker, o.Threads),
+		qs:      make([]*queue.ChunkQueue, blocks),
+		limit:   make([]int64, blocks),
 	}
 	if err := s.bindOrdering(g, o.Ordering, o.Reordered); err != nil {
 		return nil, err
 	}
+	part, err := topology.NewPartition(s.n, blocks)
+	if err != nil {
+		return nil, err
+	}
+	s.part = part
+	for b := range s.qs {
+		lo, hi := part.Range(b)
+		s.qs[b] = queue.NewChunkQueue(max(1, hi-lo))
+	}
 	s.parents = newParents(s.n)
-	s.visited = bitmap.NewAtomic(s.n)
 	if s.perm != nil {
 		s.extParents = newParents(s.n)
+	}
+	switch o.Algorithm {
+	case AlgSingleSocket:
+		s.visited = bitmap.NewAtomic(s.n)
+	case AlgDirectionOptimizing:
+		s.visited = bitmap.NewAtomic(s.n)
+		s.frontier = bitmap.NewAtomic(s.n)
+		if s.gt, err = s.inEdges(); err != nil {
+			return nil, err
+		}
+	case AlgMultiSocket:
+		s.visited = bitmap.NewAtomic(s.n)
+		s.channels = make([]*queue.Channel, blocks)
+		s.prevChan = make([]queue.ChannelStats, blocks)
+		for b := range s.channels {
+			s.channels[b] = queue.NewChannel()
+			if o.Trace {
+				s.channels[b].EnableStats()
+			}
+		}
 	}
 	s.sched = sched.resolve(s.g)
 	if s.workers > 1 {
@@ -215,100 +249,65 @@ func newSearcher(g *graph.Graph, opt Options, sched schedule) (*Searcher, error)
 		s.hubs = newHubBoard(s.g, s.sched.budget)
 	}
 	for w := range s.ws {
-		s.ws[w].s = s
-		s.ws[w].local = make([]uint32, 0, localBatch)
-	}
-	if err := s.ensureTier(o.Algorithm); err != nil {
-		return nil, err
+		// A worker's claim mode follows the tier and
+		// Options.DisableDoubleCheck; in the multi-socket tier it pops
+		// from, pushes to and owns its socket's block.
+		ws := &s.ws[w]
+		ws.s = s
+		ws.local = make([]uint32, 0, localBatch)
+		switch {
+		case o.Algorithm == AlgParallelSimple:
+			ws.mode = claimParent
+		case o.Algorithm == AlgMultiSocket:
+			ws.mode = claimOwned
+			ws.this = o.Machine.SocketOfThread(w, s.workers)
+			ws.remote = make([][]queue.Tuple, blocks)
+			for sck := range ws.remote {
+				ws.remote[sck] = make([]queue.Tuple, 0, o.BatchSize)
+			}
+			ws.recvBuf = make([]queue.Tuple, o.BatchSize)
+		case o.DisableDoubleCheck:
+			ws.mode = claimAtomic
+		default:
+			ws.mode = claimChecked
+		}
+		ws.q = s.qs[ws.this]
+		lo, hi := part.Range(ws.this)
+		ws.lo, ws.size = uint32(lo), uint32(hi-lo)
 	}
 	s.start(o.PinThreads, s)
 	return s, nil
 }
 
-// ensureTier allocates the tier-specific pooled state the first time
-// this session runs the given algorithm.
-func (s *Searcher) ensureTier(alg Algorithm) error {
-	switch alg {
-	case AlgSequential, AlgParallelSimple, AlgSingleSocket, AlgDirectionOptimizing:
-		if s.q == nil {
-			s.q = queue.NewChunkQueue(s.n)
-		}
-		if alg == AlgDirectionOptimizing {
-			if s.frontier == nil {
-				s.frontier = bitmap.NewAtomic(s.n)
-			}
-			if s.gt == nil {
-				gt := s.o.Transpose
-				switch {
-				case gt != nil && (gt.NumVertices() != s.n || gt.NumEdges() != s.g.NumEdges()):
-					return errors.New("core: Options.Transpose does not match the graph")
-				case s.g.Symmetric():
-					// A symmetric graph is its own transpose. s.g is the
-					// relabeled graph when the session reorders, and
-					// Relabel keeps the flag, so this holds in either id
-					// space and needs neither a transpose nor a relabel.
-					gt = s.g
-				case gt == nil:
-					// s.g is already the relabeled graph when the session
-					// reorders, so the lazily computed transpose is too.
-					gt = s.g.Transpose()
-				case s.perm != nil:
-					// A caller-supplied transpose is in original id space;
-					// carry it into the session's relabeled space.
-					rgt, err := gt.Relabel(s.perm)
-					if err != nil {
-						return err
-					}
-					gt = rgt
-				}
-				s.gt = gt
-			}
-		}
-	case AlgMultiSocket:
-		if s.qs == nil {
-			part, err := topology.NewPartition(s.n, s.sockets)
-			if err != nil {
-				return err
-			}
-			s.part = part
-			s.qs = make([]*queue.ChunkQueue, s.sockets)
-			s.channels = make([]*queue.Channel, s.sockets)
-			s.prevChan = make([]queue.ChannelStats, s.sockets)
-			s.sockLimit = make([]int64, s.sockets)
-			for sck := 0; sck < s.sockets; sck++ {
-				lo, hi := part.Range(sck)
-				c := hi - lo
-				if c < 1 {
-					c = 1
-				}
-				s.qs[sck] = queue.NewChunkQueue(c)
-				s.channels[sck] = queue.NewChannel()
-			}
-			for w := range s.ws {
-				s.ws[w].remote = make([][]queue.Tuple, s.sockets)
-				for sck := range s.ws[w].remote {
-					s.ws[w].remote[sck] = make([]queue.Tuple, 0, s.o.BatchSize)
-				}
-				s.ws[w].recvBuf = make([]queue.Tuple, s.o.BatchSize)
-			}
-		}
-		// Channel counters cannot be disabled once on, so they are
-		// enabled lazily and only when the session traces.
-		if s.o.Trace && !s.chanStats {
-			for _, c := range s.channels {
-				c.EnableStats()
-			}
-			s.chanStats = true
-		}
-	default:
-		return fmt.Errorf("core: unknown algorithm %v", alg)
+// inEdges resolves the direction-optimizing tier's transpose in the
+// session's id space.
+func (s *Searcher) inEdges() (*graph.Graph, error) {
+	gt := s.o.Transpose
+	switch {
+	case gt != nil && (gt.NumVertices() != s.n || gt.NumEdges() != s.g.NumEdges()):
+		return nil, errors.New("core: Options.Transpose does not match the graph")
+	case s.g.Symmetric():
+		// A symmetric graph is its own transpose. s.g is the relabeled
+		// graph when the session reorders, and Relabel keeps the flag, so
+		// this holds in either id space and needs neither a transpose nor
+		// a relabel.
+		return s.g, nil
+	case gt == nil:
+		// s.g is already the relabeled graph when the session reorders,
+		// so its transpose is too.
+		return s.g.Transpose(), nil
+	case s.perm != nil:
+		// A caller-supplied transpose is in original id space; carry it
+		// into the session's relabeled space.
+		return gt.Relabel(s.perm)
 	}
-	return nil
+	return gt, nil
 }
 
 // clearShard is worker w's share of the parallel full-reset fallback:
-// restore a word-aligned shard of the parent array and of whichever of
-// the visited bitmap and the caller-id parent array are dirty.
+// restore a word-aligned shard of the parent array, of the visited
+// bitmap when the tier has one, and of the caller-id parent array when
+// it is dirty.
 func (s *Searcher) clearShard(w int) {
 	lo, hi := s.wordShard(w)
 	p := s.parents[lo:hi]
@@ -323,21 +322,21 @@ func (s *Searcher) clearShard(w int) {
 			e[i] = NoParent
 		}
 	}
-	if s.visitedDirty {
+	if s.visited != nil {
 		s.visited.ResetWords(lo/64, (hi+63)/64)
 	}
 }
 
 // clearTouched restores the entries of the touched vertices vs: their
-// parent entries, and their visited words and caller-id parent entries
-// when those arrays are dirty. Every set visited bit belongs to a
+// parent entries and visited words, and their caller-id parent entries
+// when that array is dirty. Every set visited bit belongs to a
 // touched vertex, and a translation writes extParents[inv[v]] for
 // exactly the touched v, so this restores all three arrays.
 func (s *Searcher) clearTouched(vs []uint32) {
 	for _, v := range vs {
 		s.parents[v] = NoParent
 	}
-	if s.visitedDirty {
+	if s.visited != nil {
 		for _, v := range vs {
 			s.visited.ClearWordOf(int(v))
 		}
@@ -360,22 +359,13 @@ func (s *Searcher) resetState() {
 		return
 	}
 	touched := 0
-	if s.q != nil {
-		touched += s.q.Size()
-	}
 	for _, q := range s.qs {
 		touched += q.Size()
 	}
 	if !s.fullClear(touched) {
-		if s.q != nil {
-			s.clearTouched(s.q.Slice())
-		}
 		for _, q := range s.qs {
 			s.clearTouched(q.Slice())
 		}
-	}
-	if s.q != nil {
-		s.q.Reset()
 	}
 	for _, q := range s.qs {
 		q.Reset()
@@ -385,7 +375,7 @@ func (s *Searcher) resetState() {
 		// still posted; clear them so the next search starts clean.
 		s.hubs.reset()
 	}
-	s.hasTouched, s.visitedDirty, s.extDirty = false, false, false
+	s.hasTouched, s.extDirty = false, false
 }
 
 // BFS runs one search from root with the session's configuration — the
@@ -483,20 +473,13 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	alg := q.Algorithm
-	if alg == AlgAuto {
-		alg = s.o.Algorithm
-	}
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival: nothing searched and no state dirtied. The
 		// query still counts as cancelled, with no levels, no reached
 		// vertices and no per-level record.
 		s.o.Telemetry.RecordQuery(s.o.TelemetryShard, obs.QuerySample{
-			Root: uint32(root), Start: time.Now(), Outcome: obs.OutcomeCancelled, Algorithm: alg.String(),
+			Root: uint32(root), Start: time.Now(), Outcome: obs.OutcomeCancelled, Algorithm: s.o.Algorithm.String(),
 		})
-		return nil, err
-	}
-	if err := s.ensureTier(alg); err != nil {
 		return nil, err
 	}
 	maxLevels := s.o.MaxLevels
@@ -508,29 +491,14 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 
 	s.resetState()
 	// The session is dirty from here on. Recording that before any
-	// parent/bitmap write (rather than after the search completes, as
-	// an earlier version did) means an abort on any path below still
-	// triggers a full reset of the partial state on the next query —
+	// parent/bitmap write means an abort on any path below still
+	// triggers a reset of the partial state on the next query —
 	// including the root's seeded parent entry, which is why the root
 	// is published on its queue before that entry is written.
 	s.hasTouched = true
-	usesVisited := alg == AlgSingleSocket || alg == AlgMultiSocket || alg == AlgDirectionOptimizing
-	if usesVisited {
-		s.visitedDirty = true
-	}
 	s.ctx = ctx
 	s.cancel.Store(false)
-
-	tierWorkers := s.workers
-	tierSockets := 1
-	if alg == AlgSequential {
-		tierWorkers = 1
-	}
-	if alg == AlgMultiSocket {
-		tierSockets = s.sockets
-	}
-	s.coll = s.obsCollector(tierWorkers, tierSockets, alg)
-	s.alg = alg
+	s.coll = s.obsCollector()
 	s.maxLevels = maxLevels
 	s.levels = 0
 	s.done.Store(false)
@@ -545,39 +513,32 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	}
 
 	// Seed the root: resetState emptied the queues and the pool is
-	// parked, so the root is its queue's one append, on the
+	// parked, so the root is its block's queue's one append, on the
 	// single-producer path, published before its parent entry is
 	// written.
-	rootQ := s.q
-	if alg == AlgMultiSocket {
-		rootQ = s.qs[s.part.DetermineSocket(uint32(iroot))]
-	}
+	rootQ := s.qs[s.part.DetermineSocket(uint32(iroot))]
 	rootQ.Publish(rootQ.Append(0, uint32(iroot)))
 	s.parents[iroot] = uint32(iroot)
 
 	start := time.Now()
 	var edges, reached int64
-	if alg == AlgSequential {
+	if s.o.Algorithm == AlgSequential {
 		// The serial baseline runs inline on the caller's goroutine.
 		edges, reached = s.sequentialSearch()
 	} else {
-		if alg == AlgMultiSocket {
-			for i := range s.sockLimit {
-				s.sockLimit[i] = int64(s.qs[i].Size())
-			}
-			if s.chanStats {
-				// Channel counters are cumulative across searches;
-				// re-baseline the per-level delta tracking.
-				for i, c := range s.channels {
-					s.prevChan[i] = c.Stats()
-					c.ResetHighWater()
-				}
-			}
-		} else {
-			s.prevLimit = 0
-			s.limit = 1
+		s.prevLimit = 0
+		for i, q := range s.qs {
+			s.limit[i] = int64(q.Size())
 		}
-		if usesVisited {
+		if s.o.Trace {
+			// Channel counters are cumulative across searches;
+			// re-baseline the per-level delta tracking.
+			for i, c := range s.channels {
+				s.prevChan[i] = c.Stats()
+				c.ResetHighWater()
+			}
+		}
+		if s.visited != nil {
 			s.visited.Set(int(iroot))
 		}
 		s.runJob(jobSearch)
@@ -591,7 +552,7 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	if s.cancel.Load() {
 		// The partial tree is not a BFS tree of anything; expose only
 		// the error. State reset happens lazily on the next query.
-		s.recordQuery(root, start, dur, reached, edges, obs.OutcomeCancelled, alg)
+		s.recordQuery(root, start, dur, reached, edges, obs.OutcomeCancelled)
 		return nil, ctx.Err()
 	}
 
@@ -616,8 +577,8 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 		EdgesTraversed: edges,
 		Levels:         s.levels,
 		Duration:       dur,
-		Algorithm:      alg,
-		Threads:        tierWorkers,
+		Algorithm:      s.o.Algorithm,
+		Threads:        s.threads,
 		PerLevel:       perLevel,
 		Trace:          s.coll.Finish(),
 	}
@@ -625,7 +586,7 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 	if fn != nil {
 		err = fn(&s.res)
 	}
-	s.recordQuery(root, start, dur, reached, edges, obs.OutcomeOK, alg)
+	s.recordQuery(root, start, dur, reached, edges, obs.OutcomeOK)
 	return &s.res, err
 }
 
@@ -637,11 +598,6 @@ func (s *Searcher) search(ctx context.Context, root graph.Vertex, q Query, withP
 // extDirty first).
 func (s *Searcher) translateParents() {
 	inv, parents, ext := s.inv, s.parents, s.extParents
-	if s.q != nil {
-		for _, v := range s.q.Slice() {
-			ext[inv[v]] = uint32(inv[parents[v]])
-		}
-	}
 	for _, q := range s.qs {
 		for _, v := range q.Slice() {
 			ext[inv[v]] = uint32(inv[parents[v]])
@@ -652,7 +608,7 @@ func (s *Searcher) translateParents() {
 // recordQuery hands one finished (or cancelled) search to the session's
 // telemetry hub. The per-level records are the collector's, borrowed:
 // the hub copies them only when the query is slow enough to capture.
-func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Duration, reached, edges int64, outcome obs.Outcome, alg Algorithm) {
+func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Duration, reached, edges int64, outcome obs.Outcome) {
 	if s.o.Telemetry == nil {
 		return
 	}
@@ -664,7 +620,7 @@ func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Dura
 		Reached:   reached,
 		Edges:     edges,
 		Outcome:   outcome,
-		Algorithm: alg.String(),
+		Algorithm: s.o.Algorithm.String(),
 		PerLevel:  s.coll.Levels(),
 	})
 }
@@ -672,15 +628,15 @@ func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Dura
 // obsCollector readies the session's collector for one search, or
 // returns nil when nothing observes the run — the nil pointer is what
 // keeps the hot path at a handful of predictable nil-checks per level.
-func (s *Searcher) obsCollector(workers, sockets int, alg Algorithm) *obs.Collector {
+func (s *Searcher) obsCollector() *obs.Collector {
 	o := &s.o
 	if !o.Instrument && !o.Trace && o.Tracer == nil && o.Telemetry == nil {
 		return nil
 	}
 	s.collector.Reset(obs.Config{
-		Workers:   workers,
-		Sockets:   sockets,
-		Algorithm: alg.String(),
+		Workers:   s.threads,
+		Sockets:   len(s.qs),
+		Algorithm: o.Algorithm.String(),
 		Trace:     o.Trace,
 		Tracer:    o.Tracer,
 	})

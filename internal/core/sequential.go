@@ -23,7 +23,7 @@ import (
 // search wrote. The root is on the queue too, so the published tail is
 // the reached count.
 func (s *Searcher) sequentialSearch() (edges, reached int64) {
-	g, q, parents := s.g, s.q, s.parents
+	g, q, parents := s.g, s.qs[0], s.parents
 	wr := s.coll.Worker(0)
 	observe := wr != nil
 

@@ -9,6 +9,7 @@ import (
 
 	"mcbfs/internal/gen"
 	"mcbfs/internal/graph"
+	"mcbfs/internal/obs"
 	"mcbfs/internal/topology"
 )
 
@@ -80,67 +81,67 @@ func TestSearcherReuseAcrossRoots(t *testing.T) {
 	}
 }
 
-// TestSearcherQueryOverrides switches algorithm and depth bound per
-// query on a single session: every tier answers on the same pooled
-// state, and a bounded query must not leak its truncated frontier into
-// the next unbounded one.
-func TestSearcherQueryOverrides(t *testing.T) {
+// TestSearcherQueryMaxLevels checks the per-query depth bound on one
+// session per tier: the session's MaxLevels applies to a zero Query, a
+// negative Query.MaxLevels lifts it, and the bounded search must not
+// leak its truncated frontier into the unbounded one that follows.
+func TestSearcherQueryMaxLevels(t *testing.T) {
 	g := must(gen.Uniform(3000, 8, 11)).Undirected()
-	s, err := NewSearcher(g, Options{Threads: 4, Transpose: g, MaxLevels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
+	ref := run(t, g, 5, Options{Algorithm: AlgSequential, Threads: 1, MaxLevels: 2})
 	algs := []Algorithm{
 		AlgSequential, AlgMultiSocket, AlgSingleSocket,
 		AlgDirectionOptimizing, AlgParallelSimple, AlgAuto,
 	}
 	for _, alg := range algs {
-		// Session default MaxLevels=2 applies when the query is silent.
-		res, err := s.Search(5, Query{Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%v bounded: %v", alg, err)
-		}
-		if res.Levels > 2 {
-			t.Fatalf("%v: session MaxLevels=2 ignored, got %d levels", alg, res.Levels)
-		}
-		ref := run(t, g, 5, Options{Algorithm: AlgSequential, Threads: 1, MaxLevels: 2})
-		if res.Reached != ref.Reached {
-			t.Fatalf("%v bounded: reached %d, want %d", alg, res.Reached, ref.Reached)
-		}
-
-		// A negative query MaxLevels lifts the session bound.
-		res, err = s.Search(5, Query{Algorithm: alg, MaxLevels: -1})
-		if err != nil {
-			t.Fatalf("%v unbounded: %v", alg, err)
-		}
-		expectSameTree(t, g, res, false)
+		t.Run(alg.String(), func(t *testing.T) {
+			s, err := NewSearcher(g, Options{Algorithm: alg, Threads: 4, Transpose: g, MaxLevels: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			res, err := s.Search(5, Query{})
+			if err != nil {
+				t.Fatalf("bounded: %v", err)
+			}
+			if res.Levels > 2 {
+				t.Fatalf("session MaxLevels=2 ignored, got %d levels", res.Levels)
+			}
+			if res.Reached != ref.Reached {
+				t.Fatalf("bounded: reached %d, want %d", res.Reached, ref.Reached)
+			}
+			res, err = s.Search(5, Query{MaxLevels: -1})
+			if err != nil {
+				t.Fatalf("unbounded: %v", err)
+			}
+			expectSameTree(t, g, res, false)
+		})
 	}
 }
 
-// TestSearcherTierSwitchAfterBottomUp runs a multi-socket query on a
-// session whose previous direction-optimizing search ended in a
-// bottom-up level (on a star, level 1 is bottom-up and finds nothing),
-// so the next search must start top-down whatever its tier.
+// TestSearcherTierSwitchAfterBottomUp runs searches back to back on one
+// direction-optimizing session over a star. Each ends with a bottom-up
+// level that finds nothing (the one after the leaves' frontier), so the
+// next search must switch back and start top down.
 func TestSearcherTierSwitchAfterBottomUp(t *testing.T) {
 	g := must(gen.Star(2000)).Undirected()
-	s, err := NewSearcher(g, Options{
-		Algorithm: AlgDirectionOptimizing,
-		Threads:   4,
-		Machine:   topology.Generic(2, 2, 1),
-		Transpose: g,
-	})
+	s, err := NewSearcher(g, Options{Algorithm: AlgDirectionOptimizing, Threads: 4, Transpose: g, Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, alg := range []Algorithm{AlgDirectionOptimizing, AlgMultiSocket, AlgDirectionOptimizing, AlgSingleSocket} {
-		res, err := s.Search(1, Query{Algorithm: alg})
+	for _, root := range []graph.Vertex{1, 0, 1, 7} {
+		res, err := s.BFS(root)
 		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
+			t.Fatalf("root %d: %v", root, err)
 		}
 		expectSameTree(t, g, res, false)
+		last := len(res.PerLevel) - 1
+		if res.PerLevel[0].Phases[obs.PhaseBottomUpScan] != 0 {
+			t.Fatalf("root %d: level 0 ran bottom up", root)
+		}
+		if res.PerLevel[last].Phases[obs.PhaseBottomUpScan] == 0 {
+			t.Fatalf("root %d: last level %d ran top down, want bottom up", root, last)
+		}
 	}
 }
 
@@ -170,11 +171,11 @@ func (c resetCall) String() string {
 //   - one input per tier, alternating giant and tiny searches; the
 //     giant one takes the O(touched)-walk or full-clear path depending
 //     on tier and threshold, the tiny one always the walk;
-//   - mixed-tier sessions where a tier that never writes the visited
-//     bitmap runs between two that do, so the visited clear must follow
-//     what the last searches wrote, not the incoming query's tier;
-//   - a reordered session interleaving translated searches, the
-//     parent-free SearchFunc entry point and a cancelled search, so the
+//   - two reordered sessions, a single-socket one (which writes the
+//     visited bitmap) and a sequential one (no visited bitmap, a
+//     single-producer queue, and a four-worker pool that serves only
+//     the full clear), interleaving translated searches, the
+//     parent-free SearchFunc entry point and cancelled searches, so the
 //     caller-id parent clear must follow the last translation, not
 //     whether the incoming query translates.
 func TestSearcherResetCompleteness(t *testing.T) {
@@ -182,7 +183,6 @@ func TestSearcherResetCompleteness(t *testing.T) {
 	const giant, tiny = graph.Vertex(0), graph.Vertex(1000)
 	type step struct {
 		root graph.Vertex
-		alg  Algorithm
 		call resetCall
 	}
 	type input struct {
@@ -194,30 +194,21 @@ func TestSearcherResetCompleteness(t *testing.T) {
 	for _, v := range sessionVariants {
 		inputs = append(inputs, input{v.name, v.opt(g), []step{{root: giant}, {root: tiny}}})
 	}
-	mixed := Options{Threads: 4, Transpose: g, Machine: topology.Generic(2, 2, 1)}
+	reordered := []step{
+		{giant, callSearch},
+		{tiny, callNoParents},
+		{tiny, callSearch},
+		{giant, callCancelling},
+		{tiny, callSearch},
+		{giant, callNoParents},
+		{tiny, callSearch},
+		{giant, callSearch},
+		{giant, callCancelling},
+		{tiny, callNoParents},
+	}
 	inputs = append(inputs,
-		input{"mixed/single-socket,sequential", mixed, []step{
-			{giant, AlgSingleSocket, callSearch},
-			{tiny, AlgSequential, callSearch},
-			{tiny, AlgSingleSocket, callSearch},
-		}},
-		input{"mixed/direction-optimizing,parallel-simple,multi-socket", mixed, []step{
-			{giant, AlgDirectionOptimizing, callSearch},
-			{tiny, AlgParallelSimple, callSearch},
-			{tiny, AlgMultiSocket, callSearch},
-		}},
-		input{"reordered", Options{Threads: 4, Ordering: graph.OrderDegree}, []step{
-			{giant, AlgAuto, callSearch},
-			{tiny, AlgAuto, callNoParents},
-			{tiny, AlgAuto, callSearch},
-			{giant, AlgAuto, callCancelling},
-			{tiny, AlgAuto, callSearch},
-			{giant, AlgSequential, callNoParents},
-			{tiny, AlgAuto, callSearch},
-			{giant, AlgSequential, callSearch},
-			{giant, AlgAuto, callCancelling},
-			{tiny, AlgSequential, callNoParents},
-		}},
+		input{"reordered", Options{Algorithm: AlgSingleSocket, Threads: 4, Ordering: graph.OrderDegree}, reordered},
+		input{"reordered-sequential", Options{Algorithm: AlgSequential, Threads: 4, Ordering: graph.OrderDegree}, reordered},
 	)
 
 	for _, in := range inputs {
@@ -229,8 +220,8 @@ func TestSearcherResetCompleteness(t *testing.T) {
 			defer s.Close()
 			for round := 0; round < 3; round++ {
 				for i, st := range in.steps {
-					at := fmt.Sprintf("round %d step %d (%v from %d, %v)", round, i, st.call, st.root, st.alg)
-					q := Query{Algorithm: st.alg}
+					at := fmt.Sprintf("round %d step %d (%v from %d)", round, i, st.call, st.root)
+					q := Query{}
 					var res *Result
 					switch st.call {
 					case callSearch:
@@ -413,8 +404,5 @@ func TestSearcherRejectsBadInput(t *testing.T) {
 	defer s.Close()
 	if _, err := s.BFS(100); err == nil {
 		t.Error("out-of-range root accepted")
-	}
-	if _, err := s.Search(0, Query{Algorithm: Algorithm(42)}); err == nil {
-		t.Error("unknown per-query algorithm accepted")
 	}
 }

@@ -12,13 +12,14 @@ import (
 // every unvisited target for the next level. They differ only in how a
 // discovered vertex is claimed, so the four parallel tiers share one
 // top-down scan (scanLevel) and one end-of-level barrier sequence
-// (endLevel), and each search fixes a claimMode per worker.
+// (endLevel), and each session fixes a claimMode per worker.
 //
-// Every tier runs over a monotone queue: workers pop the current
-// level's window [head, limit) and append discoveries past it; the
-// level coordinator advances the window at the barrier. The queue is
-// never reset mid-search, so its final contents are the reached list
-// the session's O(touched) reset walks.
+// Every tier runs over monotone queues, one per block of the session's
+// partition: workers pop the current level's window [head, limit) of
+// their block's queue and append discoveries past it; the level
+// coordinator advances the windows at the barrier. The queues are never
+// reset mid-search, so their final contents are the reached list the
+// session's O(touched) reset walks.
 
 // claimMode is how a top-down scan claims a discovered vertex.
 type claimMode uint8
@@ -80,29 +81,11 @@ func (s *Searcher) levelWorker(w int) {
 	}
 }
 
-// begin readies worker state for one search: the claim mode follows
-// the tier and Options.DisableDoubleCheck, and the worker pops from and
-// pushes to its socket's queue in the multi-socket tier, the session's
-// shared queue otherwise.
+// begin readies worker state for one search: its observation slot and
+// its run totals.
 func (ws *searchWorker) begin(w int) {
-	s := ws.s
-	ws.wr = s.coll.Worker(w)
-	ws.q = s.q
+	ws.wr = ws.s.coll.Worker(w)
 	ws.edges, ws.reached, ws.checkpoints = 0, 0, 0
-	switch {
-	case s.alg == AlgParallelSimple:
-		ws.mode = claimParent
-	case s.alg == AlgMultiSocket:
-		ws.mode = claimOwned
-		ws.this = s.o.Machine.SocketOfThread(w, s.workers)
-		ws.q = s.qs[ws.this]
-		lo, hi := s.part.Range(ws.this)
-		ws.lo, ws.size = uint32(lo), uint32(hi-lo)
-	case s.o.DisableDoubleCheck:
-		ws.mode = claimAtomic
-	default:
-		ws.mode = claimChecked
-	}
 }
 
 // chunkMax is the most vertices a top-down chunk holds, and budgetFloor
@@ -151,10 +134,7 @@ func (ws *searchWorker) scanLevel() {
 	s := ws.s
 	offs, tgts := s.g.Offsets(), s.g.Targets()
 	budget, hubs := s.sched.budget, s.hubs
-	limit := s.limit
-	if ws.mode == claimOwned {
-		limit = s.sockLimit[ws.this]
-	}
+	limit := s.limit[ws.this]
 	// Cancellation checkpoint: on abort stop expanding and return to the
 	// flush and barriers — every claimed vertex is already in local or
 	// the queue, so the unwound session's touched list stays complete.
@@ -333,6 +313,10 @@ func (s *Searcher) endLevel(ws *searchWorker) bool {
 // the coordinator elected at the first closing barrier: advance the
 // monotone queue windows, decide termination and, in the
 // direction-optimizing tier, apply the alpha/beta direction switch.
+// After a top-down level each head already sits at its limit (stealing
+// never moves one past it); bottom-up levels read the shared queue's
+// window without popping, so every consume cursor is realigned to its
+// limit before the next level pops only the new window.
 func (s *Searcher) advanceLevel() {
 	// A cancelled search advances and folds normally — the bookkeeping
 	// below only ever sets done, so the abort decision stands and the
@@ -344,29 +328,22 @@ func (s *Searcher) advanceLevel() {
 	if s.bottomUp.Load() {
 		// Bottom-up levels expand the window without popping it, so the
 		// workers' frontier counts miss it.
-		s.coll.CreditFrontier(s.limit - s.prevLimit)
+		s.coll.CreditFrontier(s.limit[0] - s.prevLimit)
 	}
 	s.levels++
+	s.sampleChannels()
+	s.prevLimit = s.limit[0]
 	var next int64 // size of the next frontier
-	if s.alg == AlgMultiSocket {
-		s.sampleChannels()
-		for sck, q := range s.qs {
-			sz := int64(q.Size())
-			next += sz - s.sockLimit[sck]
-			s.sockLimit[sck] = sz
-		}
-	} else {
-		// Bottom-up levels leave the consume cursor behind; realign it
-		// so the next top-down level pops only the new window.
-		s.q.SkipTo(s.limit)
-		s.prevLimit = s.limit
-		s.limit = int64(s.q.Size())
-		next = s.limit - s.prevLimit
+	for i, q := range s.qs {
+		q.SkipTo(s.limit[i])
+		sz := int64(q.Size())
+		next += sz - s.limit[i]
+		s.limit[i] = sz
 	}
 	switch {
 	case next == 0 || (s.maxLevels > 0 && s.levels >= s.maxLevels):
 		s.done.Store(true)
-	case s.alg == AlgDirectionOptimizing:
+	case s.o.Algorithm == AlgDirectionOptimizing:
 		s.bottomUp.Store(s.bottomUpNext(next))
 	}
 }

@@ -262,43 +262,3 @@ func (g *Graph) DegreeHistogram() []int64 {
 func (g *Graph) MemoryFootprint() int64 {
 	return int64(len(g.offsets))*8 + int64(len(g.targets))*4
 }
-
-// EdgePartition cuts the vertex range [0, n) into parts contiguous
-// pieces of approximately equal adjacency mass, using the CSR offsets
-// array (already the prefix sum of degrees) as the partition key: piece
-// k is [bounds[k], bounds[k+1]) and holds ~m/parts adjacency entries.
-// A piece may be empty on extremely skewed graphs — callers must
-// tolerate lo == hi. The returned slice has parts+1 entries with
-// bounds[0] == 0 and bounds[parts] == n.
-func EdgePartition(offsets []int64, parts int) []int {
-	n := len(offsets) - 1
-	if n < 0 {
-		n = 0
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	bounds := make([]int, parts+1)
-	var m int64
-	if n > 0 {
-		m = offsets[n]
-	}
-	for k := 1; k < parts; k++ {
-		target := m * int64(k) / int64(parts)
-		// Smallest v with offsets[v] >= target: binary search the prefix
-		// sums, the same O(log n) probe a worker would pay per level if
-		// this were computed lazily — here it runs once per session.
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if offsets[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		bounds[k] = lo
-	}
-	bounds[parts] = n
-	return bounds
-}

@@ -1,5 +1,7 @@
 package queue
 
+import "sync/atomic"
+
 // Tuple is the payload of the inter-socket channel: a discovered vertex
 // and the vertex that discovered it (its BFS parent candidate). The pair
 // packs into one uint64 ring slot because vertex ids are < 2^31.
@@ -31,6 +33,12 @@ type Channel struct {
 	prodLock TicketLock
 	consLock TicketLock
 	q        *SPSC
+	// queued is the channel's occupancy. It changes once per batch,
+	// under the lock of the end that moved the tuples, so the queue's
+	// ends keep sharing no counter per tuple. A receiver can take
+	// tuples before their sender has added them, so it may read below
+	// zero for a moment.
+	queued atomic.Int64
 	// stats is nil unless EnableStats was called; the send path then
 	// updates it under the producer lock it already holds, so enabling
 	// statistics adds no atomic operations — only one predictable
@@ -97,14 +105,15 @@ func (c *Channel) SendBatch(batch []Tuple) {
 	for _, t := range batch {
 		c.q.Enqueue(packTuple(t))
 	}
+	n := c.queued.Add(int64(len(batch)))
 	if c.stats != nil {
 		c.stats.Batches++
 		c.stats.Tuples += int64(len(batch))
 		if len(batch) > c.stats.MaxBatch {
 			c.stats.MaxBatch = len(batch)
 		}
-		if n := c.q.Len(); n > c.stats.MaxLen {
-			c.stats.MaxLen = n
+		if int(n) > c.stats.MaxLen {
+			c.stats.MaxLen = int(n)
 		}
 	}
 	c.prodLock.Unlock()
@@ -114,14 +123,15 @@ func (c *Channel) SendBatch(batch []Tuple) {
 func (c *Channel) Send(t Tuple) {
 	c.prodLock.Lock()
 	c.q.Enqueue(packTuple(t))
+	n := c.queued.Add(1)
 	if c.stats != nil {
 		c.stats.Batches++
 		c.stats.Tuples++
 		if c.stats.MaxBatch < 1 {
 			c.stats.MaxBatch = 1
 		}
-		if n := c.q.Len(); n > c.stats.MaxLen {
-			c.stats.MaxLen = n
+		if int(n) > c.stats.MaxLen {
+			c.stats.MaxLen = int(n)
 		}
 	}
 	c.prodLock.Unlock()
@@ -143,6 +153,7 @@ func (c *Channel) ReceiveBatch(buf []Tuple) int {
 		buf[n] = unpackTuple(x)
 		n++
 	}
+	c.queued.Add(-int64(n))
 	c.consLock.Unlock()
 	return n
 }
@@ -163,9 +174,11 @@ func (c *Channel) DiscardAll() int {
 		}
 		n++
 	}
+	c.queued.Add(-int64(n))
 	c.consLock.Unlock()
 	return n
 }
 
-// Len returns the approximate number of queued tuples.
-func (c *Channel) Len() int { return c.q.Len() }
+// Len returns the approximate number of queued tuples: exact when no
+// send or receive is in flight.
+func (c *Channel) Len() int { return max(0, int(c.queued.Load())) }

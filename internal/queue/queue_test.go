@@ -88,9 +88,6 @@ func TestSPSCEmptyInitially(t *testing.T) {
 	if _, ok := q.Dequeue(); ok {
 		t.Error("fresh queue not empty")
 	}
-	if q.Len() != 0 {
-		t.Errorf("Len = %d, want 0", q.Len())
-	}
 }
 
 func TestSPSCZeroValue(t *testing.T) {
@@ -127,9 +124,6 @@ func TestSPSCSegmentOverflow(t *testing.T) {
 	const n = segSize*3 + 17
 	for i := uint64(0); i < n; i++ {
 		q.Enqueue(i)
-	}
-	if q.Len() != n {
-		t.Errorf("Len = %d, want %d", q.Len(), n)
 	}
 	for i := uint64(0); i < n; i++ {
 		v, ok := q.Dequeue()
@@ -267,7 +261,14 @@ func TestQuickSPSCMirrorsSliceQueue(t *testing.T) {
 				}
 			}
 		}
-		return q.Len() == len(model)
+		// Drain: the queue must hold exactly the model's remainder.
+		for _, want := range model {
+			if v, ok := q.Dequeue(); !ok || v != want {
+				return false
+			}
+		}
+		_, ok := q.Dequeue()
+		return !ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -758,6 +759,13 @@ func TestChannelLen(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len after partial receive = %d, want 1", c.Len())
 	}
+	c.Send(Tuple{V: 4})
+	if c.Len() != 2 {
+		t.Errorf("Len after Send = %d, want 2", c.Len())
+	}
+	if n := c.DiscardAll(); n != 2 || c.Len() != 0 {
+		t.Errorf("DiscardAll dropped %d, Len %d after, want 2 and 0", n, c.Len())
+	}
 }
 
 func TestChunkQueueCapAndPushBatchBounds(t *testing.T) {
@@ -775,16 +783,6 @@ func TestChunkQueueCapAndPushBatchBounds(t *testing.T) {
 		}
 	}()
 	q.PushBatch(make([]uint32, 9))
-}
-
-func TestSPSCLenNeverNegative(t *testing.T) {
-	q := NewSPSC()
-	q.Enqueue(1)
-	q.Dequeue()
-	q.Dequeue() // extra dequeue on empty queue
-	if q.Len() != 0 {
-		t.Errorf("Len = %d, want 0", q.Len())
-	}
 }
 
 // TestTicketLockContendedYieldPath forces the spin loop past its yield

@@ -35,9 +35,6 @@ type SPSC struct {
 	chead uint64
 	cseg  *segment
 	_     pad
-	// Approximate count of elements ever enqueued/dequeued, for stats.
-	enq atomic.Uint64
-	deq atomic.Uint64
 	// free is a stack of drained segments awaiting reuse, linked through
 	// their next pointers. The consumer pushes, the producer pops, so a
 	// long-lived queue reaches a steady state where levels of traffic
@@ -87,7 +84,6 @@ func (q *SPSC) Enqueue(v uint64) {
 	}
 	slot.Store(v + 1)
 	q.ptail++
-	q.enq.Add(1)
 }
 
 // Dequeue removes and returns the oldest value. ok is false if the
@@ -132,7 +128,6 @@ func (q *SPSC) Dequeue() (v uint64, ok bool) {
 	}
 	slot.Store(0)
 	q.chead++
-	q.deq.Add(1)
 	return x - 1, true
 }
 
@@ -177,14 +172,4 @@ func (q *SPSC) putSegment(s *segment) {
 			return
 		}
 	}
-}
-
-// Len returns the approximate number of queued elements. Exact when no
-// operation is concurrently in flight.
-func (q *SPSC) Len() int {
-	e, d := q.enq.Load(), q.deq.Load()
-	if e < d {
-		return 0
-	}
-	return int(e - d)
 }

@@ -223,8 +223,9 @@ func BFS(g *Graph, root Vertex, opt Options) (*Result, error) {
 // fixed set of warm sessions.
 type Searcher = core.Searcher
 
-// Query selects per-search overrides (algorithm tier, depth bound) on
-// a Searcher; the zero value reruns the session's configuration.
+// Query bounds one search's depth on a Searcher (MaxLevels); the zero
+// value reruns the session's configuration. The algorithm tier is the
+// session's, fixed by NewSearcher.
 type Query = core.Query
 
 // NewSearcher builds a reusable search session over g. Options selects

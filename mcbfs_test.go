@@ -167,7 +167,7 @@ func TestPublicAPIUnreachedMarkers(t *testing.T) {
 }
 
 // TestPublicAPISearcher exercises the amortized session surface: one
-// Searcher answering repeated queries, with per-query overrides, under
+// Searcher answering repeated queries, with a per-query depth bound, under
 // the race detector when CI runs this package with -race.
 func TestPublicAPISearcher(t *testing.T) {
 	g, err := mcbfs.UniformGraph(5_000, 8, 7)
@@ -188,7 +188,7 @@ func TestPublicAPISearcher(t *testing.T) {
 			t.Fatalf("root %d: %v", root, err)
 		}
 	}
-	res, err := s.Search(0, mcbfs.Query{Algorithm: mcbfs.AlgSequential, MaxLevels: 1})
+	res, err := s.Search(0, mcbfs.Query{MaxLevels: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,8 @@ type PoolOptions struct {
 	// Batching, when enabled (Lanes > 0), coalesces concurrently
 	// admitted default-configuration queries into shared MS-BFS batch
 	// traversals instead of borrowing per-query Searchers: up to Lanes
-	// queries ride one pass over the adjacency. Queries with per-query
-	// overrides (Search with a non-zero Query) and QueryFunc calls still
+	// queries ride one pass over the adjacency. Queries with a depth
+	// override (Search with a non-zero Query) and QueryFunc calls still
 	// use the Searcher pool. The batch engine always searches to full
 	// depth, so NewPool rejects Batching together with a non-zero
 	// Search.MaxLevels rather than answer batched queries unbounded.
@@ -369,9 +369,7 @@ func (p *Pool) MonitorAddr() string { return p.monitorAddr }
 
 // Size returns the pool's total serving capacity: Searcher slots plus
 // batch lanes across all runners (the maximum queries in flight at
-// once). Use Slots for the two components separately. Before this
-// accounted for batching it reported only cap(free), understating a
-// batching pool's concurrency.
+// once). Use Slots for the two components separately.
 func (p *Pool) Size() int {
 	searchers, lanes := p.Slots()
 	return searchers + lanes
@@ -417,8 +415,8 @@ func (p *Pool) Query(ctx context.Context, root Vertex) (Result, error) {
 	return p.Search(ctx, root, Query{})
 }
 
-// Search is Query with per-query overrides (algorithm tier, depth
-// bound), exactly as for Searcher.Search. The Result is copied out of
+// Search is Query with a per-query depth bound, exactly as for
+// Searcher.Search. The Result is copied out of
 // the Searcher before it returns to the pool, with the pooled slices
 // (Parents, PerLevel, Trace) detached; since Parents is dropped, a pool
 // with an active ordering does not translate the parent tree into
@@ -426,7 +424,7 @@ func (p *Pool) Query(ctx context.Context, root Vertex) (Result, error) {
 // query performs no heap allocation.
 //
 // With Batching enabled, default-configuration queries (zero Query) are
-// coalesced into shared MS-BFS traversals; overridden queries still
+// coalesced into shared MS-BFS traversals; depth-bounded queries still
 // borrow a Searcher.
 func (p *Pool) Search(ctx context.Context, root Vertex, q Query) (Result, error) {
 	ctx, cancel := p.queryCtx(ctx)

@@ -286,8 +286,8 @@ func TestPoolBatchingBadRootFailsOnlyItsLane(t *testing.T) {
 	defer pool.Close()
 
 	bad := mcbfs.Vertex(g.NumVertices() + 5)
-	// An overridden query takes a Searcher slot.
-	_, slotErr := pool.Search(context.Background(), bad, mcbfs.Query{Algorithm: mcbfs.AlgSequential})
+	// A depth-bounded query takes a Searcher slot.
+	_, slotErr := pool.Search(context.Background(), bad, mcbfs.Query{MaxLevels: -1})
 	if slotErr == nil {
 		t.Fatalf("Searcher-slot query from root %d succeeded", bad)
 	}
@@ -365,8 +365,9 @@ func TestPoolBatchingPanicRecordsEveryLane(t *testing.T) {
 	}
 }
 
-// TestPoolBatchingOverridesBypass checks that per-query overrides still
-// use the Searcher pool: they must succeed and not ride a batch.
+// TestPoolBatchingOverridesBypass checks that a query with a depth
+// override still uses the Searcher pool: it must succeed, keep its
+// bound and not ride a batch.
 func TestPoolBatchingOverridesBypass(t *testing.T) {
 	g := poolTestGraph(t)
 	var m mcbfs.Metrics
@@ -380,12 +381,12 @@ func TestPoolBatchingOverridesBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	res, err := pool.Search(context.Background(), 0, mcbfs.Query{Algorithm: mcbfs.AlgSequential})
+	res, err := pool.Search(context.Background(), 0, mcbfs.Query{MaxLevels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reached == 0 {
-		t.Error("override query reached nothing")
+	if res.Reached == 0 || res.Levels > 2 {
+		t.Errorf("override query: %d levels, %d reached", res.Levels, res.Reached)
 	}
 	if got := m.BatchLanes.Load(); got != 0 {
 		t.Errorf("override query rode a batch (BatchLanes = %d)", got)

@@ -24,24 +24,12 @@ func poolTestGraph(t *testing.T) *mcbfs.Graph {
 	return g
 }
 
-// TestPoolConcurrentQueries hammers a small pool from many more clients
-// than Searchers, mixing every algorithm tier per query, and checks each
-// answer against a fresh reference — the pool's core contract under
-// contention (run it with -race).
+// TestPoolConcurrentQueries hammers a small pool of each algorithm tier
+// from many more clients than Searchers, and checks each answer against
+// a fresh reference — the pool's core contract under contention (run it
+// with -race).
 func TestPoolConcurrentQueries(t *testing.T) {
 	g := poolTestGraph(t)
-	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
-		Size:   2,
-		Search: mcbfs.Options{Threads: 2, Transpose: g},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	if pool.Size() != 2 {
-		t.Fatalf("Size() = %d, want 2", pool.Size())
-	}
-
 	ref, err := mcbfs.BFS(g, 0, mcbfs.Options{Algorithm: mcbfs.AlgSequential, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -50,31 +38,45 @@ func TestPoolConcurrentQueries(t *testing.T) {
 		mcbfs.AlgSequential, mcbfs.AlgParallelSimple, mcbfs.AlgSingleSocket,
 		mcbfs.AlgMultiSocket, mcbfs.AlgDirectionOptimizing,
 	}
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 6; i++ {
-				alg := algs[(c+i)%len(algs)]
-				res, err := pool.Search(context.Background(), 0, mcbfs.Query{Algorithm: alg})
-				if err != nil {
-					t.Errorf("client %d query %d (%v): %v", c, i, alg, err)
-					return
-				}
-				if res.Reached != ref.Reached || res.Levels != ref.Levels {
-					t.Errorf("client %d (%v): reached %d levels %d, want %d/%d",
-						c, alg, res.Reached, res.Levels, ref.Reached, ref.Levels)
-					return
-				}
-				if res.Parents != nil || res.PerLevel != nil || res.Trace != nil {
-					t.Errorf("client %d: pooled slices leaked out of Query", c)
-					return
-				}
+	for _, alg := range algs {
+		t.Run(alg.String(), func(t *testing.T) {
+			pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+				Size:   2,
+				Search: mcbfs.Options{Algorithm: alg, Threads: 2, Transpose: g},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(c)
+			defer pool.Close()
+			if pool.Size() != 2 {
+				t.Fatalf("Size() = %d, want 2", pool.Size())
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < 8; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < 6; i++ {
+						res, err := pool.Query(context.Background(), 0)
+						if err != nil {
+							t.Errorf("client %d query %d: %v", c, i, err)
+							return
+						}
+						if res.Reached != ref.Reached || res.Levels != ref.Levels {
+							t.Errorf("client %d: reached %d levels %d, want %d/%d",
+								c, res.Reached, res.Levels, ref.Reached, ref.Levels)
+							return
+						}
+						if res.Parents != nil || res.PerLevel != nil || res.Trace != nil {
+							t.Errorf("client %d: pooled slices leaked out of Query", c)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 // TestPoolQueryFunc checks the borrow-held read path: fn sees the full
