@@ -343,13 +343,3 @@ func ApproxDiameter(g *graph.Graph, start graph.Vertex, opt core.Options) (int, 
 	}
 	return ecc, nil
 }
-
-// Reachable returns the number of vertices reachable from root,
-// including root itself.
-func Reachable(g *graph.Graph, root graph.Vertex, opt core.Options) (int64, error) {
-	res, err := core.BFS(g, root, opt)
-	if err != nil {
-		return 0, err
-	}
-	return res.Reached, nil
-}

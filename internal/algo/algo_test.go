@@ -445,14 +445,3 @@ func TestApproxDiameterNil(t *testing.T) {
 		t.Error("nil graph accepted")
 	}
 }
-
-func TestReachable(t *testing.T) {
-	g := must(gen.Chain(7))
-	r, err := Reachable(g, 3, core.Options{Algorithm: core.AlgSequential})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 4 {
-		t.Errorf("Reachable = %d, want 4", r)
-	}
-}

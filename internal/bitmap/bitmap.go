@@ -204,9 +204,6 @@ func (a *Atomic) ResetWords(lo, hi int) {
 	clear(a.words[lo:hi])
 }
 
-// Words returns the number of 64-bit words backing the bitmap.
-func (a *Atomic) Words() int { return len(a.words) }
-
 // Lanes is a dense vector of 64-bit lane masks, one whole word per
 // element — the multi-source generalization of the visited bitmap. Where
 // Atomic packs 64 vertices into one word to shrink a single search's

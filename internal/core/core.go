@@ -118,7 +118,11 @@ type Options struct {
 	// the graph its own transpose; passing the graph itself also works
 	// for a symmetric graph that is not flagged. When nil on an
 	// unflagged graph, NewSearcher computes the transpose (O(n+m) time
-	// and memory); a one-shot BFS pays that on every call.
+	// and memory); a one-shot BFS pays that on every call. A serving
+	// pool (mcbfs.Pool) hands it only to the Searchers of the graph it
+	// was built with; when it is set, every later epoch gets its own
+	// (nil for a graph flagged Symmetric, else one transpose the
+	// epoch's Searchers share).
 	Transpose *graph.Graph
 	// MaxLevels stops the search after exploring that many levels
 	// (level 0 is the root). 0 means unbounded. Depth-bounded

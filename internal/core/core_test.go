@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -564,6 +565,51 @@ func TestTreeDepthsEmpty(t *testing.T) {
 	if d := TreeDepths(nil, 0); len(d) != 0 {
 		t.Errorf("TreeDepths(nil) = %v", d)
 	}
+}
+
+func TestValidateTreeRootOutOfRange(t *testing.T) {
+	g := must(gen.Chain(4))
+	if err := ValidateTree(g, 4, []uint32{0, 0, 1, 2}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("root 4 of a 4-vertex graph: got %v, want an out-of-range error", err)
+	}
+}
+
+func TestValidateTreeNilGraph(t *testing.T) {
+	if err := ValidateTree(nil, 0, nil); err == nil || !strings.Contains(err.Error(), "nil graph") {
+		t.Errorf("nil graph: got %v, want a nil-graph error", err)
+	}
+}
+
+// wantDepths checks TreeDepths(parents, root) against want, failing
+// rather than hanging if the walk does not return.
+func wantDepths(t *testing.T, parents []uint32, root graph.Vertex, want []int32) {
+	t.Helper()
+	done := make(chan []int32, 1)
+	go func() { done <- TreeDepths(parents, root) }()
+	select {
+	case got := <-done:
+		if !slices.Equal(got, want) {
+			t.Errorf("TreeDepths(%v, %d) = %v, want %v", parents, root, got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("TreeDepths(%v, %d) did not return", parents, root)
+	}
+}
+
+func TestTreeDepthsRootOutOfRange(t *testing.T) {
+	wantDepths(t, []uint32{0, 0, 1, 2}, 4, []int32{NoDepth, NoDepth, NoDepth, NoDepth})
+}
+
+func TestTreeDepthsParentLoop(t *testing.T) {
+	// 1 and 2 point at each other and never reach the root.
+	wantDepths(t, []uint32{0, 2, 1}, 0, []int32{0, NoDepth, NoDepth})
+	wantDepths(t, []uint32{0, 0, 3, 2, 1}, 0, []int32{0, 1, NoDepth, NoDepth, 2})
+}
+
+func TestTreeDepthsChainLeavesTree(t *testing.T) {
+	// 1's chain reaches 2, which has no parent; 4's reaches an id past
+	// the array, and 3 hangs off 4.
+	wantDepths(t, []uint32{0, 2, NoParent, 4, 9, 0}, 0, []int32{0, NoDepth, NoDepth, NoDepth, NoDepth, 1})
 }
 
 func TestBatchSizeVariants(t *testing.T) {

@@ -181,6 +181,6 @@ func (e *engine) Close() error {
 
 // Closed reports whether Close has completed on this session. It is
 // meant for owners verifying teardown (e.g. a serving pool draining a
-// retired snapshot or rebinding its batch runners), not for
+// retired snapshot), not for
 // synchronizing with a concurrent Close.
 func (e *engine) Closed() bool { return e.closed }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"mcbfs/internal/bitmap"
@@ -22,9 +23,15 @@ import (
 // every parent edge in one sweep over the CSR, so it is O(n + m)
 // whatever the degrees, and usable on every graph the tests generate.
 func ValidateTree(g *graph.Graph, root graph.Vertex, parents []uint32) error {
+	if g == nil {
+		return errors.New("core: nil graph")
+	}
 	n := g.NumVertices()
 	if len(parents) != n {
 		return fmt.Errorf("core: parents length %d != vertex count %d", len(parents), n)
+	}
+	if int(root) >= n {
+		return fmt.Errorf("core: root %d out of range [0,%d)", root, n)
 	}
 	if parents[root] != uint32(root) {
 		return fmt.Errorf("core: root %d has parent %d, want itself", root, parents[root])
@@ -94,17 +101,22 @@ func ValidateTree(g *graph.Graph, root graph.Vertex, parents []uint32) error {
 }
 
 // TreeDepths returns the depth of every vertex in the parent tree
-// (NoDepth for unreached vertices), computed by path-halving walks in
-// O(n alpha) amortized. It does not verify BFS optimality; use
-// ValidateTree for that.
+// (NoDepth for unreached vertices), in O(n): each vertex's walk up the
+// parent chain stops at the first vertex whose depth is settled, and
+// every vertex it passed is settled on the way back. A vertex whose
+// chain leaves [0, n), reaches NoParent or loops without reaching the
+// root gets NoDepth, as does every vertex when the root is out of
+// range. It does not verify BFS optimality; use ValidateTree for that.
 func TreeDepths(parents []uint32, root graph.Vertex) []int32 {
-	const NoDepth = -1
+	// walking marks the vertices on the current walk, and broken those
+	// settled without a depth; both read NoDepth on return.
+	const walking, broken = -2, -3
 	n := len(parents)
 	depth := make([]int32, n)
 	for i := range depth {
 		depth[i] = NoDepth
 	}
-	if n == 0 {
+	if int(root) >= n {
 		return depth
 	}
 	depth[root] = 0
@@ -113,17 +125,28 @@ func TreeDepths(parents []uint32, root graph.Vertex) []int32 {
 		if parents[v] == NoParent || depth[v] != NoDepth {
 			continue
 		}
-		// Walk up until a vertex with a known depth, then unwind.
+		// Walk up until a settled vertex (or out of range), then unwind.
 		stack = stack[:0]
 		u := uint32(v)
-		for depth[u] == NoDepth {
+		for int(u) < n && depth[u] == NoDepth {
+			depth[u] = walking
 			stack = append(stack, u)
 			u = parents[u]
 		}
-		d := depth[u]
+		d := int32(broken)
+		if int(u) < n && depth[u] >= 0 {
+			d = depth[u]
+		}
 		for i := len(stack) - 1; i >= 0; i-- {
-			d++
+			if d != broken {
+				d++
+			}
 			depth[stack[i]] = d
+		}
+	}
+	for i, d := range depth {
+		if d < 0 {
+			depth[i] = NoDepth
 		}
 	}
 	return depth

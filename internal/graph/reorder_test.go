@@ -48,6 +48,21 @@ func TestReorderNatural(t *testing.T) {
 	}
 }
 
+// TestReorderEmpty checks every ordering on the zero-vertex graph:
+// an empty relabeled graph and empty permutations.
+func TestReorderEmpty(t *testing.T) {
+	var g Graph
+	for _, o := range allOrderings {
+		rd, err := g.Reorder(o)
+		if err != nil {
+			t.Fatalf("order %s: %v", o, err)
+		}
+		if rd.Graph.NumVertices() != 0 || len(rd.Perm) != 0 || len(rd.Inv) != 0 {
+			t.Errorf("order %s: empty graph mishandled", o)
+		}
+	}
+}
+
 // TestReorderPermutations checks, for every ordering over a sweep of
 // random graphs, that the permutation pair is valid and the relabeled
 // graph is exactly g.Relabel(perm).

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -193,30 +192,4 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: endpoint %d exceeds declared vertex count %d", maxID, n)
 	}
 	return FromEdges(int(n), edges)
-}
-
-// SortByDegree returns a relabeled copy of g in which vertices are
-// renumbered by descending out-degree, plus the permutation used
-// (perm[old] = new). Packing the hubs of a power-law graph into the
-// lowest ids concentrates the hot bitmap and parent entries into a few
-// cache lines — a locality transform in the same spirit as the paper's
-// working-set engineering.
-func (g *Graph) SortByDegree() (*Graph, []Vertex, error) {
-	n := g.NumVertices()
-	order := make([]Vertex, n)
-	for i := range order {
-		order[i] = Vertex(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Degree(order[a]) > g.Degree(order[b])
-	})
-	perm := make([]Vertex, n)
-	for newID, old := range order {
-		perm[old] = Vertex(newID)
-	}
-	relabeled, err := g.Relabel(perm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return relabeled, perm, nil
 }

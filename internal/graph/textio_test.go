@@ -149,48 +149,3 @@ func TestReadEdgeListSkipsCommentsAndBlanks(t *testing.T) {
 		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
 	}
 }
-
-func TestSortByDegree(t *testing.T) {
-	// Star: the hub must become vertex 0.
-	g, err := FromEdges(5, []Edge{
-		{Src: 3, Dst: 0}, {Src: 3, Dst: 1}, {Src: 3, Dst: 2}, {Src: 3, Dst: 4}, {Src: 0, Dst: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted, perm, err := g.SortByDegree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm[3] != 0 {
-		t.Errorf("hub relabeled to %d, want 0", perm[3])
-	}
-	if sorted.Degree(0) != 4 {
-		t.Errorf("new vertex 0 has degree %d, want 4", sorted.Degree(0))
-	}
-	// Degrees must be non-increasing.
-	for v := 1; v < sorted.NumVertices(); v++ {
-		if sorted.Degree(Vertex(v)) > sorted.Degree(Vertex(v-1)) {
-			t.Errorf("degree order violated at %d", v)
-		}
-	}
-	// Edge structure preserved under the permutation.
-	for u := 0; u < g.NumVertices(); u++ {
-		for _, v := range g.Neighbors(Vertex(u)) {
-			if !sorted.HasEdge(perm[u], perm[v]) {
-				t.Errorf("edge %d->%d lost in relabeling", u, v)
-			}
-		}
-	}
-}
-
-func TestSortByDegreeEmpty(t *testing.T) {
-	var g Graph
-	sorted, perm, err := g.SortByDegree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sorted.NumVertices() != 0 || len(perm) != 0 {
-		t.Error("empty graph mishandled")
-	}
-}

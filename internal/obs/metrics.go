@@ -53,9 +53,10 @@ type Metrics struct {
 	// Swaps counts graph snapshot hot-swaps installed by the serving
 	// layer (mcbfs.Pool.Swap, through Telemetry.RecordSwap); SwapNs
 	// accumulates their end-to-end latency — building the new epoch's
-	// Searchers (reordering included) plus the atomic install.
-	// SwapDegraded counts swap or rebind attempts that failed and left
-	// serving on the stale snapshot: the degradation rule made visible.
+	// sessions (reordering included) plus the atomic install.
+	// SwapDegraded counts failed swaps, each of which left both
+	// admission paths serving the old snapshot: the degradation rule
+	// made visible.
 	Swaps        atomic.Int64
 	SwapNs       atomic.Int64
 	SwapDegraded atomic.Int64

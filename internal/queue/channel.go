@@ -119,24 +119,6 @@ func (c *Channel) SendBatch(batch []Tuple) {
 	c.prodLock.Unlock()
 }
 
-// Send enqueues a single tuple. Prefer SendBatch in hot paths.
-func (c *Channel) Send(t Tuple) {
-	c.prodLock.Lock()
-	c.q.Enqueue(packTuple(t))
-	n := c.queued.Add(1)
-	if c.stats != nil {
-		c.stats.Batches++
-		c.stats.Tuples++
-		if c.stats.MaxBatch < 1 {
-			c.stats.MaxBatch = 1
-		}
-		if int(n) > c.stats.MaxLen {
-			c.stats.MaxLen = int(n)
-		}
-	}
-	c.prodLock.Unlock()
-}
-
 // ReceiveBatch dequeues up to len(buf) tuples into buf under one
 // consumer-lock acquisition and returns the number received.
 func (c *Channel) ReceiveBatch(buf []Tuple) int {

@@ -36,21 +36,6 @@ func TestTicketLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestTicketLockTryLock(t *testing.T) {
-	var l TicketLock
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-	l.Unlock()
-}
-
 func TestTicketLockFIFOUnderSequentialAcquire(t *testing.T) {
 	// With a single goroutine, repeated Lock/Unlock must never hang and
 	// must preserve the ticket discipline across many cycles (counter
@@ -305,15 +290,6 @@ func TestChannelEmptyReceive(t *testing.T) {
 	c.SendBatch(nil) // must not panic
 }
 
-func TestChannelSingleSend(t *testing.T) {
-	c := NewChannel()
-	c.Send(Tuple{V: 9, Parent: 4})
-	buf := make([]Tuple, 1)
-	if n := c.ReceiveBatch(buf); n != 1 || buf[0] != (Tuple{V: 9, Parent: 4}) {
-		t.Errorf("got n=%d buf[0]=%+v", n, buf[0])
-	}
-}
-
 func TestChannelPartialReceive(t *testing.T) {
 	c := NewChannel()
 	var in []Tuple
@@ -428,7 +404,7 @@ func TestChannelStats(t *testing.T) {
 	c.SendBatch(nil) // empty flushes are not batches
 	c.SendBatch([]Tuple{{V: 1}, {V: 2}, {V: 3}})
 	c.SendBatch([]Tuple{{V: 4}})
-	c.Send(Tuple{V: 5})
+	c.SendBatch([]Tuple{{V: 5}})
 	s := c.Stats()
 	if s.Batches != 3 || s.Tuples != 5 {
 		t.Errorf("batches=%d tuples=%d, want 3/5", s.Batches, s.Tuples)
@@ -759,7 +735,7 @@ func TestChannelLen(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len after partial receive = %d, want 1", c.Len())
 	}
-	c.Send(Tuple{V: 4})
+	c.SendBatch([]Tuple{{V: 4}})
 	if c.Len() != 2 {
 		t.Errorf("Len after Send = %d, want 2", c.Len())
 	}

@@ -55,13 +55,6 @@ func (l *TicketLock) Lock() {
 	}
 }
 
-// TryLock acquires the lock if it is free and reports success. It only
-// succeeds when no other goroutine holds or is queued for the lock.
-func (l *TicketLock) TryLock() bool {
-	t := l.serv.Load()
-	return l.next.CompareAndSwap(t, t+1)
-}
-
 // Unlock releases the lock. It must only be called by the current
 // holder; the ticket discipline makes a double-unlock corrupt fairness
 // rather than panic, so callers must be exact.

@@ -299,7 +299,8 @@ func ValidateTree(g *Graph, root Vertex, parents []uint32) error {
 }
 
 // TreeDepths returns each vertex's depth in the parent tree, or
-// NoDepth for unreached vertices.
+// NoDepth for unreached vertices and for those whose parent chain does
+// not lead to root (every vertex, when root is out of range).
 func TreeDepths(parents []uint32, root Vertex) []int32 {
 	return core.TreeDepths(parents, root)
 }

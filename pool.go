@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -39,7 +40,11 @@ type PoolOptions struct {
 	Size int
 	// Search configures every Searcher in the pool, exactly as for
 	// NewSearcher. Note Threads is per Searcher: a pool of K Searchers
-	// runs up to K*Threads workers when fully loaded.
+	// runs up to K*Threads workers when fully loaded. Its Transpose and
+	// Reordered describe the graph NewPool is given and serve only that
+	// epoch: a swapped-in graph gets its ordering recomputed and, when
+	// Transpose is set, its own in-edges (none for a graph flagged
+	// Symmetric, which is its own transpose).
 	Search Options
 	// DefaultTimeout, when positive, bounds every query whose context
 	// carries no deadline of its own: the query — waiting for a Searcher
@@ -79,9 +84,12 @@ type PoolOptions struct {
 	// traversals instead of borrowing per-query Searchers: up to Lanes
 	// queries ride one pass over the adjacency. Queries with a depth
 	// override (Search with a non-zero Query) and QueryFunc calls still
-	// use the Searcher pool. The batch engine always searches to full
-	// depth, so NewPool rejects Batching together with a non-zero
-	// Search.MaxLevels rather than answer batched queries unbounded.
+	// use the Searcher pool. Each runner runs a batch on its own MS-BFS
+	// session in the epoch serving when the batch starts, so a Swap
+	// reaches batched queries at the next batch. The batch engine always
+	// searches to full depth, so NewPool rejects Batching together with a
+	// non-zero Search.MaxLevels rather than answer batched queries
+	// unbounded.
 	Batching BatchingOptions
 	// RebuildThreshold, when positive, turns Ingest into a
 	// self-rebuilding pipeline: once at least that many edges are
@@ -102,8 +110,9 @@ type BatchingOptions struct {
 	// improve coalescing under light load (under heavy load batches
 	// fill instantly and the window never expires). 0 means 100µs.
 	Window time.Duration
-	// Runners is the number of concurrent batch traversals (each runner
-	// owns one BatchSearcher with Search.Threads workers). 0 means 1.
+	// Runners is the number of concurrent batch traversals (each epoch
+	// holds one BatchSearcher with Search.Threads workers per runner).
+	// 0 means 1.
 	Runners int
 	// QueueDepth is the admission buffer beyond the lanes the runners
 	// can carry; queries beyond it shed with ErrPoolSaturated when
@@ -132,6 +141,13 @@ func (o BatchingOptions) withDefaults() BatchingOptions {
 // query that panics poisons only its own Searcher, which the pool
 // discards and rebuilds.
 //
+// The pool serves one graph epoch at a time (see Swap), and an epoch
+// owns every session that serves it: its Searchers and, with Batching,
+// one MS-BFS session per batch runner. A Searcher borrow and a batch
+// each pin the serving epoch until they finish, so a retired epoch's
+// graph, relabeled CSR and sessions are freed as soon as its last pin
+// is released.
+//
 // The Result returned by Query and Search is self-contained scalars
 // only: Parents, PerLevel and Trace are nil, because the borrowed
 // Searcher returns to the pool before Query does and the next borrower
@@ -143,16 +159,13 @@ type Pool struct {
 	// ordering is the effective vertex ordering each snapshot is
 	// relabeled under (from Search.Reordered's Order when one was
 	// supplied, else Search.Ordering), both fixed at construction.
-	// transposeSelf records that Options.Transpose was the graph itself
-	// (the symmetric idiom), which Swap carries to new snapshots.
-	size          int
-	ordering      graph.Ordering
-	transposeSelf bool
+	size     int
+	ordering graph.Ordering
 
-	// snap is the serving snapshot: the graph epoch new queries borrow
-	// from. Swap publishes a successor here and retires the old one; a
-	// retired snapshot drains — its Searchers are closed — only after
-	// its last in-flight borrower returns (see poolSnapshot).
+	// snap is the serving snapshot: the graph epoch new queries and
+	// batches pin. Swap publishes a successor here and retires the old
+	// one; a retired snapshot drains — its sessions are closed — only
+	// after its last pin is released (see poolSnapshot).
 	snap atomic.Pointer[poolSnapshot]
 	// swapMu serializes snapshot transitions (Swap, Rebuild, Close), so
 	// epochs advance one at a time and a Rebuild's read-merge-swap of
@@ -171,7 +184,7 @@ type Pool struct {
 	closed bool
 	// broken records a rebuild failure after a panic — from then on the
 	// pool serves errors rather than hanging callers on a slot that will
-	// never be refilled. closeErr collects the first Searcher.Close
+	// never be refilled. closeErr collects the first session Close
 	// error from any snapshot drain, for Close to return.
 	broken   error
 	closeErr error
@@ -193,15 +206,15 @@ type Pool struct {
 
 	// Batching mode (nil/zero when Batching.Lanes == 0): queries
 	// enqueue batchReqs on batchCh; runner goroutines coalesce them
-	// into MS-BFS traversals. replies is the free-list of reply
-	// channels (a buffered channel of channels rather than a sync.Pool,
-	// so the warm path stays allocation-free regardless of GC timing).
-	// batchProducers tracks queries between admission registration and
-	// reply receipt; Close waits for it before closing batchStop, so a
-	// runner that sees batchStop knows no sender can still be in
-	// flight and the final drain cannot strand anyone. Each runner
-	// rebinds its BatchSearcher to the serving snapshot between batches,
-	// so swaps reach the batching path without pausing it.
+	// into MS-BFS traversals. batching is resolved before the first
+	// snapshot, which builds one session per runner from it. replies is
+	// the free-list of reply channels (a buffered channel of channels
+	// rather than a sync.Pool, so the warm path stays allocation-free
+	// regardless of GC timing). batchProducers tracks queries between
+	// admission registration and reply receipt; Close waits for it
+	// before closing batchStop, so a runner that sees batchStop knows no
+	// sender can still be in flight and the final drain cannot strand
+	// anyone.
 	batching       BatchingOptions
 	batchCh        chan batchReq
 	batchStop      chan struct{}
@@ -232,6 +245,9 @@ func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 	if opt.Batching.Lanes > 0 && opt.Search.MaxLevels != 0 {
 		return nil, errors.New("mcbfs: Batching cannot honor Search.MaxLevels: batched queries always search to full depth")
 	}
+	if opt.Batching.Lanes > core.MaxLanes {
+		return nil, fmt.Errorf("mcbfs: Batching.Lanes %d exceeds %d", opt.Batching.Lanes, core.MaxLanes)
+	}
 	size := opt.Size
 	if size <= 0 {
 		perSearcher := opt.Search.Threads
@@ -252,7 +268,9 @@ func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 	if rd := opt.Search.Reordered; rd != nil {
 		p.ordering = rd.Order
 	}
-	p.transposeSelf = opt.Search.Transpose == g
+	if opt.Batching.Lanes > 0 {
+		p.batching = opt.Batching.withDefaults()
+	}
 	p.tel = opt.Telemetry
 	switch {
 	case p.tel == nil && (opt.Metrics != nil || opt.ServeMonitor != ""):
@@ -260,21 +278,14 @@ func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 	case opt.Metrics != nil && opt.Metrics != p.tel.Metrics():
 		return nil, errors.New("mcbfs: PoolOptions.Metrics must be nil or PoolOptions.Telemetry.Metrics()")
 	}
-	// Batch capacity is decided up front (immutable after this point) so
-	// the telemetry gauges registered below never race startBatching.
-	batchLanes, batchRunners := 0, 0
-	if opt.Batching.Lanes > 0 {
-		b := opt.Batching.withDefaults()
-		batchLanes, batchRunners = b.Lanes, b.Runners
-	}
 	if p.tel != nil {
 		p.tel.SetPoolInfo(func() obs.PoolInfo {
 			sn := p.snap.Load()
 			return obs.PoolInfo{
 				SearcherSlots: cap(sn.free),
 				SearchersBusy: cap(sn.free) - len(sn.free),
-				BatchLanes:    batchLanes,
-				BatchRunners:  batchRunners,
+				BatchLanes:    p.batching.Lanes,
+				BatchRunners:  p.batching.Runners,
 			}
 		})
 		p.tel.SetDrainGauge(p.Draining)
@@ -298,23 +309,16 @@ func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 		p.monitor = &http.Server{Handler: p.tel.Handler()}
 		go func() { _ = p.monitor.Serve(ln) }()
 	}
-	if opt.Batching.Lanes > 0 {
-		if err := p.startBatching(); err != nil {
-			p.Close()
-			return nil, err
-		}
+	if p.batching.Lanes > 0 {
+		p.startBatching()
 	}
 	return p, nil
 }
 
-// startBatching builds the batch runners: one BatchSearcher per runner,
-// the admission channel, and the reply free-list.
-func (p *Pool) startBatching() error {
-	b := p.opt.Batching.withDefaults()
-	if b.Lanes > core.MaxLanes {
-		return fmt.Errorf("mcbfs: Batching.Lanes %d exceeds %d", b.Lanes, core.MaxLanes)
-	}
-	p.batching = b
+// startBatching opens the admission channel and the reply free-list and
+// starts the runner goroutines; their sessions live in the snapshots.
+func (p *Pool) startBatching() {
+	b := p.batching
 	p.batchCh = make(chan batchReq, b.QueueDepth)
 	p.batchStop = make(chan struct{})
 	// Free-list sized to every reply channel the pool can have in
@@ -324,28 +328,19 @@ func (p *Pool) startBatching() error {
 	for i := 0; i < nReplies; i++ {
 		p.replies <- make(chan batchReply, 1)
 	}
-	sn := p.snap.Load()
 	for i := 0; i < b.Runners; i++ {
-		bs, err := p.newBatchSearcher(i, sn)
-		if err != nil {
-			close(p.batchStop)
-			p.batchWG.Wait()
-			p.batchCh = nil // Close must not re-run the batch shutdown
-			return err
-		}
 		p.batchWG.Add(1)
-		go p.batchRunner(i, bs, sn)
+		go p.batchRunner(i)
 	}
-	return nil
 }
 
 // newBatchSearcher builds one runner's MS-BFS session over a given
 // snapshot's graph, wired to the pool's telemetry hub. The runner
 // returns only each lane's scalars (LaneResult), never a tree, so the
-// session records no parents: that saves n×Lanes×4 bytes per runner,
-// at NewPool and at every rebind and panic rebuild, and the parent
-// stores in every traversal.
-func (p *Pool) newBatchSearcher(runner int, sn *poolSnapshot) (*core.BatchSearcher, error) {
+// session records no parents: that saves n×Lanes×4 bytes per runner in
+// every epoch and at every panic rebuild, and the parent stores in
+// every traversal.
+func (p *Pool) newBatchSearcher(sn *poolSnapshot, runner int) (*core.BatchSearcher, error) {
 	return core.NewBatchSearcherWithoutParents(sn.g, core.BatchOptions{
 		Width:          p.batching.Lanes,
 		Threads:        p.opt.Search.Threads,
@@ -379,11 +374,7 @@ func (p *Pool) Size() int {
 // warm Searcher slots (per-query borrows) and the number of MS-BFS
 // batch lanes across all runners (0 when batching is off).
 func (p *Pool) Slots() (searchers, batchLanes int) {
-	searchers = p.size
-	if p.batchCh != nil {
-		batchLanes = p.batching.Lanes * p.batching.Runners
-	}
-	return searchers, batchLanes
+	return p.size, p.batching.Lanes * p.batching.Runners
 }
 
 // Epoch returns the serving snapshot's epoch: 1 for the graph the pool
@@ -397,8 +388,9 @@ func (p *Pool) Epoch() int64 { return p.snap.Load().epoch }
 func (p *Pool) Graph() *Graph { return p.snap.Load().g }
 
 // Draining reports how many retired snapshots are still draining:
-// superseded epochs holding Searchers open for their last in-flight
-// borrowers. 0 means every past epoch has fully torn down.
+// superseded epochs holding their sessions open for their last
+// in-flight queries and batches. 0 means every past epoch has fully
+// torn down.
 func (p *Pool) Draining() int { return int(p.draining.Load()) }
 
 // Pending reports how many ingested edges are buffered awaiting the
@@ -480,8 +472,8 @@ func (p *Pool) queryCtx(ctx context.Context) (context.Context, context.CancelFun
 // snapshot, the one path Search and QueryFunc share. run executes
 // under one recover scope: a panic becomes the query's error and its
 // one recorded outcome (OutcomePanic), and the Searcher is discarded
-// and rebuilt; otherwise the Searcher goes back to the snapshot and
-// the borrow's reference is released. The session records completed
+// and rebuilt; otherwise the Searcher goes back to the snapshot. Either
+// way the borrow's pin is released last. The session records completed
 // and cancelled queries itself, and noteShed the ones refused at
 // admission, so each query records exactly one outcome.
 func (p *Pool) borrow(ctx context.Context, root Vertex, run func(*core.Searcher) error) (err error) {
@@ -496,9 +488,9 @@ func (p *Pool) borrow(ctx context.Context, root Vertex, run func(*core.Searcher)
 			err = fmt.Errorf("mcbfs: query from root %d panicked: %v", root, r)
 			p.notePanic(root, qstart)
 			p.rebuild(sn, s)
-			return
+		} else {
+			sn.free <- s
 		}
-		sn.free <- s
 		sn.release(p)
 	}()
 	return run(s)
@@ -508,25 +500,15 @@ func (p *Pool) borrow(ctx context.Context, root Vertex, run func(*core.Searcher)
 // takes an idle one without blocking; the slow path waits until one
 // frees up, the snapshot is superseded by a Swap (retry on the new
 // epoch), the pool closes, or the caller's context expires (shed).
-// The returned snapshot holds one reference for the borrow; the caller
-// must return the Searcher to sn.free and then call sn.release(p).
-// Shed accounting is centralized in noteShed, which every admission
-// path calls on its error.
+// The returned snapshot holds the borrow's pin; the caller must return
+// the Searcher to sn.free and then call sn.release(p). Shed accounting
+// is centralized in noteShed, which every admission path calls on its
+// error.
 func (p *Pool) acquire(ctx context.Context) (*poolSnapshot, *core.Searcher, error) {
 	for {
-		if err := p.err(); err != nil {
+		sn, err := p.pin()
+		if err != nil {
 			return nil, nil, err
-		}
-		sn := p.snap.Load()
-		// Reference first, then re-check retirement: a Swap between the
-		// Load and the Add may already have begun draining, and a drained
-		// snapshot's free channel would block us forever. The stale
-		// reference is released (possibly re-triggering the Once-guarded
-		// drain) and the loop retries on the new epoch.
-		sn.refs.Add(1)
-		if sn.retired.Load() {
-			sn.release(p)
-			continue
 		}
 		select {
 		case s := <-sn.free:
@@ -548,6 +530,27 @@ func (p *Pool) acquire(ctx context.Context) (*poolSnapshot, *core.Searcher, erro
 			sn.release(p)
 			return nil, nil, fmt.Errorf("%w: %w", ErrPoolSaturated, ctx.Err())
 		}
+	}
+}
+
+// pin takes one reference on the serving snapshot for a Searcher borrow
+// or a batch, or returns the pool's terminal error. The reference is
+// added first and retirement re-checked after: a Swap between the Load
+// and the Add may already have begun draining, and a drained snapshot's
+// sessions are closed. The stale reference is released (possibly
+// re-triggering the Once-guarded drain) and the loop retries on the new
+// epoch. The caller ends the pin with sn.release(p).
+func (p *Pool) pin() (*poolSnapshot, error) {
+	for {
+		if err := p.err(); err != nil {
+			return nil, err
+		}
+		sn := p.snap.Load()
+		sn.refs.Add(1)
+		if !sn.retired.Load() {
+			return sn, nil
+		}
+		sn.release(p)
 	}
 }
 
@@ -612,18 +615,11 @@ func (p *Pool) batchedSearch(ctx context.Context, root Vertex) (Result, error) {
 
 // batchRunner is one batching-mode serving loop: block for the first
 // query, hold the admission window open to coalesce more (up to the
-// lane budget), run the shared MS-BFS traversal with each lane bounded
-// by its own query context, and deliver per-lane results. A panicking
-// traversal poisons only this runner's BatchSearcher, which is rebuilt.
-//
-// The runner tracks the snapshot its BatchSearcher was built over:
-// after collecting each batch it compares against the serving snapshot
-// and, on an epoch change, rebinds — builds a fresh BatchSearcher on
-// the new graph and closes the old one. If the rebind fails, the
-// runner degrades to its stale snapshot (counted in SwapDegraded)
-// rather than dropping queries; it retries on the next batch. Each
-// lane's root is then checked against the graph the batch runs on.
-func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot) {
+// lane budget), pin the serving snapshot, run the shared MS-BFS
+// traversal on this runner's session in it, and release the pin. Once
+// the pool is closed or broken, pin fails and every lane gets that
+// error, until Close's final drain.
+func (p *Pool) batchRunner(runner int) {
 	defer p.batchWG.Done()
 	lanes := p.batching.Lanes
 	window := p.batching.Window
@@ -648,7 +644,6 @@ func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot)
 				case req := <-p.batchCh:
 					req.reply <- batchReply{err: ErrPoolClosed}
 				default:
-					bs.Close()
 					return
 				}
 			}
@@ -675,19 +670,13 @@ func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot)
 			}
 		}
 
-		// Rebind to the serving snapshot if a Swap landed since the last
-		// batch. Done after collection so the admission window isn't
-		// extended by the rebuild; the batch itself runs on whichever
-		// epoch the rebind reached.
-		if cur := p.snap.Load(); cur != sn {
-			if nbs, err := p.newBatchSearcher(runner, cur); err == nil {
-				bs.Close()
-				bs, sn = nbs, cur
-			} else if m := p.tel.Metrics(); m != nil {
-				m.SwapDegraded.Add(1)
+		sn, err := p.pin()
+		if err != nil {
+			for _, req := range reqs {
+				req.reply <- batchReply{err: err}
 			}
+			continue
 		}
-
 		// A root admitted before a Swap shrank the graph fails its own
 		// lane, with the error a Searcher-slot query gets and no
 		// recorded outcome; the other lanes run.
@@ -704,66 +693,45 @@ func (p *Pool) batchRunner(runner int, bs *core.BatchSearcher, sn *poolSnapshot)
 			roots = append(roots, req.root)
 			ctxs = append(ctxs, req.ctx)
 		}
-		if reqs = kept; len(reqs) == 0 {
-			continue
+		if len(kept) > 0 {
+			p.runBatch(sn, runner, kept, roots, ctxs)
 		}
-		bstart := p.telNow()
-		res, err, panicked := p.batchOn(bs, roots, ctxs)
-		if panicked {
-			// Every lane's panic outcome is recorded before its reply,
-			// so a caller that sees the error also sees the count.
-			for _, req := range reqs {
-				p.notePanic(req.root, bstart)
-				req.reply <- batchReply{err: err}
-			}
-			bs, sn = p.rebuildBatch(bs, runner)
-			if bs == nil {
-				// The pool is broken; keep answering (with the error)
-				// so admitted producers are never stranded.
-				p.failBatchRequests()
-				return
-			}
-			continue
-		}
-		if err != nil {
-			// SearchLanes only errors as a whole on invalid input or a
-			// dead batch context; neither occurs here (every root was
-			// checked against this BatchSearcher's graph above, and the
-			// batch context is Background). Fail the lanes anyway rather
-			// than dropping them.
-			for _, req := range reqs {
-				req.reply <- batchReply{err: err}
-			}
-			continue
-		}
-		for l, req := range reqs {
-			if lerr := res.Err[l]; lerr != nil {
-				req.reply <- batchReply{err: lerr}
-				continue
-			}
-			req.reply <- batchReply{res: res.LaneResult(l)}
-		}
+		sn.release(p)
 	}
 }
 
-// failBatchRequests serves the admission channel with errors after a
-// runner's BatchSearcher could not be rebuilt, until Close's final
-// drain point.
-func (p *Pool) failBatchRequests() {
-	for {
-		select {
-		case req := <-p.batchCh:
-			req.reply <- batchReply{err: p.err()}
-		case <-p.batchStop:
-			for {
-				select {
-				case req := <-p.batchCh:
-					req.reply <- batchReply{err: ErrPoolClosed}
-				default:
-					return
-				}
-			}
+// runBatch runs one batch on the runner's session in the pinned
+// snapshot and replies to every lane. A panicking traversal fails every
+// lane and poisons only that session, which rebuildBatch replaces.
+func (p *Pool) runBatch(sn *poolSnapshot, runner int, reqs []batchReq, roots []Vertex, ctxs []context.Context) {
+	bstart := p.telNow()
+	res, err, panicked := p.batchOn(sn.batch[runner], roots, ctxs)
+	if panicked {
+		// Every lane's panic outcome is recorded before its reply, so a
+		// caller that sees the error also sees the count.
+		for _, req := range reqs {
+			p.notePanic(req.root, bstart)
+			req.reply <- batchReply{err: err}
 		}
+		p.rebuildBatch(sn, runner)
+		return
+	}
+	if err != nil {
+		// SearchLanes only errors as a whole on invalid input or a dead
+		// batch context; neither occurs here (every root was checked
+		// against this session's graph, and the batch context is
+		// Background). Fail the lanes anyway rather than dropping them.
+		for _, req := range reqs {
+			req.reply <- batchReply{err: err}
+		}
+		return
+	}
+	for l, req := range reqs {
+		if lerr := res.Err[l]; lerr != nil {
+			req.reply <- batchReply{err: lerr}
+			continue
+		}
+		req.reply <- batchReply{res: res.LaneResult(l)}
 	}
 }
 
@@ -780,25 +748,26 @@ func (p *Pool) batchOn(bs *core.BatchSearcher, roots []Vertex, ctxs []context.Co
 	return res, err, false
 }
 
-// rebuildBatch replaces a runner's BatchSearcher after a panic,
-// mirroring rebuild for the Searcher pool. The replacement is built
-// over the current serving snapshot (the panicked one's epoch may be
-// long gone). Returns nil — and marks the pool broken — when the
-// rebuild fails.
-func (p *Pool) rebuildBatch(old *core.BatchSearcher, runner int) (*core.BatchSearcher, *poolSnapshot) {
-	go func() {
-		defer func() { _ = recover() }()
-		old.Close()
-	}()
-	sn := p.snap.Load()
-	bs, err := p.newBatchSearcher(runner, sn)
+// rebuildBatch replaces a runner's session after a panic, as rebuild
+// does for a Searcher: the replacement takes the runner's slot in the
+// pinned snapshot. If that snapshot was retired meanwhile, the slot
+// stays nil, because no batch can pin a retired epoch again and the
+// drain skips it. If the rebuild fails the pool is marked broken, and
+// from then on pin answers every batch with that error.
+func (p *Pool) rebuildBatch(sn *poolSnapshot, runner int) {
+	closeDetached(sn.batch[runner])
+	sn.batch[runner] = nil
+	if sn.retired.Load() {
+		return
+	}
+	bs, err := p.newBatchSearcher(sn, runner)
 	if err != nil {
 		p.mu.Lock()
 		p.broken = fmt.Errorf("mcbfs: rebuilding batch searcher after panic: %w", err)
 		p.mu.Unlock()
-		return nil, nil
+		return
 	}
-	return bs, sn
+	sn.batch[runner] = bs
 }
 
 // telNow stamps the query's admission time, but only when a telemetry
@@ -841,37 +810,37 @@ func (p *Pool) notePanic(root Vertex, qstart time.Time) {
 }
 
 // rebuild replaces a Searcher whose query panicked: the old one is
-// closed on a best-effort basis (its pool protocol may be corrupted
-// mid-job, so the close runs detached and its own panic is swallowed)
-// and a fresh Searcher takes the slot in the snapshot that owned it.
-// If that snapshot was retired while the query was in flight, the slot
-// is simply forgotten (the snapshot's drain closes one fewer) — no
-// query can ever borrow from a retired epoch again. If the rebuild
-// itself fails the pool is marked broken rather than left to hang
-// callers on a slot that will never be refilled. The borrow reference
-// is released at the end, so a retired snapshot cannot begin draining
-// while its slot count is still being adjusted.
+// closed with closeDetached and a fresh Searcher takes the slot in the
+// snapshot that owned it. If that snapshot was retired while the query
+// was in flight, the slot is simply forgotten (the drain closes one
+// Searcher fewer): no query can ever borrow from a retired epoch again.
+// If the rebuild itself fails the pool is marked broken rather than
+// left to hang callers on a slot that will never be refilled. The
+// caller still holds the borrow's pin, so a retired snapshot cannot
+// begin draining before the replacement is parked.
 func (p *Pool) rebuild(sn *poolSnapshot, old *core.Searcher) {
-	go func() {
-		defer func() { _ = recover() }()
-		old.Close()
-	}()
+	closeDetached(old)
 	if sn.retired.Load() {
-		sn.live.Add(-1)
-		sn.release(p)
 		return
 	}
 	s, err := core.NewSearcher(sn.g, sn.searchOpt)
 	if err != nil {
-		sn.live.Add(-1)
 		p.mu.Lock()
 		p.broken = fmt.Errorf("mcbfs: rebuilding Searcher after panic: %w", err)
 		p.mu.Unlock()
-		sn.release(p)
 		return
 	}
 	sn.free <- s
-	sn.release(p)
+}
+
+// closeDetached closes a session whose search panicked, on a
+// best-effort basis: its worker protocol may be corrupted mid-job, so
+// the close runs detached and its own panic is swallowed.
+func closeDetached(s io.Closer) {
+	go func() {
+		defer func() { _ = recover() }()
+		_ = s.Close()
+	}()
 }
 
 // err returns the pool's terminal state, if any.
@@ -892,7 +861,7 @@ func (p *Pool) errLocked() error {
 // Close shuts the pool down: new queries fail with ErrPoolClosed,
 // waiting acquirers are released, the serving snapshot is retired, and
 // Close blocks until every snapshot — current and still-draining past
-// epochs — has drained, closing each Searcher. Close is idempotent.
+// epochs — has drained, closing each session. Close is idempotent.
 func (p *Pool) Close() error {
 	p.swapMu.Lock()
 	p.mu.Lock()
@@ -905,7 +874,8 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	close(p.closing)
 	// Retiring the serving snapshot starts its drain as soon as the last
-	// in-flight borrower returns; past epochs are already retired.
+	// in-flight borrow or batch releases its pin; past epochs are
+	// already retired.
 	p.snap.Load().retire(p)
 	p.swapMu.Unlock()
 	if p.monitor != nil {

@@ -505,6 +505,16 @@ func TestPoolBatchingRejectsMaxLevels(t *testing.T) {
 	}
 }
 
+// TestPoolBatchingRejectsWideLanes: a batch lane is one bit of a 64-bit
+// word, so NewPool refuses more lanes than that.
+func TestPoolBatchingRejectsWideLanes(t *testing.T) {
+	pool, err := mcbfs.NewPool(poolTestGraph(t), mcbfs.PoolOptions{Batching: mcbfs.BatchingOptions{Lanes: mcbfs.MaxBatchLanes + 1}})
+	if err == nil {
+		pool.Close()
+		t.Fatalf("NewPool accepted Batching.Lanes %d", mcbfs.MaxBatchLanes+1)
+	}
+}
+
 // TestPoolBatchingUndirectedDirections serves concurrent batched
 // queries on an Undirected R-MAT, which is flagged Symmetric so the
 // batch engine may expand levels bottom up, in natural order and
@@ -575,7 +585,7 @@ func TestPoolBatchingUndirectedDirections(t *testing.T) {
 // lane scalars, so its MS-BFS session records no parents. A 64-lane
 // parent array on a 2^16-vertex graph is n×64×4 B = 16 MiB, and the
 // heap a batching pool retains stays below that, both at NewPool and
-// after a Swap has made the runner rebind to a new session.
+// after a Swap has built the new epoch's runner session.
 func TestPoolBatchingSessionsHoldNoParents(t *testing.T) {
 	g, err := mcbfs.GridGraph(256, 256, 4)
 	if err != nil {
@@ -604,7 +614,7 @@ func TestPoolBatchingSessionsHoldNoParents(t *testing.T) {
 	if err := pool.Swap(g); err != nil {
 		t.Fatal(err)
 	}
-	// The runner rebinds to the new snapshot before it runs this batch.
+	// The runner pins the new snapshot and runs this batch on its session.
 	if _, err := pool.Query(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -616,6 +626,6 @@ func TestPoolBatchingSessionsHoldNoParents(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := heap() - base; got >= parentBytes {
-		t.Errorf("after a Swap rebind the pool retains %d B, not below one runner's parent array (%d B)", got, parentBytes)
+		t.Errorf("after a Swap the pool retains %d B, not below one runner's parent array (%d B)", got, parentBytes)
 	}
 }

@@ -13,33 +13,38 @@ import (
 )
 
 // poolSnapshot is one graph epoch of a Pool: an immutable CSR, the
-// resolved search configuration (including the ordering recomputed for
-// this graph), and the warm Searchers built over it. The Pool serves
-// from exactly one snapshot at a time; Swap publishes a successor and
-// retires the old one, which keeps answering its in-flight queries and
-// tears down only after the last borrower returns.
+// resolved search configuration (including the ordering and in-edges
+// recomputed for this graph), and every session that serves it — the
+// warm Searchers and one parent-free MS-BFS session per batch runner.
+// The Pool serves from exactly one snapshot at a time; Swap publishes a
+// successor and retires the old one, which keeps answering its
+// in-flight queries and batches and tears down only after the last
+// one finishes.
 //
 // Lifecycle is reference-counted: refs starts at 1 (the Pool's own
-// reference while the snapshot is current) and each borrow — acquire
-// through release — holds one more. retire drops the Pool's reference;
-// whoever drops refs to 0 with the snapshot retired triggers the drain
-// exactly once. A borrower always returns its Searcher to free before
-// releasing its reference, so by the time the drain runs every live
-// Searcher is parked in free and can be closed without waiting.
+// reference while the snapshot is current) and each pin — a Searcher
+// borrow or a batch, from Pool.pin through release — holds one more.
+// retire drops the Pool's reference; whoever drops refs to 0 with the
+// snapshot retired triggers the drain exactly once. A borrower always
+// returns its Searcher to free before releasing its pin, and a runner
+// uses its session only while it holds one, so by the time the drain
+// runs no session is in use and each can be closed without waiting.
 type poolSnapshot struct {
 	// epoch numbers snapshots from 1; each successful Swap increments.
 	epoch int64
 	g     *Graph
 	// searchOpt is the resolved per-Searcher configuration for this
-	// epoch: Pool.opt.Search plus the telemetry hub and this graph's
-	// Reordered. Post-panic rebuilds reuse it (TelemetryShard 0).
+	// epoch: Pool.opt.Search plus the telemetry hub, this graph's
+	// Reordered and its in-edges. Post-panic rebuilds reuse it
+	// (TelemetryShard 0).
 	searchOpt core.Options
 
-	// free holds the snapshot's idle Searchers; live is how many exist
-	// (idle or borrowed), shrinking only when a post-panic rebuild fails
-	// or is skipped because the epoch was already superseded.
-	free chan *core.Searcher
-	live atomic.Int64
+	// free holds the snapshot's idle Searchers. batch holds each batch
+	// runner's session, indexed by runner (empty without batching); a
+	// slot is nil only after a post-panic rebuild was skipped because
+	// the epoch was retired, or failed and broke the pool.
+	free  chan *core.Searcher
+	batch []*core.BatchSearcher
 
 	// refs / retired / retiredCh / drainOnce implement the drain
 	// protocol described on the type. retiredCh unblocks acquirers
@@ -51,9 +56,9 @@ type poolSnapshot struct {
 }
 
 // retire drops the Pool's reference: the snapshot stops admitting new
-// borrows (acquire re-checks retired after referencing) and will drain
-// once in-flight borrowers finish. Called with p.swapMu held, exactly
-// once per snapshot — by Swap when superseded or by Close.
+// pins (pin re-checks retired after referencing) and will drain once
+// in-flight borrows and batches finish. Called with p.swapMu held,
+// exactly once per snapshot — by Swap when superseded or by Close.
 func (sn *poolSnapshot) retire(p *Pool) {
 	sn.retired.Store(true)
 	close(sn.retiredCh)
@@ -63,8 +68,8 @@ func (sn *poolSnapshot) retire(p *Pool) {
 
 // release drops one reference. The holder of the last reference on a
 // retired snapshot starts the drain (async: releasing is on query fast
-// paths and must not absorb Searcher teardown latency). The drain is
-// Once-guarded because acquire can transiently re-reference a retired
+// paths and must not absorb session teardown latency). The drain is
+// Once-guarded because pin can transiently re-reference a retired
 // snapshot — add, see retired, release — making the 0→1→0 transition
 // reachable more than once.
 func (sn *poolSnapshot) release(p *Pool) {
@@ -73,22 +78,14 @@ func (sn *poolSnapshot) release(p *Pool) {
 	}
 }
 
-// drain closes every Searcher the snapshot still owns. All of them are
-// parked in free by now: refs hit 0, so no borrow is outstanding, and
-// borrowers return Searchers before releasing. Close errors are
-// surfaced through Pool.Close via closeErr.
+// drain closes every session the snapshot still owns; refs hit 0, so
+// no pin is outstanding. Close errors are surfaced through Pool.Close
+// via closeErr.
 func (sn *poolSnapshot) drain(p *Pool) {
-	var firstErr error
-	for i := int64(0); i < sn.live.Load(); i++ {
-		s := <-sn.free
-		if err := s.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
+	if err := sn.closeSessions(); err != nil {
 		p.mu.Lock()
 		if p.closeErr == nil {
-			p.closeErr = firstErr
+			p.closeErr = err
 		}
 		p.mu.Unlock()
 	}
@@ -99,23 +96,45 @@ func (sn *poolSnapshot) drain(p *Pool) {
 	p.drains.Done()
 }
 
+// closeSessions closes the Searchers parked in free and the runner
+// sessions, and returns the first error. Without a pin outstanding
+// every live Searcher is parked in free, since a borrower returns its
+// Searcher before releasing.
+func (sn *poolSnapshot) closeSessions() error {
+	var first error
+	keep := func(err error) {
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	for len(sn.free) > 0 {
+		keep((<-sn.free).Close())
+	}
+	for _, bs := range sn.batch {
+		if bs != nil {
+			keep(bs.Close())
+		}
+	}
+	return first
+}
+
 // buildSnapshot constructs a full epoch over g: the ordering is
 // recomputed for this graph (unless rd, the caller's precomputed
 // Reordered, is supplied — only NewPool does that, passing
-// opt.Search.Reordered through for epoch 1) and p.size warm Searchers
-// are built. A panic anywhere in the build — the reorder, the CSR
-// relabel, Searcher construction — is contained here and reported as
-// an error, so a Swap against a pathological graph degrades instead of
-// crashing the serving process.
+// opt.Search.Reordered through for epoch 1), and p.size warm Searchers
+// and one session per batch runner are built. A panic anywhere in the
+// build — the reorder, the CSR relabel, session construction — is
+// contained here and reported as an error, so a Swap against a
+// pathological graph degrades instead of crashing the serving process;
+// on any error the sessions built so far are closed.
 func (p *Pool) buildSnapshot(g *Graph, epoch int64, rd *Reordered) (sn *poolSnapshot, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if sn != nil {
-				for len(sn.free) > 0 {
-					_ = (<-sn.free).Close()
-				}
-			}
-			sn, err = nil, fmt.Errorf("mcbfs: building snapshot epoch %d panicked: %v", epoch, r)
+			err = fmt.Errorf("mcbfs: building snapshot epoch %d panicked: %v", epoch, r)
+		}
+		if err != nil && sn != nil {
+			_ = sn.closeSessions()
+			sn = nil
 		}
 	}()
 	searchOpt := p.opt.Search
@@ -123,16 +142,14 @@ func (p *Pool) buildSnapshot(g *Graph, epoch int64, rd *Reordered) (sn *poolSnap
 	searchOpt.Ordering = p.ordering
 	searchOpt.TelemetryShard = 0
 	if epoch > 1 && searchOpt.Transpose != nil {
-		// The configured transpose belongs to the epoch-1 graph. The
-		// "graph is its own transpose" idiom (symmetric graphs) carries
-		// forward to the swapped-in graph; any other transpose cannot —
-		// using it would silently corrupt direction-optimizing searches
-		// on the new epoch, so the swap fails (degrading to the old
-		// epoch) instead.
-		if !p.transposeSelf {
-			return nil, errors.New("mcbfs: Options.Transpose was built for the original graph; swapped-in graphs need none (or must be symmetric, with Transpose set to the graph itself)")
+		// The caller's transpose describes the epoch-1 graph. Later
+		// epochs build their own in-edges, once for all their Searchers,
+		// and need none when g is flagged Symmetric: such a graph is its
+		// own transpose.
+		searchOpt.Transpose = nil
+		if !g.Symmetric() {
+			searchOpt.Transpose = g.Transpose()
 		}
-		searchOpt.Transpose = g
 	}
 	if rd == nil && p.ordering != graph.OrderNatural {
 		// Relabel once per epoch: every Searcher and batch runner on
@@ -162,35 +179,38 @@ func (p *Pool) buildSnapshot(g *Graph, epoch int64, rd *Reordered) (sn *poolSnap
 		g:         g,
 		searchOpt: searchOpt,
 		free:      make(chan *core.Searcher, p.size),
+		batch:     make([]*core.BatchSearcher, p.batching.Runners),
 		retiredCh: make(chan struct{}),
 	}
 	sn.refs.Store(1)
-	sn.live.Store(int64(p.size))
 	for i := 0; i < p.size; i++ {
 		so := searchOpt
 		so.TelemetryShard = i
 		s, err := core.NewSearcher(g, so)
 		if err != nil {
-			for len(sn.free) > 0 {
-				_ = (<-sn.free).Close()
-			}
-			return nil, err
+			return sn, err
 		}
 		sn.free <- s
+	}
+	for i := range sn.batch {
+		if sn.batch[i], err = p.newBatchSearcher(sn, i); err != nil {
+			return sn, err
+		}
 	}
 	return sn, nil
 }
 
 // Swap replaces the pool's serving graph with g, with zero downtime:
-// a full snapshot (ordering recomputed, Size warm Searchers) is built
-// over g while the old epoch keeps serving, then published atomically.
-// Queries admitted after Swap returns run on g; queries in flight —
-// including any still waiting for a Searcher — drain on (or migrate
-// from) the old snapshot, whose Searchers are closed only after its
-// last borrower returns. If building the new snapshot fails, the pool
-// keeps serving the old epoch untouched (the degradation rule) and
-// Swap returns the error. Swaps serialize with each other, Rebuild,
-// and Close.
+// a full snapshot (ordering and in-edges recomputed, Size warm
+// Searchers, one session per batch runner) is built over g while the
+// old epoch keeps serving, then published atomically. Queries admitted
+// after Swap returns, and batches started after it, run on g; queries
+// in flight — including any still waiting for a Searcher — drain on
+// (or migrate from) the old snapshot, whose sessions are closed only
+// after its last borrower or batch finishes. If building the new
+// snapshot fails, both admission paths keep serving the old epoch
+// untouched (the degradation rule) and Swap returns the error. Swaps
+// serialize with each other, Rebuild, and Close.
 func (p *Pool) Swap(g *Graph) error {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()

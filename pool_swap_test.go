@@ -2,6 +2,9 @@ package mcbfs_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,13 +249,12 @@ func TestPoolSwapAllocs(t *testing.T) {
 // SwapDegraded counter.
 func TestPoolSwapDegrades(t *testing.T) {
 	g := undirectedPath(t, 100)
-	// A transpose that is a distinct object from g: valid for the
-	// original graph, but impossible to carry to a swapped-in one.
-	gt := undirectedPath(t, 100)
+	// Epoch 1 takes the caller's Reordered as given; a swapped-in graph
+	// must be reordered under its Order, which no ordering implements.
 	metrics := &mcbfs.Metrics{}
 	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
 		Size:    1,
-		Search:  mcbfs.Options{Threads: 1, Transpose: gt},
+		Search:  mcbfs.Options{Threads: 1, Reordered: &mcbfs.Reordered{Graph: g, Order: mcbfs.Ordering(99)}},
 		Metrics: metrics,
 	})
 	if err != nil {
@@ -260,8 +262,8 @@ func TestPoolSwapDegrades(t *testing.T) {
 	}
 	defer pool.Close()
 
-	if err := pool.Swap(undirectedPath(t, 150)); err == nil {
-		t.Fatal("swap with a mismatched transpose built a snapshot")
+	if err := pool.Swap(undirectedPath(t, 150)); err == nil || !strings.Contains(err.Error(), "unknown ordering 99") {
+		t.Fatalf("swap under an unknown ordering: %v, want the reorder's error", err)
 	}
 	if got := pool.Epoch(); got != 1 {
 		t.Errorf("Epoch() = %d after failed swap, want 1", got)
@@ -275,6 +277,180 @@ func TestPoolSwapDegrades(t *testing.T) {
 	}
 	if res.Reached != 100 {
 		t.Errorf("degraded pool reached %d, want the old epoch's 100", res.Reached)
+	}
+}
+
+// TestPoolSwapReleasesRetiredGraph: once a retired epoch has drained,
+// nothing in a batching pool still references its graph. The batch
+// runner's session belongs to the epoch and closes with it, so an idle
+// runner does not keep the old graph alive.
+func TestPoolSwapReleasesRetiredGraph(t *testing.T) {
+	collected := make(chan struct{})
+	pool := func() *mcbfs.Pool {
+		r, err := mcbfs.RMATGraph(12, 16<<12, mcbfs.Graph500Params, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := r.Undirected()
+		runtime.SetFinalizer(g, func(*mcbfs.Graph) { close(collected) })
+		pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+			Size:     1,
+			Search:   mcbfs.Options{Threads: 2},
+			Batching: mcbfs.BatchingOptions{Lanes: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool
+	}()
+	defer pool.Close()
+	if _, err := pool.Query(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Swap(undirectedPath(t, 100)); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, pool)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the retired epoch's graph is still reachable 2s after its drain")
+		}
+	}
+}
+
+// holdThenPanicCtx parks the batch that polls it, as holdCtx does, and
+// panics once released.
+type holdThenPanicCtx struct{ *holdCtx }
+
+func (c holdThenPanicCtx) Err() error {
+	c.holdCtx.Err()
+	panic("lane context exploded")
+}
+
+// TestPoolSwapDuringBatchPanic: a batch pins the epoch it runs on, so a
+// Swap in the middle of it leaves that epoch draining until the batch
+// ends. When the batch then panics, the runner's replacement session is
+// not built into the retired epoch: the drain skips the empty slot, and
+// the next batch runs on the new epoch's session.
+func TestPoolSwapDuringBatchPanic(t *testing.T) {
+	metrics := &mcbfs.Metrics{}
+	pool, err := mcbfs.NewPool(undirectedPath(t, 100), mcbfs.PoolOptions{
+		Size:     1,
+		Search:   mcbfs.Options{Threads: 2},
+		Metrics:  metrics,
+		Batching: mcbfs.BatchingOptions{Lanes: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	hc := holdThenPanicCtx{newHoldCtx()}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := pool.Query(hc, 0)
+		errc <- err
+	}()
+	<-hc.held
+	if err := pool.Swap(undirectedPath(t, 150)); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.Draining(); got != 1 {
+		t.Errorf("Draining() = %d with a batch still running on the old epoch, want 1", got)
+	}
+	close(hc.release)
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("batch that panicked after the swap: %v, want a panic error", err)
+	}
+	waitDrained(t, pool)
+	if got := metrics.SnapshotsDrained.Load(); got != 1 {
+		t.Errorf("SnapshotsDrained = %d, want 1", got)
+	}
+	res, err := pool.Query(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reached != 150 {
+		t.Errorf("batch after the swap reached %d, want the new epoch's 150", res.Reached)
+	}
+}
+
+// TestPoolIngestRebuildDirectionOptimizing: a direction-optimizing pool
+// built with its graph as Transpose answers with valid BFS trees after
+// the serving graph becomes one that is not its own transpose — an
+// Ingest+Rebuild of edges that do not pair up, or a Swap to a directed
+// graph — because every later epoch builds its own in-edges.
+func TestPoolIngestRebuildDirectionOptimizing(t *testing.T) {
+	grid, err := mcbfs.GridGraph(8, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := grid.Undirected()
+	// The grid's edges from a lower to a higher id only.
+	var down []mcbfs.Edge
+	for u := 0; u < grid.NumVertices(); u++ {
+		for _, v := range grid.Neighbors(mcbfs.Vertex(u)) {
+			if int(v) > u {
+				down = append(down, mcbfs.Edge{Src: mcbfs.Vertex(u), Dst: v})
+			}
+		}
+	}
+	directed, err := mcbfs.NewGraph(grid.NumVertices(), down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		update func(*mcbfs.Pool) error
+	}{
+		{"unpaired ingest", func(pool *mcbfs.Pool) error {
+			if _, err := pool.Ingest([]mcbfs.Edge{{Src: 0, Dst: 64}, {Src: 64, Dst: 9}}); err != nil {
+				return err
+			}
+			_, err := pool.Rebuild()
+			return err
+		}},
+		{"directed swap", func(pool *mcbfs.Pool) error { return pool.Swap(directed) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+				Size:   1,
+				Search: mcbfs.Options{Algorithm: mcbfs.AlgDirectionOptimizing, Threads: 2, Transpose: g},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			if err := tc.update(pool); err != nil {
+				t.Fatal(err)
+			}
+			served := pool.Graph()
+			if served.Symmetric() {
+				t.Fatal("the new epoch's graph is flagged Symmetric")
+			}
+			bad, first := 0, error(nil)
+			for v := 0; v < served.NumVertices(); v++ {
+				root := mcbfs.Vertex(v)
+				err := pool.QueryFunc(context.Background(), root, mcbfs.Query{}, func(res *mcbfs.Result) error {
+					return mcbfs.ValidateTree(served, root, res.Parents)
+				})
+				if err != nil {
+					if bad++; first == nil {
+						first = fmt.Errorf("root %d: %w", root, err)
+					}
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%d of %d roots returned invalid trees; first %v", bad, served.NumVertices(), first)
+			}
+		})
 	}
 }
 
