@@ -19,11 +19,11 @@ import (
 )
 
 type harnessConfig struct {
-	Mode   string // sim | measured | both
-	Scale  int    // log2 vertices for measured runs
-	Seed   uint64
-	Short  bool
-	Tracer obs.Tracer // observes every measured library run (nil = off)
+	Mode      string // sim | measured | both
+	Scale     int    // log2 vertices for measured runs
+	Seed      uint64
+	Short     bool
+	Telemetry *obs.Telemetry // records every measured library run (nil = off)
 }
 
 func (c harnessConfig) sim() bool      { return c.Mode == "sim" || c.Mode == "both" }
@@ -124,9 +124,9 @@ func measuredRMAT(scale int, m int64, seed uint64) (*graph.Graph, error) {
 // choice on a logical EP topology and returns the rate.
 func bestBFS(g *graph.Graph, threads int, cfg harnessConfig) (float64, error) {
 	res, err := core.BFS(g, graph.Vertex(cfg.Seed%uint64(g.NumVertices())), core.Options{
-		Threads: threads,
-		Machine: topology.NehalemEP,
-		Tracer:  cfg.Tracer,
+		Threads:   threads,
+		Machine:   topology.NehalemEP,
+		Telemetry: cfg.Telemetry,
 	})
 	if err != nil {
 		return 0, err
@@ -225,7 +225,7 @@ func runFig4(w io.Writer, cfg harnessConfig) error {
 		Algorithm:  core.AlgSingleSocket,
 		Threads:    4,
 		Instrument: true,
-		Tracer:     cfg.Tracer,
+		Telemetry:  cfg.Telemetry,
 	})
 	if err != nil {
 		return err
@@ -297,7 +297,7 @@ func runFig5(w io.Writer, cfg harnessConfig) error {
 			for _, c := range cols {
 				res, err := core.BFS(g, 0, core.Options{
 					Algorithm: c.alg, Threads: t, Machine: topology.NehalemEP,
-					DisableDoubleCheck: c.noDC, Tracer: cfg.Tracer,
+					DisableDoubleCheck: c.noDC, Telemetry: cfg.Telemetry,
 				})
 				if err != nil {
 					return err
@@ -485,7 +485,7 @@ func runFig10(w io.Writer, cfg harnessConfig) error {
 			for i := range graphs {
 				go func(i int) {
 					res, err := core.BFS(graphs[i], 0, core.Options{
-						Algorithm: core.AlgSingleSocket, Threads: 2, Tracer: cfg.Tracer,
+						Algorithm: core.AlgSingleSocket, Threads: 2, Telemetry: cfg.Telemetry,
 					})
 					if err != nil {
 						ch <- out{0, err}
@@ -583,9 +583,9 @@ func runExtHybrid(w io.Writer, cfg harnessConfig) error {
 			name string
 			opt  core.Options
 		}{
-			{"top-down", core.Options{Algorithm: core.AlgSingleSocket, Threads: 4, Tracer: cfg.Tracer}},
+			{"top-down", core.Options{Algorithm: core.AlgSingleSocket, Threads: 4, Telemetry: cfg.Telemetry}},
 			{"hybrid", core.Options{Algorithm: core.AlgDirectionOptimizing, Threads: 4, Transpose: gt,
-				Tracer: cfg.Tracer}},
+				Telemetry: cfg.Telemetry}},
 		} {
 			res, err := core.BFS(g, 0, mode.opt)
 			if err != nil {

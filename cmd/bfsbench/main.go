@@ -73,12 +73,13 @@ func main() {
 	}
 
 	if *pprofAddr != "" {
-		// Live observability for long runs: every measured BFS feeds a
-		// process-wide obs.Metrics published under /debug/vars, and the
-		// default mux already carries /debug/pprof via the blank import.
+		// Live observability for long runs: every measured BFS reports
+		// into a telemetry hub that counts into a process-wide
+		// obs.Metrics published under /debug/vars, and the default mux
+		// already carries /debug/pprof via the blank import.
 		var live obs.Metrics
 		live.Publish("mcbfs")
-		cfg.Tracer = live.Tracer()
+		cfg.Telemetry = obs.NewTelemetry(obs.TelemetryOptions{Metrics: &live})
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "bfsbench: pprof server: %v\n", err)

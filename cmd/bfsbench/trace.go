@@ -58,7 +58,7 @@ func runTraced(w io.Writer, cfg harnessConfig, tracePath string, breakdown bool)
 		Machine:    topology.Generic(2, threads/2, 1),
 		Instrument: true,
 		Trace:      true,
-		Tracer:     cfg.Tracer,
+		Telemetry:  cfg.Telemetry,
 	})
 	if err != nil {
 		return err

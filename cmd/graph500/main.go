@@ -55,22 +55,21 @@ func main() {
 		EdgeFactor:     *edgefactor,
 		Roots:          *roots,
 		Seed:           *seed,
-		Options:        core.Options{Threads: *threads},
-		Ordering:       ordering,
+		Options:        core.Options{Threads: *threads, Ordering: ordering},
 		SkipValidation: *skipVal,
 		SearchTimeout:  *deadline,
 		Batch:          *batch,
 	}
 	if *pprofAddr != "" {
-		// Long protocol runs are watchable live: per-level counters feed
-		// an expvar-published Metrics (timed-out roots included, not just
-		// the stdout summary at the end), and every root's search reports
-		// into a telemetry hub served at /metrics and /debug/bfs.
+		// Long protocol runs are watchable live: every root's search
+		// reports into a telemetry hub served at /metrics and
+		// /debug/bfs, which counts its per-level totals into an
+		// expvar-published Metrics (timed-out roots included, not just
+		// the stdout summary at the end).
 		live := &obs.Metrics{}
 		live.Publish("graph500")
 		tel := obs.NewTelemetry(obs.TelemetryOptions{Shards: 1, Metrics: live})
 		spec.Metrics = live
-		spec.Options.Tracer = live.Tracer()
 		spec.Options.Telemetry = tel
 		http.Handle("/metrics", tel.MetricsHandler())
 		http.Handle("/debug/bfs", tel.StatusHandler())

@@ -7,7 +7,9 @@
 // PoolOptions.ServeMonitor starts an HTTP server alongside the pool:
 //
 //   - /metrics is Prometheus text format (scrape it, or curl it): the
-//     query-latency histogram, per-outcome counters, pool occupancy;
+//     query-latency histogram, per-outcome counters, pool occupancy,
+//     and the per-level work totals the hub sums from every recorded
+//     search (mcbfs_edges_total, …);
 //   - /debug/bfs is a JSON status page: rolling 1s/10s/60s QPS and
 //     error rates, latency quantiles, and the slowest recent queries —
 //     captured with per-level phase breakdowns by the flight recorder,

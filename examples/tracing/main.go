@@ -1,6 +1,7 @@
-// Tracing: observe a parallel BFS with the three observability sinks —
-// a custom Tracer hook, a Chrome trace-event file for Perfetto, and a
-// per-level phase breakdown table.
+// Tracing: observe a parallel BFS through the observability sinks that
+// all carry its one folded per-level record — the trace's level
+// records, a telemetry hub's live Metrics, a Chrome trace-event file
+// for Perfetto, and a per-level phase breakdown table.
 //
 // Run with:
 //
@@ -28,20 +29,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Sink 1: live Tracer hooks. OnLevelStart and OnLevelEnd fire at the
-	// level barrier, one at a time, and OnLevelEnd carries the level's
-	// folded record — counters, phase times and the remote flushes the
-	// workers recorded. MultiTracer also feeds that record into a
-	// Metrics set, whose running totals a monitoring endpoint could
-	// publish while searches continue.
-	var metrics mcbfs.Metrics
-	hook := mcbfs.TracerFuncs{
-		LevelEnd: func(level int, b mcbfs.LevelBreakdown) {
-			fmt.Printf("  level %d: frontier=%-7d edges=%-8d barrier-wait=%v\n",
-				level, b.Frontier, b.Edges,
-				b.Phases[mcbfs.PhaseBarrierWait].Round(10*time.Microsecond))
-		},
-	}
+	// A telemetry hub records every search it is attached to and sums
+	// each one's per-level records into its Metrics, whose running
+	// totals a monitoring endpoint could publish (Telemetry.Handler,
+	// Metrics.Publish) while searches continue.
+	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{})
 
 	fmt.Println("running a traced multi-socket BFS:")
 	res, err := mcbfs.BFS(g, 0, mcbfs.Options{
@@ -49,17 +41,29 @@ func main() {
 		Threads:   4,
 		Machine:   mcbfs.GenericMachine(2, 2, 1),
 		Trace:     true, // retain the full per-worker timeline in res.Trace
-		Tracer:    mcbfs.MultiTracer(hook, metrics.Tracer()),
+		Telemetry: tel,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// Sink 1: the level records. Each carries the level's folded
+	// counters, phase times and the remote flushes the workers recorded
+	// (Options.Instrument returns the same records in res.PerLevel).
+	for _, b := range res.Trace.Levels {
+		fmt.Printf("  level %d: frontier=%-7d edges=%-8d barrier-wait=%v\n",
+			b.Level, b.Frontier, b.Edges,
+			b.Phases[mcbfs.PhaseBarrierWait].Round(10*time.Microsecond))
+	}
 	fmt.Printf("reached %d vertices in %d levels at %s\n",
 		res.Reached, res.Levels, mcbfs.FormatRate(res.EdgesPerSecond()))
-	fmt.Printf("live metrics: %d remote batches, %d tuples across sockets\n",
-		metrics.RemoteBatches.Load(), metrics.RemoteTuples.Load())
 
-	// Sink 2: the Chrome trace-event file.
+	// Sink 2: the hub's Metrics, summed from the same records.
+	m := tel.Metrics()
+	fmt.Printf("live metrics: %d levels, %d edges, %d remote batches, %d tuples across sockets\n",
+		m.LevelsDone.Load(), m.Edges.Load(), m.RemoteBatches.Load(), m.RemoteTuples.Load())
+
+	// Sink 3: the Chrome trace-event file.
 	f, err := os.Create("trace.json")
 	if err != nil {
 		log.Fatal(err)
@@ -72,7 +76,7 @@ func main() {
 	}
 	fmt.Println("\nwrote trace.json — open it in https://ui.perfetto.dev")
 
-	// Sink 3: the per-level phase breakdown, the paper's figure-style
+	// Sink 4: the per-level phase breakdown, the paper's figure-style
 	// view of where each level's time went.
 	fmt.Println()
 	if err := res.Trace.WriteBreakdown(os.Stdout); err != nil {

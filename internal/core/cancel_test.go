@@ -214,7 +214,12 @@ func expectQueueIsTouchedSet(t *testing.T, s *Searcher, when string) {
 // each abort the session must be pristine and answer exactly; on the
 // sequential tier the abort must land inside the wide level, the
 // query's recorded Reached must equal its touched list, and a context
-// whose Err panics at the same poll must leave the same state.
+// whose Err panics at the same poll must leave the same state. The
+// multi-socket tier drops unsent and undelivered tuples on abort, and
+// every pendant but the first lies in the other socket's block, so its
+// abort may leave only the root and the leaves touched: there the
+// query's recorded edges — the root's wideLeaves plus two per leaf
+// expanded — prove that the abort landed inside the leaf level.
 func TestSearchContextCancelInWideLevel(t *testing.T) {
 	g := wideLevelPlusIsland(t)
 	defer SetDirection(SetDirection(DirectionTopDown))
@@ -228,7 +233,7 @@ func TestSearchContextCancelInWideLevel(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			sequential := v.name == "sequential"
+			sequential, multiSocket := v.name == "sequential", v.name == "multi-socket"
 			// The entry poll and the one at the root level's barrier come
 			// first, so after=2 cancels at the first poll inside the leaf
 			// level and after=3 at the second.
@@ -238,12 +243,22 @@ func TestSearchContextCancelInWideLevel(t *testing.T) {
 					t.Fatalf("after=%d: res=%v err=%v, want nil, context.Canceled", after, res, err)
 				}
 				// Every leaf is on the touched list; some pendants are, and
-				// others are not.
+				// others are not (on the multi-socket tier, possibly none).
 				touched := int64(0)
 				for _, q := range s.qs {
 					touched += int64(q.Size())
 				}
-				if touched <= 1+wideLeaves || touched >= 1+2*wideLeaves {
+				if multiSocket {
+					edges := tel.Flight().Records()[0].Edges
+					if edges <= wideLeaves || edges >= 3*wideLeaves {
+						t.Fatalf("after=%d: aborted search scanned %d edges, want some but not all of the leaf level's (%d, %d)",
+							after, edges, wideLeaves, 3*wideLeaves)
+					}
+					if touched < 1+wideLeaves || touched >= 1+2*wideLeaves {
+						t.Fatalf("after=%d: abort left %d vertices touched, want every leaf and not every pendant [%d, %d)",
+							after, touched, 1+wideLeaves, 1+2*wideLeaves)
+					}
+				} else if touched <= 1+wideLeaves || touched >= 1+2*wideLeaves {
 					t.Fatalf("after=%d: abort left %d vertices touched, want one inside the leaf level's expansion (%d, %d)",
 						after, touched, 1+wideLeaves, 1+2*wideLeaves)
 				}

@@ -135,24 +135,19 @@ type Options struct {
 	// the paper's Table I placement on typical hosts. Pinning failures
 	// are ignored (the run proceeds unpinned).
 	PinThreads bool
-	// Tracer receives each level's start and its folded record, as the
-	// search starts and at each level barrier, from one goroutine at a
-	// time per search; workers never call it. A Tracer shared by
-	// concurrent searches must be safe for concurrent use. nil disables
-	// the hooks at zero cost.
-	Tracer obs.Tracer
 	// Trace retains the full structured trace — per-worker phase
 	// timelines, per-level breakdowns, inter-socket channel samples —
 	// in Result.Trace, exportable with Trace.WriteChromeTrace. Costs a
 	// few time.Now calls per worker per level plus the span memory.
-	// With no observer set (Instrument, Trace, Tracer, Telemetry) the
-	// hot path carries only per-level nil-checks; with any of them the
-	// workers still execute no atomic operation for observation.
+	// With no observer set (Instrument, Trace, Telemetry) the hot path
+	// carries only per-level nil-checks; with any of them the workers
+	// still execute no atomic operation for observation.
 	Trace bool
 	// Telemetry, when non-nil, receives one obs.QuerySample per
-	// Search/SearchContext on a session: latency into the histogram and
-	// the query's scalars plus per-level phase breakdowns into the
-	// flight recorder. Enabling it arms the obs collector every search
+	// Search/SearchContext on a session: latency into the histogram, the
+	// sums of its per-level records into the hub's Metrics, and the
+	// query's scalars plus per-level phase breakdowns into the flight
+	// recorder. Enabling it arms the obs collector every search
 	// (the per-level breakdowns must be recorded before the query is
 	// known to be slow), which costs a few time.Now calls per worker
 	// per level; a warm search still performs zero heap allocations.
@@ -227,7 +222,7 @@ type Result struct {
 	Threads int
 	// PerLevel holds one folded record per level when
 	// Options.Instrument was set — the same records the trace, the
-	// Tracer and the flight recorder receive.
+	// telemetry hub and the flight recorder receive.
 	PerLevel []obs.LevelBreakdown
 	// Trace holds the structured trace when Options.Trace was set.
 	Trace *obs.Trace

@@ -350,14 +350,13 @@ func TestNoInstrumentationByDefault(t *testing.T) {
 	}
 	// The other observers arm the same collector: their records carry
 	// the folded counts, but PerLevel stays Instrument's alone.
-	var edges int64
-	res = run(t, g, 0, Options{Algorithm: AlgSingleSocket, Threads: 2, Trace: true,
-		Tracer: obs.TracerFuncs{LevelEnd: func(level int, b obs.LevelBreakdown) { edges += b.Edges }}})
+	tel := obs.NewTelemetry(obs.TelemetryOptions{})
+	res = run(t, g, 0, Options{Algorithm: AlgSingleSocket, Threads: 2, Trace: true, Telemetry: tel})
 	if res.PerLevel != nil {
-		t.Error("PerLevel populated by Trace and Tracer without Instrument")
+		t.Error("PerLevel populated by Trace and Telemetry without Instrument")
 	}
-	if edges != res.EdgesTraversed {
-		t.Errorf("Tracer records carry %d edges, search traversed %d", edges, res.EdgesTraversed)
+	if edges := tel.Metrics().Edges.Load(); edges != res.EdgesTraversed {
+		t.Errorf("telemetry records carry %d edges, search traversed %d", edges, res.EdgesTraversed)
 	}
 }
 

@@ -20,8 +20,8 @@ func armedCollector(t *testing.T, workers int) *obs.Collector {
 
 // endLevel closes a level the way the search's barrier does: the
 // elected coordinator folds, then every worker advances.
-func endLevel(c *obs.Collector, workers int, more bool) {
-	c.EndLevel(more)
+func endLevel(c *obs.Collector, workers int) {
+	c.EndLevel()
 	for w := 0; w < workers; w++ {
 		c.Worker(w).NextLevel()
 	}
@@ -34,7 +34,7 @@ func TestStatsCollectorFoldMultiWorker(t *testing.T) {
 	c.Worker(2).AddCounters(obs.Counters{Frontier: 4, Edges: 40, BitmapReads: 32, AtomicOps: 8, RemoteSends: 4})
 	// A worker may deposit more than once per level (e.g. per chunk).
 	c.Worker(1).AddCounters(obs.Counters{Edges: 5})
-	endLevel(c, 3, false)
+	endLevel(c, 3)
 
 	levels := c.Levels()
 	if len(levels) != 1 {
@@ -59,15 +59,15 @@ func TestStatsCollectorSlotsClearedBetweenLevels(t *testing.T) {
 	c := armedCollector(t, 2)
 	c.Worker(0).AddCounters(obs.Counters{Frontier: 5, Edges: 50})
 	c.Worker(1).AddCounters(obs.Counters{AtomicOps: 3})
-	endLevel(c, 2, true)
+	endLevel(c, 2)
 
 	// Levels 1 and 2: only worker 1 deposits. Level 2 writes the slots
 	// level 0 used, so worker 0's level-0 counts must have been cleared
 	// by the first fold.
 	c.Worker(1).AddCounters(obs.Counters{Frontier: 1, Edges: 2, BitmapReads: 3})
-	endLevel(c, 2, true)
+	endLevel(c, 2)
 	c.Worker(1).AddCounters(obs.Counters{Frontier: 1, Edges: 2, BitmapReads: 3})
-	endLevel(c, 2, false)
+	endLevel(c, 2)
 
 	levels := c.Levels()
 	if len(levels) != 3 {

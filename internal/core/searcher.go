@@ -630,7 +630,7 @@ func (s *Searcher) recordQuery(root graph.Vertex, start time.Time, dur time.Dura
 // keeps the hot path at a handful of predictable nil-checks per level.
 func (s *Searcher) obsCollector() *obs.Collector {
 	o := &s.o
-	if !o.Instrument && !o.Trace && o.Tracer == nil && o.Telemetry == nil {
+	if !o.Instrument && !o.Trace && o.Telemetry == nil {
 		return nil
 	}
 	s.collector.Reset(obs.Config{
@@ -638,7 +638,6 @@ func (s *Searcher) obsCollector() *obs.Collector {
 		Sockets:   len(s.qs),
 		Algorithm: o.Algorithm.String(),
 		Trace:     o.Trace,
-		Tracer:    o.Tracer,
 	})
 	return &s.collector
 }

@@ -72,7 +72,7 @@ func (s *Searcher) sequentialSearch() (edges, reached int64) {
 		// cancelled search has one record per counted level.
 		cancelled := s.checkCancelAtBarrier()
 		wr.AddCounters(st)
-		s.coll.EndLevel(!cancelled && limit > prev && (s.maxLevels == 0 || s.levels < s.maxLevels))
+		s.coll.EndLevel()
 		wr.NextLevel()
 		if cancelled {
 			return edges, tail

@@ -303,7 +303,7 @@ func (s *Searcher) endLevel(ws *searchWorker) bool {
 	}
 	ws.wr.PhaseEnd(obs.PhaseBarrierWait, tp)
 	if s.bar.wait() {
-		s.coll.EndLevel(!s.done.Load())
+		s.coll.EndLevel()
 	}
 	ws.wr.NextLevel()
 	return s.done.Load()

@@ -79,11 +79,11 @@ func TestTraceAcrossAlgorithms(t *testing.T) {
 }
 
 // TestTraceMatchesInstrument checks that every sink carries the one
-// folded per-level record, on every tier: Result.PerLevel, Trace.Levels,
-// the Tracer's OnLevelEnd records and the flight recorder's PerLevel are
-// equal level by level as whole structs, and the Metrics totals fed
-// through Metrics.Tracer are sums over PerLevel. Each session runs two
-// searches, so the second reads records folded on a re-armed collector.
+// folded per-level record, on every tier: Result.PerLevel, Trace.Levels
+// and the flight recorder's PerLevel are equal level by level as whole
+// structs, and the hub's Metrics totals are sums over PerLevel. Each
+// session runs two searches, so the second reads records folded on a
+// re-armed collector.
 func TestTraceMatchesInstrument(t *testing.T) {
 	g, err := gen.RMAT(11, 1<<14, gen.GTgraphDefaults, 3)
 	if err != nil {
@@ -95,41 +95,40 @@ func TestTraceMatchesInstrument(t *testing.T) {
 	}
 	for _, opt := range traceOptions(t) {
 		t.Run(opt.Algorithm.String(), func(t *testing.T) {
-			var ends []obs.LevelBreakdown
-			var m obs.Metrics
 			tel := obs.NewTelemetry(obs.TelemetryOptions{}) // cold: captures every query
 			opt.Instrument, opt.Trace, opt.Telemetry = true, true, tel
-			opt.Tracer = obs.MultiTracer(obs.TracerFuncs{
-				LevelEnd: func(level int, b obs.LevelBreakdown) { ends = append(ends, b) },
-			}, m.Tracer())
 			s, err := NewSearcher(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			var edges, batches, tuples, waitNs int64
+			var levels, edges, batches, tuples, waitNs int64
 			for _, root := range []graph.Vertex{0, second} {
-				ends = ends[:0]
 				res, err := s.BFS(root)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rec := tel.Flight().Records()[0]
 				if len(res.PerLevel) != res.Levels || len(res.Trace.Levels) != res.Levels ||
-					len(ends) != res.Levels || !rec.Captured || len(rec.PerLevel) != res.Levels {
-					t.Fatalf("root %d, %d levels: PerLevel %d, Trace %d, OnLevelEnd %d, flight %d (captured %v)",
-						root, res.Levels, len(res.PerLevel), len(res.Trace.Levels), len(ends), len(rec.PerLevel), rec.Captured)
+					!rec.Captured || len(rec.PerLevel) != res.Levels {
+					t.Fatalf("root %d, %d levels: PerLevel %d, Trace %d, flight %d (captured %v)",
+						root, res.Levels, len(res.PerLevel), len(res.Trace.Levels), len(rec.PerLevel), rec.Captured)
 				}
 				for i, b := range res.PerLevel {
-					if b != res.Trace.Levels[i] || b != ends[i] || b != rec.PerLevel[i] {
-						t.Errorf("root %d level %d: PerLevel %+v, Trace %+v, OnLevelEnd %+v, flight %+v",
-							root, i, b, res.Trace.Levels[i], ends[i], rec.PerLevel[i])
+					if b != res.Trace.Levels[i] || b != rec.PerLevel[i] {
+						t.Errorf("root %d level %d: PerLevel %+v, Trace %+v, flight %+v",
+							root, i, b, res.Trace.Levels[i], rec.PerLevel[i])
 					}
 					edges += b.Edges
 					batches += b.RemoteBatches
 					tuples += b.RemoteTuples
 					waitNs += int64(b.Phases[obs.PhaseBarrierWait])
 				}
+				levels += int64(res.Levels)
+			}
+			m := tel.Metrics()
+			if m.Searches.Load() != 2 || m.LevelsDone.Load() != levels {
+				t.Errorf("Metrics searches/levels %d/%d, want 2/%d", m.Searches.Load(), m.LevelsDone.Load(), levels)
 			}
 			if m.Edges.Load() != edges || m.RemoteBatches.Load() != batches ||
 				m.RemoteTuples.Load() != tuples || m.BarrierWaitNs.Load() != waitNs {
@@ -144,51 +143,49 @@ func TestTraceMatchesInstrument(t *testing.T) {
 	}
 }
 
-// TestTracerHooksFromBFS checks the live hooks of a multi-socket search:
-// one OnLevelStart and one OnLevelEnd per level, fired one at a time
-// (so the counters below need no lock), and the remote flushes and
-// barrier waits that workers record reach the hook in the folded record.
-func TestTracerHooksFromBFS(t *testing.T) {
+// TestMultiSocketLevelRecords checks that the remote flushes and barrier
+// waits workers record in a multi-socket search reach the folded
+// per-level records and, through the telemetry hub, its Metrics, and
+// that neither Instrument nor Telemetry retains a full trace.
+func TestMultiSocketLevelRecords(t *testing.T) {
 	g, err := gen.Uniform(1<<12, 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts, ends := 0, 0
-	var remoteTuples int64
-	var barrierWait time.Duration
-	tracer := obs.TracerFuncs{
-		LevelStart: func(level int) { starts++ },
-		LevelEnd: func(level int, b obs.LevelBreakdown) {
-			ends++
-			remoteTuples += b.RemoteTuples
-			barrierWait += b.Phases[obs.PhaseBarrierWait]
-		},
-	}
+	tel := obs.NewTelemetry(obs.TelemetryOptions{})
 	res, err := BFS(g, 0, Options{
 		Algorithm: AlgMultiSocket, Threads: 4,
-		Machine: topology.Generic(2, 2, 1), Tracer: tracer, Instrument: true,
+		Machine: topology.Generic(2, 2, 1), Telemetry: tel, Instrument: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace != nil {
-		t.Error("Tracer alone must not retain a full trace")
+		t.Error("Instrument and Telemetry must not retain a full trace")
 	}
-	if ends != res.Levels {
-		t.Errorf("OnLevelEnd fired %d times, want %d", ends, res.Levels)
+	if len(res.PerLevel) != res.Levels {
+		t.Fatalf("%d level records, want %d", len(res.PerLevel), res.Levels)
 	}
-	if starts != res.Levels {
-		t.Errorf("OnLevelStart fired %d times, want %d (one per level)", starts, res.Levels)
+	var sent, remoteTuples int64
+	var barrierWait time.Duration
+	for _, b := range res.PerLevel {
+		sent += b.RemoteSends
+		remoteTuples += b.RemoteTuples
+		barrierWait += b.Phases[obs.PhaseBarrierWait]
 	}
-	var wantRemote int64
-	for _, ls := range res.PerLevel {
-		wantRemote += ls.RemoteSends
-	}
-	if remoteTuples != wantRemote {
-		t.Errorf("OnLevelEnd records carry %d remote tuples, workers sent %d", remoteTuples, wantRemote)
+	if sent == 0 || remoteTuples != sent {
+		t.Errorf("level records carry %d remote tuples, workers sent %d", remoteTuples, sent)
 	}
 	if barrierWait <= 0 {
-		t.Error("OnLevelEnd records carry no barrier wait")
+		t.Error("level records carry no barrier wait")
+	}
+	m := tel.Metrics()
+	if m.RemoteTuples.Load() != remoteTuples || m.BarrierWaitNs.Load() != int64(barrierWait) {
+		t.Errorf("Metrics remote tuples/barrier-ns %d/%d, level records %d/%d",
+			m.RemoteTuples.Load(), m.BarrierWaitNs.Load(), remoteTuples, int64(barrierWait))
+	}
+	if m.Searches.Load() != 1 || m.LevelsDone.Load() != int64(res.Levels) {
+		t.Errorf("Metrics searches/levels %d/%d, want 1/%d", m.Searches.Load(), m.LevelsDone.Load(), res.Levels)
 	}
 }
 

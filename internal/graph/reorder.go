@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -119,6 +120,9 @@ func (r *Reordered) ReorderTime() time.Duration { return r.PermTime + r.RelabelT
 // computation runs on BuildParallelism workers; the relabeling reuses
 // the parallel CSR kernel. The input graph is not modified.
 func (g *Graph) Reorder(o Ordering) (*Reordered, error) {
+	if g == nil {
+		return nil, errors.New("graph: nil graph")
+	}
 	n := g.NumVertices()
 	if o == OrderNatural || n == 0 {
 		return &Reordered{Graph: g, Order: o}, nil

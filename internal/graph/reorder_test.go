@@ -48,6 +48,17 @@ func TestReorderNatural(t *testing.T) {
 	}
 }
 
+// TestReorderNilGraph checks that every ordering, natural included,
+// refuses a nil graph with an error, as the other entry points do.
+func TestReorderNilGraph(t *testing.T) {
+	var g *Graph
+	for _, o := range append([]Ordering{OrderNatural}, allOrderings...) {
+		if rd, err := g.Reorder(o); err == nil || rd != nil {
+			t.Errorf("order %s: Reorder(nil) = %v, %v, want an error", o, rd, err)
+		}
+	}
+}
+
 // TestReorderEmpty checks every ordering on the zero-vertex graph:
 // an empty relabeled graph and empty permutations.
 func TestReorderEmpty(t *testing.T) {

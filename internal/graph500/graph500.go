@@ -43,13 +43,14 @@ type Spec struct {
 	// Seed drives generation and root sampling.
 	Seed uint64
 	// Options configures the BFS runs (algorithm tier, threads, ...).
+	// Its Ordering relabels the generated graph under a
+	// locality-optimized vertex ordering once, before the search phase;
+	// both the per-query and the batched phase run on that one
+	// Reordered. The reorder time is reported separately
+	// (Result.ReorderTime), never charged to construction or search;
+	// roots keep their original ids — the sessions translate
+	// transparently. A supplied Options.Reordered is used as-is.
 	Options core.Options
-	// Ordering relabels the generated graph under a locality-optimized
-	// vertex ordering before the search phase. The reorder time is
-	// reported separately (Result.ReorderTime), never charged to
-	// construction or search; roots keep their original ids — the
-	// session translates transparently.
-	Ordering graph.Ordering
 	// SkipValidation skips per-root tree validation (validation is
 	// O(n+m) per root and dominates small-scale runs).
 	SkipValidation bool
@@ -205,23 +206,23 @@ func Run(spec Spec) (*Result, error) {
 		ConstructionTime: construction,
 		GenerationTime:   generation,
 		BuildTime:        build,
-		Ordering:         spec.Ordering,
 		Validated:        true,
 	}
-	// Relabel under the requested ordering before any session is built;
-	// both the per-query and batched phases share the one Reordered. The
-	// cost is timed apart from construction and search.
-	if spec.Ordering != graph.OrderNatural {
-		rd, err := g.Reorder(spec.Ordering)
-		if err != nil {
+	// Relabel under the requested ordering once, before any session is
+	// built; both the per-query and batched phases share the one
+	// Reordered. The cost is timed apart from construction and search.
+	rd := spec.Options.Reordered
+	if rd == nil && spec.Options.Ordering != graph.OrderNatural {
+		if rd, err = g.Reorder(spec.Options.Ordering); err != nil {
 			return nil, err
 		}
-		res.ReorderTime = rd.ReorderTime()
-		spec.Options.Ordering = spec.Ordering
 		spec.Options.Reordered = rd
 		if spec.Metrics != nil {
 			spec.Metrics.ReorderNs.Add(int64(rd.ReorderTime()))
 		}
+	}
+	if rd != nil {
+		res.Ordering, res.ReorderTime = rd.Order, rd.ReorderTime()
 	}
 	// All roots run on one search session: the worker pool, parent
 	// array, bitmaps and queues are created once and reused, so roots

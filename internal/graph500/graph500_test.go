@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mcbfs/internal/core"
+	"mcbfs/internal/graph"
 	"mcbfs/internal/obs"
 )
 
@@ -182,5 +183,34 @@ func TestRunBatch(t *testing.T) {
 	}
 	if s := res.String(); !strings.Contains(s, "batched") {
 		t.Errorf("String() omits batch stats: %s", s)
+	}
+}
+
+// TestRunReordersOnce pins the one ordering knob: Options.Ordering
+// relabels the generated graph once, before either phase, and the run
+// echoes that ordering and its cost, counting the cost once into the
+// attached Metrics. Both phases validate their trees in caller ids.
+func TestRunReordersOnce(t *testing.T) {
+	var m obs.Metrics
+	spec := DefaultSpec(10)
+	spec.Roots = 4
+	spec.Options = core.Options{Threads: 2, Ordering: graph.OrderDegree}
+	spec.Batch = true
+	spec.Metrics = &m
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ordering != graph.OrderDegree || res.ReorderTime <= 0 {
+		t.Errorf("result reports ordering %s in %v, want degree with its reorder time", res.Ordering, res.ReorderTime)
+	}
+	if got := m.ReorderNs.Load(); got != int64(res.ReorderTime) {
+		t.Errorf("Metrics.ReorderNs = %d, want the one reorder's %d", got, int64(res.ReorderTime))
+	}
+	if !res.Validated || res.BatchRootsRun != res.RootsRun {
+		t.Errorf("validated %v, batched roots %d of %d", res.Validated, res.BatchRootsRun, res.RootsRun)
+	}
+	if s := res.String(); !strings.Contains(s, "reorder[degree]") {
+		t.Errorf("String() omits the reorder: %s", s)
 	}
 }

@@ -6,13 +6,17 @@ import (
 	"sync/atomic"
 )
 
-// Metrics is a set of live, concurrency-safe counters fed by a Tracer
-// and publishable through expvar, for watching long-running BFS
-// workloads (e.g. bfsbench -pprof :6060, then
-// curl localhost:6060/debug/vars). The zero value is ready to use; one
-// Metrics may be shared by any number of concurrent searches.
+// Metrics is a set of live, concurrency-safe cumulative counters,
+// publishable through expvar, for watching long-running BFS workloads
+// (e.g. bfsbench -pprof :6060, then curl localhost:6060/debug/vars).
+// A Telemetry hub is its one input for search work: every query the
+// hub records adds its per-level totals, batch traversals and
+// hot-swaps here; a serving pool adds its own counters. The zero value
+// is ready to use; one Metrics may be shared by any number of
+// concurrent searches.
 type Metrics struct {
-	// Searches counts BFS runs started; LevelsDone completed levels.
+	// Searches counts recorded searches that folded at least one level;
+	// LevelsDone the levels they folded.
 	Searches   atomic.Int64
 	LevelsDone atomic.Int64
 	// Frontier and Edges accumulate the folded per-level counters.
@@ -118,57 +122,27 @@ func (m *Metrics) Publish(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }
 
-// Tracer returns a Tracer that feeds the metrics; attach it to
-// Options.Tracer. It reads only the folded per-level records, so its
-// atomic adds run once per level on the barrier coordinator, never on a
-// worker. It is safe for concurrent use and may be combined with other
-// tracers via MultiTracer.
-func (m *Metrics) Tracer() Tracer {
-	return metricsTracer{m}
-}
-
-type metricsTracer struct{ m *Metrics }
-
-func (t metricsTracer) OnLevelStart(level int) {
-	if level == 0 {
-		t.m.Searches.Add(1)
+// addLevels counts one recorded search's per-level records: it sums
+// them locally, then adds each total with one atomic add, so a query
+// costs the same few adds however many levels it ran. A sample without
+// levels (a batch lane, a shed or dead-on-arrival query) adds nothing.
+func (m *Metrics) addLevels(levels []LevelBreakdown) {
+	if len(levels) == 0 {
+		return
 	}
-}
-
-func (t metricsTracer) OnLevelEnd(level int, b LevelBreakdown) {
-	t.m.LevelsDone.Add(1)
-	t.m.Frontier.Add(b.Frontier)
-	t.m.Edges.Add(b.Edges)
-	t.m.BitmapReads.Add(b.BitmapReads)
-	t.m.AtomicOps.Add(b.AtomicOps)
-	t.m.RemoteBatches.Add(b.RemoteBatches)
-	t.m.RemoteTuples.Add(b.RemoteTuples)
-	t.m.BarrierWaitNs.Add(int64(b.Phases[PhaseBarrierWait]))
-	t.m.LocalScanNs.Add(int64(b.Phases[PhaseLocalScan]))
-	t.m.QueueDrainNs.Add(int64(b.Phases[PhaseQueueDrain]))
-}
-
-// MultiTracer fans callbacks out to every tracer in order.
-func MultiTracer(tracers ...Tracer) Tracer {
-	ts := make([]Tracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t != nil {
-			ts = append(ts, t)
-		}
+	var sum LevelBreakdown
+	for i := range levels {
+		sum.add(&levels[i])
 	}
-	return multiTracer(ts)
-}
-
-type multiTracer []Tracer
-
-func (m multiTracer) OnLevelStart(level int) {
-	for _, t := range m {
-		t.OnLevelStart(level)
-	}
-}
-
-func (m multiTracer) OnLevelEnd(level int, b LevelBreakdown) {
-	for _, t := range m {
-		t.OnLevelEnd(level, b)
-	}
+	m.Searches.Add(1)
+	m.LevelsDone.Add(int64(len(levels)))
+	m.Frontier.Add(sum.Frontier)
+	m.Edges.Add(sum.Edges)
+	m.BitmapReads.Add(sum.BitmapReads)
+	m.AtomicOps.Add(sum.AtomicOps)
+	m.RemoteBatches.Add(sum.RemoteBatches)
+	m.RemoteTuples.Add(sum.RemoteTuples)
+	m.BarrierWaitNs.Add(int64(sum.Phases[PhaseBarrierWait]))
+	m.LocalScanNs.Add(int64(sum.Phases[PhaseLocalScan]))
+	m.QueueDrainNs.Add(int64(sum.Phases[PhaseQueueDrain]))
 }

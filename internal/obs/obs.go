@@ -1,9 +1,9 @@
 // Package obs is the observability layer of the BFS engine: per-worker,
 // per-level phase timers and counters deposited in cache-line-padded
 // worker slots, folded once per level at the level barrier into one
-// LevelBreakdown record that feeds a structured trace, a pluggable
-// Tracer hook interface, the serving telemetry, and live metrics
-// publishable via expvar.
+// LevelBreakdown record that feeds a structured trace and the serving
+// telemetry hub, whose per-query samples are the one input to the live
+// metrics publishable via expvar.
 //
 // The design rule is the one the hot loop lives by: workers never share
 // a cache line and never execute an atomic operation on behalf of
@@ -115,8 +115,8 @@ func (c *Counters) add(o *Counters) {
 // totals plus per-phase worker-time sums (a phase entry is the sum over
 // all workers, so it can exceed Duration on multi-worker runs).
 // Collector.EndLevel folds it once per level, and Result.PerLevel,
-// Trace.Levels, the flight recorder and Tracer.OnLevelEnd all carry
-// that same record.
+// Trace.Levels and the flight recorder carry that same record; the
+// telemetry hub sums a query's records into its Metrics.
 type LevelBreakdown struct {
 	Level int
 	// Workers is the number of workers that ran the level — the
@@ -174,40 +174,6 @@ type ChannelSample struct {
 	// level; MaxBatch the largest single flush.
 	MaxLen   int
 	MaxBatch int
-}
-
-// Tracer receives a BFS run's per-level records. OnLevelStart(0) fires
-// on the caller's goroutine as the run starts; every other call fires
-// at a level barrier, from the coordinator it elects (the caller's
-// goroutine in the sequential tier), so one run calls its Tracer one
-// call at a time. A Tracer shared by concurrent runs must be safe for
-// concurrent use. Workers never call a Tracer. A nil Tracer disables
-// the hooks at zero cost.
-type Tracer interface {
-	// OnLevelStart fires when a level begins (level 0 fires as the run
-	// starts).
-	OnLevelStart(level int)
-	// OnLevelEnd fires at the level barrier with the folded breakdown.
-	OnLevelEnd(level int, b LevelBreakdown)
-}
-
-// TracerFuncs adapts plain functions to the Tracer interface; nil
-// fields are skipped.
-type TracerFuncs struct {
-	LevelStart func(level int)
-	LevelEnd   func(level int, b LevelBreakdown)
-}
-
-func (t TracerFuncs) OnLevelStart(level int) {
-	if t.LevelStart != nil {
-		t.LevelStart(level)
-	}
-}
-
-func (t TracerFuncs) OnLevelEnd(level int, b LevelBreakdown) {
-	if t.LevelEnd != nil {
-		t.LevelEnd(level, b)
-	}
 }
 
 const cacheLine = 64
@@ -297,8 +263,6 @@ type Config struct {
 	// Trace retains the full structured trace (timelines, level
 	// breakdowns, channel samples) for Finish to return.
 	Trace bool
-	// Tracer receives callbacks; may be nil.
-	Tracer Tracer
 }
 
 // Collector coordinates per-worker recording for one BFS run and folds
@@ -307,7 +271,6 @@ type Config struct {
 type Collector struct {
 	origin     time.Time
 	levelStart time.Time
-	tracer     Tracer
 	trace      *Trace
 	workers    []WorkerRec
 	// levels holds the run's folded records, one per completed level;
@@ -325,8 +288,8 @@ func NewCollector(cfg Config) *Collector {
 // Reset arms the collector for a new run, reusing the per-worker padded
 // slots, each worker's span backing array and the level records, so a
 // warm observed search allocates nothing here. The zero Collector is
-// ready for Reset. It stamps the run origin and fires OnLevelStart(0),
-// so call it immediately before the search starts.
+// ready for Reset. It stamps the run origin, so call it immediately
+// before the search starts.
 func (c *Collector) Reset(cfg Config) {
 	if cap(c.workers) < cfg.Workers {
 		c.workers = make([]WorkerRec, cfg.Workers)
@@ -334,7 +297,6 @@ func (c *Collector) Reset(cfg Config) {
 	c.workers = c.workers[:cfg.Workers]
 	c.origin = time.Now()
 	c.levelStart = c.origin
-	c.tracer = cfg.Tracer
 	c.levels = c.levels[:0]
 	c.trace = nil
 	if cfg.Trace {
@@ -347,9 +309,6 @@ func (c *Collector) Reset(cfg Config) {
 	for i := range c.workers {
 		ws := &c.workers[i].workerState
 		*ws = workerState{traceOn: cfg.Trace, origin: c.origin, spans: ws.spans[:0]}
-	}
-	if c.tracer != nil {
-		c.tracer.OnLevelStart(0)
 	}
 }
 
@@ -393,13 +352,12 @@ func (c *Collector) AddChannelSample(socket int, tuples, batches int64, maxLen, 
 // EndLevel folds every worker's current-parity slot — counters, remote
 // flushes and phases, in one pass — into the level's LevelBreakdown,
 // clears the slots for reuse two levels later, stamps the level's
-// duration, appends the record to Levels, and fires OnLevelEnd (and
-// OnLevelStart for the next level when more is true).
+// duration and appends the record to Levels.
 //
 // It must be called from the coordinator elected at the level's closing
 // barrier — the window in which every worker has finished writing the
 // level's slots and is at most writing the other parity.
-func (c *Collector) EndLevel(more bool) {
+func (c *Collector) EndLevel() {
 	if c == nil {
 		return
 	}
@@ -417,12 +375,6 @@ func (c *Collector) EndLevel(more bool) {
 	b.Start, b.Duration = c.levelStart.Sub(c.origin), now.Sub(c.levelStart)
 	c.levelStart = now
 	c.levels = append(c.levels, b)
-	if c.tracer != nil {
-		c.tracer.OnLevelEnd(level, b)
-		if more {
-			c.tracer.OnLevelStart(level + 1)
-		}
-	}
 }
 
 // Levels returns the records of the levels folded so far. The slice is

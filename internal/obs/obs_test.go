@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -31,7 +32,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	wr.AddCounters(Counters{Edges: 1})
 	wr.NextLevel()
 	c.CreditFrontier(1)
-	c.EndLevel(true)
+	c.EndLevel()
 	c.AddChannelSample(0, 1, 1, 1, 1)
 	if c.Levels() != nil {
 		t.Errorf("nil collector returned level records")
@@ -56,7 +57,7 @@ func TestCollectorFoldAndParity(t *testing.T) {
 		wr.slots[0].Phases[PhaseLocalScan] = time.Duration(w+1) * time.Millisecond
 		wr.RemoteBatch(5)
 	}
-	c.EndLevel(true)
+	c.EndLevel()
 	for w := 0; w < 3; w++ {
 		c.Worker(w).NextLevel()
 	}
@@ -76,7 +77,7 @@ func TestCollectorFoldAndParity(t *testing.T) {
 	c.CreditFrontier(6)
 	c.Worker(2).NextLevel()
 	c.Worker(2).AddCounters(Counters{Frontier: 100, Edges: 100})
-	c.EndLevel(false)
+	c.EndLevel()
 
 	want := []LevelBreakdown{{
 		Level: 0, Workers: 3,
@@ -136,7 +137,7 @@ func TestSpansRecorded(t *testing.T) {
 	start := wr.PhaseStart()
 	time.Sleep(time.Millisecond)
 	wr.PhaseEnd(PhaseLocalScan, start)
-	c.EndLevel(false)
+	c.EndLevel()
 	tr := c.Finish()
 	if len(tr.Timelines) != 1 || len(tr.Timelines[0]) != 1 {
 		t.Fatalf("timelines = %v", tr.Timelines)
@@ -145,44 +146,6 @@ func TestSpansRecorded(t *testing.T) {
 	if s.Phase != PhaseLocalScan || s.Level != 0 || s.Dur <= 0 || s.Start < 0 {
 		t.Errorf("span = %+v", s)
 	}
-}
-
-func TestTracerHooks(t *testing.T) {
-	var events []string
-	var ends []LevelBreakdown
-	tr := TracerFuncs{
-		LevelStart: func(level int) { events = append(events, "start") },
-		LevelEnd: func(level int, b LevelBreakdown) {
-			events = append(events, "end")
-			ends = append(ends, b)
-		},
-	}
-	c := NewCollector(Config{Workers: 1, Tracer: tr})
-	wr := c.Worker(0)
-	wr.AddCounters(Counters{Frontier: 1, Edges: 3})
-	wr.RemoteBatch(3)
-	wr.PhaseEnd(PhaseBarrierWait, wr.PhaseStart())
-	c.EndLevel(true) // fires end + next start
-	wr.NextLevel()
-	c.EndLevel(false)
-	want := []string{"start", "end", "start", "end"}
-	if strings.Join(events, ",") != strings.Join(want, ",") {
-		t.Errorf("events = %v, want %v", events, want)
-	}
-	// OnLevelEnd receives the folded record itself.
-	if len(ends) != 2 || ends[0] != c.Levels()[0] || ends[1] != c.Levels()[1] {
-		t.Errorf("OnLevelEnd records %+v differ from the folded records %+v", ends, c.Levels())
-	}
-	if ends[0].Edges != 3 || ends[0].RemoteTuples != 3 {
-		t.Errorf("level 0 record = %+v", ends[0])
-	}
-}
-
-func TestTracerFuncsNilFields(t *testing.T) {
-	// A zero TracerFuncs must be usable.
-	var tr TracerFuncs
-	tr.OnLevelStart(0)
-	tr.OnLevelEnd(0, LevelBreakdown{})
 }
 
 func TestWriteChromeTrace(t *testing.T) {
@@ -194,7 +157,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	c.AddChannelSample(0, 100, 3, 80, 64)
 	c.AddChannelSample(1, 50, 1, 50, 50)
-	c.EndLevel(false)
+	c.EndLevel()
 
 	var buf bytes.Buffer
 	if err := c.Finish().WriteChromeTrace(&buf); err != nil {
@@ -256,22 +219,28 @@ func TestWriteBreakdown(t *testing.T) {
 	}
 }
 
+// TestMetrics checks the hub's one route into Metrics: a recorded
+// query adds the sums of its per-level records, and a query that ran
+// no level (here a shed one) adds nothing.
 func TestMetrics(t *testing.T) {
 	var m Metrics
-	tr := m.Tracer()
-	tr.OnLevelStart(0)
-	tr.OnLevelStart(1) // not a new search
-	b := LevelBreakdown{Counters: Counters{Frontier: 4, Edges: 40, BitmapReads: 30, AtomicOps: 5},
-		RemoteBatches: 1, RemoteTuples: 64}
-	b.Phases[PhaseLocalScan] = time.Millisecond
-	b.Phases[PhaseBarrierWait] = time.Microsecond
-	tr.OnLevelEnd(0, b)
+	tel := NewTelemetry(TelemetryOptions{Metrics: &m})
+	levels := []LevelBreakdown{
+		{Level: 0, Counters: Counters{Frontier: 1, Edges: 10, BitmapReads: 10, AtomicOps: 3}},
+		{Level: 1, Counters: Counters{Frontier: 3, Edges: 30, BitmapReads: 20, AtomicOps: 2},
+			RemoteBatches: 1, RemoteTuples: 64},
+	}
+	levels[0].Phases[PhaseLocalScan] = time.Millisecond
+	levels[1].Phases[PhaseBarrierWait] = time.Microsecond
+	levels[1].Phases[PhaseQueueDrain] = 2 * time.Microsecond
+	tel.RecordQuery(0, QuerySample{Duration: time.Millisecond, Levels: 2, PerLevel: levels})
+	tel.RecordShed(time.Now(), time.Millisecond)
 
 	s := m.Snapshot()
 	want := map[string]int64{
-		"searches": 1, "levelsDone": 1, "frontier": 4, "edges": 40,
+		"searches": 1, "levelsDone": 2, "frontier": 4, "edges": 40,
 		"bitmapReads": 30, "atomicOps": 5, "remoteBatches": 1, "remoteTuples": 64,
-		"barrierWaitNs": 1000, "localScanNs": 1e6,
+		"barrierWaitNs": 1000, "localScanNs": 1e6, "queueDrainNs": 2000,
 	}
 	for k, v := range want {
 		if s[k] != v {
@@ -280,15 +249,54 @@ func TestMetrics(t *testing.T) {
 	}
 }
 
-func TestMultiTracer(t *testing.T) {
-	var a, b Metrics
-	mt := MultiTracer(a.Tracer(), nil, b.Tracer())
-	mt.OnLevelStart(0)
-	mt.OnLevelEnd(0, LevelBreakdown{Counters: Counters{Edges: 7}, RemoteTuples: 2})
-	for _, m := range []*Metrics{&a, &b} {
-		if m.Searches.Load() != 1 || m.Edges.Load() != 7 || m.RemoteTuples.Load() != 2 {
-			t.Errorf("metrics not fanned out: %+v", m.Snapshot())
+// TestMetricsConcurrentRecording records per-level samples into one hub
+// from several goroutines at once: every total must come out exact,
+// with no add lost to a race between recorders.
+func TestMetricsConcurrentRecording(t *testing.T) {
+	const recorders, queries = 4, 500
+	tel := NewTelemetry(TelemetryOptions{Shards: recorders})
+	var wg sync.WaitGroup
+	for r := 0; r < recorders; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each recorder reuses one PerLevel buffer, as a session
+			// lends its collector's records.
+			levels := make([]LevelBreakdown, r+1)
+			for q := 0; q < queries; q++ {
+				for l := range levels {
+					levels[l] = LevelBreakdown{Level: l,
+						Counters:      Counters{Frontier: 1, Edges: int64(q), AtomicOps: 2},
+						RemoteBatches: 1, RemoteTuples: int64(r)}
+					levels[l].Phases[PhaseBarrierWait] = time.Duration(l)
+				}
+				tel.RecordQuery(r, QuerySample{Duration: time.Microsecond, Levels: len(levels), PerLevel: levels})
+				tel.RecordShed(time.Now(), time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var want Metrics
+	for r := 0; r < recorders; r++ {
+		lv := int64(r + 1)
+		want.Searches.Add(queries)
+		want.LevelsDone.Add(queries * lv)
+		want.Frontier.Add(queries * lv)
+		want.Edges.Add(lv * queries * (queries - 1) / 2)
+		want.AtomicOps.Add(2 * queries * lv)
+		want.RemoteBatches.Add(queries * lv)
+		want.RemoteTuples.Add(queries * lv * int64(r))
+		want.BarrierWaitNs.Add(queries * lv * (lv - 1) / 2)
+	}
+	got, exp := tel.Metrics().Snapshot(), want.Snapshot()
+	for k, v := range exp {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
 		}
+	}
+	if n := tel.OutcomeCount(OutcomeShed); n != recorders*queries {
+		t.Errorf("shed outcomes = %d, want %d", n, recorders*queries)
 	}
 }
 

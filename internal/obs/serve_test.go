@@ -136,8 +136,10 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	if got := values["mcbfs_pool_searchers_busy"]; got != 2 {
 		t.Errorf("pool busy gauge = %v, want 2", got)
 	}
-	if got := values["mcbfs_searches_total"]; got != 3 {
-		t.Errorf("attached metric searches = %v, want 3", got)
+	// The 3 pre-seeded searches plus the 11 fed queries that ran levels;
+	// the shed one ran none.
+	if got := values["mcbfs_searches_total"]; got != 14 {
+		t.Errorf("attached metric searches = %v, want 14", got)
 	}
 	if got := values["mcbfs_timed_out_total"]; got != 2 {
 		t.Errorf("attached metric timedOut = %v, want 2", got)
@@ -154,8 +156,9 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 	if got := values["mcbfs_batch_lanes_sum"]; got != 4 {
 		t.Errorf("batch lanes = %v, want 4", got)
 	}
-	// The batch and swap totals are the attached Metrics' counters, each
-	// written once (validatePrometheus rejects a repeated family).
+	// The batch, swap and per-level totals are the attached Metrics'
+	// counters, each written once (validatePrometheus rejects a
+	// repeated family).
 	for name, want := range map[string]float64{
 		"mcbfs_batch_traversals_total": 1,
 		"mcbfs_batch_lanes_total":      4,
@@ -165,6 +168,10 @@ func TestWriteMetricsPrometheusFormat(t *testing.T) {
 		"mcbfs_swap_ns_total":          3e6,
 		"mcbfs_graph_epoch":            2,
 		"mcbfs_swap_duration_seconds":  0.003,
+		// The fed queries' per-level records: 10 × 3 + 5 levels of 100
+		// edges each.
+		"mcbfs_levels_done_total": 35,
+		"mcbfs_edges_total":       3500,
 	} {
 		if got, ok := values[name]; !ok || got != want {
 			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)

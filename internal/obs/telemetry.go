@@ -16,12 +16,12 @@ type TelemetryOptions struct {
 	// FlightSize is the flight recorder's ring length. 0 means 256.
 	// Each slot reserves room for an 8-level capture (1,152 B) up front.
 	FlightSize int
-	// Metrics is the counter set the hub counts its batch and swap
-	// totals into and exports on /metrics; nil makes the hub allocate
-	// its own. The hub's lanes histogram takes its count and sum from
-	// it, so give each hub its own Metrics and share the hub instead to
-	// aggregate pools. The hub does not feed the per-level counters —
-	// attach Metrics.Tracer() to Options.Tracer for those.
+	// Metrics is the counter set the hub counts into and exports on
+	// /metrics — each recorded query's per-level totals, its batch
+	// traversals and hot-swaps; nil makes the hub allocate its own. The
+	// hub's lanes histogram takes its count and sum from it, so give
+	// each hub its own Metrics and share the hub instead to aggregate
+	// pools.
 	Metrics *Metrics
 }
 
@@ -29,8 +29,9 @@ type TelemetryOptions struct {
 // a slow-query flight recorder, sliding-window QPS/error counters,
 // per-outcome totals, and the HTTP exposition over all of them
 // (Prometheus text /metrics, JSON /debug/bfs — see serve.go). The hub
-// classifies queries; the cumulative work it sees (batch traversals,
-// hot-swaps) it counts into its Metrics, so each count has one home.
+// classifies queries; the cumulative work it sees (each query's
+// per-level totals, batch traversals, hot-swaps) it counts into its
+// Metrics, so each count has one home.
 //
 // One Telemetry is shared by every session serving a pool (or any set
 // of concurrent recorders); RecordQuery is safe for concurrent use and
@@ -245,10 +246,11 @@ func (t *Telemetry) draining() int {
 
 // RecordQuery deposits one finished query: latency into the histogram's
 // given shard, the outcome into the per-outcome totals and the rolling
-// ok/error windows, and the sample into the flight recorder (which
-// retains s.PerLevel only for slow queries). Safe for concurrent use;
-// allocation-free once the flight ring's slot capacities have warmed.
-// No-op on a nil receiver.
+// ok/error windows, the sum of s.PerLevel into the hub's Metrics (a
+// query that ran no level adds nothing there), and the sample into the
+// flight recorder (which retains s.PerLevel only for slow queries).
+// Safe for concurrent use; allocation-free once the flight ring's slot
+// capacities have warmed. No-op on a nil receiver.
 func (t *Telemetry) RecordQuery(shard int, s QuerySample) {
 	if t == nil {
 		return
@@ -264,6 +266,7 @@ func (t *Telemetry) RecordQuery(shard int, s QuerySample) {
 	} else {
 		t.errs.Add(1)
 	}
+	t.metrics.addLevels(s.PerLevel)
 	t.flight.note(s)
 }
 

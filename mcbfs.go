@@ -68,21 +68,12 @@ type Options = core.Options
 type Result = core.Result
 
 // LevelStats is one level's record in Result.PerLevel (enable with
-// Options.Instrument): the same LevelBreakdown that traces, Tracer
-// hooks and the flight recorder carry, under its older name.
+// Options.Instrument): the same LevelBreakdown that traces, the
+// telemetry hub and the flight recorder carry, under its older name.
 type LevelStats = obs.LevelBreakdown
 
 // Algorithm selects a BFS implementation tier.
 type Algorithm = core.Algorithm
-
-// Tracer receives each level's start and folded record from a BFS run
-// (attach via Options.Tracer). Its hooks fire as the run starts and at
-// each level barrier, one at a time per search, never from a worker; a
-// Tracer shared by concurrent searches must be safe for concurrent use.
-type Tracer = obs.Tracer
-
-// TracerFuncs adapts plain functions to the Tracer interface.
-type TracerFuncs = obs.TracerFuncs
 
 // Trace is the structured record of a traced BFS run (enable with
 // Options.Trace, read from Result.Trace); export it with
@@ -99,24 +90,25 @@ type LevelBreakdown = obs.LevelBreakdown
 type Phase = obs.Phase
 
 // Metrics is a set of live cumulative work counters publishable via
-// expvar. Its per-level counters are fed by Metrics.Tracer(), which
-// reads each level's folded record at the level barrier (so attaching
-// it adds no atomic operation to the workers); its batch and swap
-// totals by the Telemetry hub it is attached to; its pool counters by
-// a Pool whose hub it is (PoolOptions.Metrics). Per-query outcomes are
-// not kept here: read them with Telemetry.OutcomeCount.
+// expvar. The Telemetry hub it is attached to is its one input for
+// search work: the hub adds each recorded query's per-level totals
+// (summed from the records folded at the level barriers, so the
+// workers execute no atomic operation for them) and its batch and swap
+// totals; a Pool whose hub it is (PoolOptions.Metrics) adds its pool
+// counters. Per-query outcomes are not kept here: read them with
+// Telemetry.OutcomeCount.
 type Metrics = obs.Metrics
 
 // Telemetry is the serving telemetry hub: a lock-free sharded latency
 // histogram, per-outcome totals and rolling-window counters (exactly
 // one outcome per query), and a flight recorder that retains the
 // slowest recent queries with their per-level phase breakdowns. It
-// counts the cumulative work it sees (batch traversals, hot-swaps)
-// into its Metrics (Telemetry.Metrics). Attach one to a Pool
-// (PoolOptions.Telemetry, or implicitly via PoolOptions.Metrics or
-// ServeMonitor) or to a Searcher (Options.Telemetry), and expose it
-// over HTTP with Telemetry.Handler — Prometheus text format at
-// /metrics, JSON status at /debug/bfs.
+// counts the cumulative work it sees (each query's per-level totals,
+// batch traversals, hot-swaps) into its Metrics (Telemetry.Metrics).
+// Attach one to a Pool (PoolOptions.Telemetry, or implicitly via
+// PoolOptions.Metrics or ServeMonitor) or to a Searcher
+// (Options.Telemetry), and expose it over HTTP with Telemetry.Handler —
+// Prometheus text format at /metrics, JSON status at /debug/bfs.
 type Telemetry = obs.Telemetry
 
 // TelemetryOptions configures NewTelemetry.
@@ -162,9 +154,6 @@ const (
 	PhaseFrontierBuild = obs.PhaseFrontierBuild
 	PhaseBottomUpScan  = obs.PhaseBottomUpScan
 )
-
-// MultiTracer fans tracer callbacks out to several tracers.
-func MultiTracer(tracers ...Tracer) Tracer { return obs.MultiTracer(tracers...) }
 
 // Machine describes a shared-memory system's shape.
 type Machine = topology.Machine

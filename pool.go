@@ -112,12 +112,10 @@ type BatchingOptions struct {
 	Window time.Duration
 	// Runners is the number of concurrent batch traversals (each epoch
 	// holds one BatchSearcher with Search.Threads workers per runner).
-	// 0 means 1.
+	// 0 means 1. Admission buffers another Lanes*Runners queries beyond
+	// those the runners carry; queries beyond that shed with
+	// ErrPoolSaturated when their context expires first.
 	Runners int
-	// QueueDepth is the admission buffer beyond the lanes the runners
-	// can carry; queries beyond it shed with ErrPoolSaturated when
-	// their context expires first. 0 sizes it to Lanes*Runners.
-	QueueDepth int
 }
 
 func (o BatchingOptions) withDefaults() BatchingOptions {
@@ -126,9 +124,6 @@ func (o BatchingOptions) withDefaults() BatchingOptions {
 	}
 	if o.Runners <= 0 {
 		o.Runners = 1
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = o.Lanes * o.Runners
 	}
 	return o
 }
@@ -319,11 +314,14 @@ func NewPool(g *Graph, opt PoolOptions) (*Pool, error) {
 // starts the runner goroutines; their sessions live in the snapshots.
 func (p *Pool) startBatching() {
 	b := p.batching
-	p.batchCh = make(chan batchReq, b.QueueDepth)
+	// The admission queue holds one more full batch per runner beyond
+	// the batches in flight.
+	capacity := b.Lanes * b.Runners
+	p.batchCh = make(chan batchReq, capacity)
 	p.batchStop = make(chan struct{})
 	// Free-list sized to every reply channel the pool can have in
 	// flight at once: queued + being-served requests.
-	nReplies := b.QueueDepth + b.Lanes*b.Runners
+	nReplies := 2 * capacity
 	p.replies = make(chan chan batchReply, nReplies)
 	for i := 0; i < nReplies; i++ {
 		p.replies <- make(chan batchReply, 1)

@@ -123,11 +123,11 @@ func (c *holdCtx) Err() error {
 // checks the shed is recorded before ErrPoolSaturated returns: the shed
 // outcome total and the telemetry error-rate window that feeds /metrics.
 //
-// Setup: with Lanes=1, Runners=1, QueueDepth=1 the reply free-list
-// holds exactly 2 channels. Query A parks the runner (blocking lane
-// context) while holding one. Two racing probes then contend for the
-// last channel: whichever wins it is admitted and parks behind A, so
-// the other deterministically sheds at its deadline.
+// Setup: with Lanes=1 and Runners=1 the admission buffer holds one
+// query and the reply free-list exactly 2 channels. Query A parks the
+// runner (blocking lane context) while holding one. Two racing probes
+// then contend for the last channel: whichever wins it is admitted and
+// parks behind A, so the other deterministically sheds at its deadline.
 func TestPoolBatchingShed(t *testing.T) {
 	g := poolTestGraph(t)
 	tel := mcbfs.NewTelemetry(mcbfs.TelemetryOptions{Shards: 1})
@@ -136,9 +136,8 @@ func TestPoolBatchingShed(t *testing.T) {
 		Search:    mcbfs.Options{Threads: 2},
 		Telemetry: tel,
 		Batching: mcbfs.BatchingOptions{
-			Lanes:      1, // no admission window: the runner serves one query at a time
-			Runners:    1,
-			QueueDepth: 1,
+			Lanes:   1, // no admission window: the runner serves one query at a time
+			Runners: 1,
 		},
 	})
 	if err != nil {
@@ -238,9 +237,10 @@ func TestPoolBatchingCancelledQuery(t *testing.T) {
 	}
 }
 
-// panicCtx is a lane context whose Err panics. The batch runner polls
-// it while seeding the lanes, on the runner's own goroutine, so the
-// pool recovers the panic as a panicking batch.
+// panicCtx is a query context whose Err panics. The batch runner polls
+// it while seeding the lanes, on the runner's own goroutine, and a
+// Searcher as its search starts, inside the borrow's recover scope, so
+// the pool recovers the panic as a panicking batch or query.
 type panicCtx struct{ context.Context }
 
 func (panicCtx) Err() error { panic("lane context exploded") }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -277,18 +276,12 @@ func outcomeCounts(tel *mcbfs.Telemetry) [5]int64 {
 // outcomes, and checks that each query moves its own outcome total and
 // the latency histogram by exactly one, and nothing else. A root
 // outside the graph is refused before it searches and moves neither.
-// Each panic is raised where the pool can recover it: a Tracer's
-// OnLevelStart(0), which the caller's goroutine fires as the search
-// starts; QueryFunc's callback; and a lane context the batch runner
-// polls while seeding the lanes.
+// Each panic is raised where the pool can recover it: a context whose
+// Err panics, which the Searcher polls on the caller's goroutine as the
+// search starts and the batch runner polls while seeding the lanes; and
+// QueryFunc's callback.
 func TestOneOutcomePerQuery(t *testing.T) {
 	g := poolTestGraph(t)
-	var armed atomic.Bool // the next search's level-0 hook panics
-	tracer := mcbfs.TracerFuncs{LevelStart: func(level int) {
-		if level == 0 && armed.CompareAndSwap(true, false) {
-			panic("tracer exploded")
-		}
-	}}
 	type query func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error
 	// holdSlot saturates a one-Searcher pool with a QueryFunc parked in
 	// its callback; the probe then sheds at its deadline.
@@ -347,9 +340,11 @@ func TestOneOutcomePerQuery(t *testing.T) {
 	}{
 		{
 			name: "search",
-			opt:  mcbfs.PoolOptions{Search: mcbfs.Options{Threads: 2, Tracer: tracer}},
+			opt:  mcbfs.PoolOptions{Search: mcbfs.Options{Threads: 2}},
 			query: func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error {
-				armed.Store(panics)
+				if panics {
+					ctx = panicCtx{ctx}
+				}
 				_, err := pool.Search(ctx, root, mcbfs.Query{})
 				return err
 			},
@@ -372,7 +367,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			name: "batched",
 			opt: mcbfs.PoolOptions{
 				Search:   mcbfs.Options{Threads: 2},
-				Batching: mcbfs.BatchingOptions{Lanes: 1, Runners: 1, QueueDepth: 1},
+				Batching: mcbfs.BatchingOptions{Lanes: 1, Runners: 1},
 			},
 			query: func(pool *mcbfs.Pool, ctx context.Context, root mcbfs.Vertex, panics bool) error {
 				if panics {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,11 +79,14 @@ func TestPoolServeMonitorE2E(t *testing.T) {
 	ctx := context.Background()
 	const queries = 20
 	var lastSec int64 // the wall-clock second before the last query
+	var edges int64
 	for i := 0; i < queries; i++ {
 		lastSec = time.Now().Unix()
-		if _, err := pool.Query(ctx, mcbfs.Vertex(i)); err != nil {
+		res, err := pool.Query(ctx, mcbfs.Vertex(i))
+		if err != nil {
 			t.Fatal(err)
 		}
+		edges += res.EdgesTraversed
 	}
 
 	base := "http://" + addr
@@ -93,6 +97,9 @@ func TestPoolServeMonitorE2E(t *testing.T) {
 		"mcbfs_query_duration_seconds_count 20",
 		`mcbfs_queries_total{outcome="ok"} 20`,
 		"mcbfs_pool_searchers 2",
+		// The per-level totals need no wiring beyond the hub.
+		"mcbfs_searches_total 20",
+		fmt.Sprintf("mcbfs_edges_total %d", edges),
 	} {
 		if !strings.Contains(mbody, want) {
 			t.Errorf("/metrics missing %q\n%s", want, mbody)
@@ -151,6 +158,70 @@ func TestPoolServeMonitorE2E(t *testing.T) {
 	}
 	if !captured {
 		t.Error("no slow query with a per-level breakdown was captured")
+	}
+}
+
+// TestPoolMetricsSumLevelRecords checks that a Pool given only
+// PoolOptions.Metrics counts every query's per-level records into it:
+// concurrent queries on both Searcher slots, and each per-level total
+// equals the sum over the queries' Result.PerLevel.
+func TestPoolMetricsSumLevelRecords(t *testing.T) {
+	g, err := mcbfs.GridGraph(48, 48, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m mcbfs.Metrics
+	pool, err := mcbfs.NewPool(g, mcbfs.PoolOptions{
+		Size:    2,
+		Search:  mcbfs.Options{Threads: 2, Instrument: true},
+		Metrics: &m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	const clients, perClient = 4, 10
+	var mu sync.Mutex
+	var want mcbfs.Metrics
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				root := mcbfs.Vertex((c*perClient + i) * 37 % g.NumVertices())
+				err := pool.QueryFunc(context.Background(), root, mcbfs.Query{}, func(res *mcbfs.Result) error {
+					mu.Lock()
+					defer mu.Unlock()
+					want.Searches.Add(1)
+					want.LevelsDone.Add(int64(len(res.PerLevel)))
+					for _, b := range res.PerLevel {
+						want.Frontier.Add(b.Frontier)
+						want.Edges.Add(b.Edges)
+						want.BitmapReads.Add(b.BitmapReads)
+						want.AtomicOps.Add(b.AtomicOps)
+						want.LocalScanNs.Add(int64(b.Phases[mcbfs.PhaseLocalScan]))
+						want.BarrierWaitNs.Add(int64(b.Phases[mcbfs.PhaseBarrierWait]))
+					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got, exp := m.Snapshot(), want.Snapshot()
+	for _, k := range []string{"searches", "levelsDone", "frontier", "edges", "bitmapReads", "atomicOps", "localScanNs", "barrierWaitNs"} {
+		if got[k] != exp[k] {
+			t.Errorf("Metrics %s = %d, PerLevel sum %d", k, got[k], exp[k])
+		}
+	}
+	if got["searches"] != clients*perClient || got["edges"] == 0 {
+		t.Errorf("Metrics counted %d searches over %d edges, want %d searches", got["searches"], got["edges"], clients*perClient)
 	}
 }
 
